@@ -20,7 +20,9 @@ exactly this cell: one fused Philox block draw plus a per-edge
 probability table replace the two per-replica fill loops and most of
 the per-task math, and the acceptance test pins ``rng_policy="counter"``
 at >= 2.5x per-round over ``"spawned"`` at (ring(8), m=1500, R=256).
-Acceptance numbers land in ``benchmarks/BENCH.json`` (cell, policy,
+A retiring row runs the weighted quick cell to ``NashStop`` under both
+policies, where converged replicas leave holes in the counter layout's
+row sets. Acceptance numbers land in ``benchmarks/BENCH.json`` (cell, policy,
 wall-clock, speedup) so the perf trajectory is tracked across PRs.
 """
 
@@ -264,6 +266,57 @@ def test_weighted_speedup_at_100_repetitions():
     assert speedup >= 3.0, (
         f"batched weighted engine only {speedup:.1f}x faster "
         f"({batch_seconds:.2f}s vs {scalar_seconds:.2f}s)"
+    )
+
+
+@pytest.mark.slow
+def test_weighted_retiring_measurement_both_policies():
+    """BENCH row: the weighted quick cell run to NashStop, both policies.
+
+    ring(16), two-class speeds, m = 8n tasks, 100 repetitions through
+    the batch engine. Replicas reach the Nash state at different rounds
+    and retire, so the active stack goes sparse and the counter layout
+    fills sparse row sets every round; the fixed-round per-round rows
+    never retire a replica and cannot show that cost. Wall clock is best
+    of three per policy; the counter row's speedup is over spawned.
+    """
+    n, m = WEIGHTED_QUICK_N, WEIGHTED_QUICK_M
+    graph, speeds, weights = _weighted_cell(n, m)
+
+    def factory(rng):
+        return WeightedState(place_weighted_random(m, n, rng), weights, speeds)
+
+    def timed(policy):
+        best_seconds, measurement = float("inf"), None
+        for _ in range(3):
+            start = time.perf_counter()
+            measurement = measure_convergence_rounds(
+                graph,
+                SelfishWeightedProtocol(),
+                factory,
+                NashStop(),
+                repetitions=100,
+                max_rounds=50_000,
+                seed=42,
+                rng_policy=policy,
+            )
+            best_seconds = min(best_seconds, time.perf_counter() - start)
+        return measurement, best_seconds
+
+    seconds = {}
+    for policy in ("spawned", "counter"):
+        measurement, seconds[policy] = timed(policy)
+        assert measurement.all_converged
+        # Replicas retire at different rounds: the stack goes sparse.
+        assert np.unique(measurement.rounds).size > 1
+    cell = "weighted-nash ring(16) m=8n reps=100 retiring"
+    record_bench(cell, "spawned", seconds["spawned"], 1.0, baseline="spawned")
+    record_bench(
+        cell,
+        "counter",
+        seconds["counter"],
+        seconds["spawned"] / seconds["counter"],
+        baseline="spawned",
     )
 
 

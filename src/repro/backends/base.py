@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.utils.rng import philox_uniforms
+
 __all__ = ["ArrayBackend"]
 
 
@@ -85,21 +87,13 @@ class ArrayBackend:
         """``count`` uniforms from the ``key``-ed Philox stream,
         starting at absolute 64-bit word ``start_word``.
 
-        The reference implementation is numpy's Philox with the
-        counter advanced block-wise (4 words per counter increment)
-        and any sub-block remainder discarded word by word — the exact
-        fill :class:`repro.utils.rng.CounterStreams` has always used,
-        so routing through the default hook changes nothing bit-wise.
+        The default is the counter layout's one reference fill,
+        :func:`repro.utils.rng.philox_uniforms` (raw Philox words
+        converted exactly as numpy's ``Generator.random`` converts
+        them), so routing through this hook changes nothing bit-wise.
         Device backends may override to generate where their arrays
         live (CuPy's Philox variant differs from numpy's, so such an
         override is law-equivalent, not bit-identical; see the README
         backend matrix).
         """
-        bit_generator = np.random.Philox(key=key)
-        blocks, remainder = divmod(start_word, 4)
-        if blocks:
-            bit_generator.advance(blocks)
-        generator = np.random.Generator(bit_generator)
-        if remainder:
-            generator.random(remainder)
-        return generator.random(count)
+        return philox_uniforms(key, start_word, count)

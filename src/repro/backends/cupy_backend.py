@@ -210,7 +210,7 @@ class CupyBackend(ArrayBackend):
 
         cupy's ``Philox4x3210`` takes a single integer seed and has no
         word-level counter advance, so absolute word addressing is
-        emulated by deriving a fresh seed for each contiguous run —
+        emulated by deriving a fresh seed for each filled span —
         deterministic, law-equivalent, but not bit-compatible with the
         reference fill (see the module docstring).
         """

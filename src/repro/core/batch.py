@@ -31,9 +31,10 @@ Replica randomness flows through a pluggable
   ``(root seed, round, site)``, removing the per-replica fill loop. Runs
   are same-seed deterministic and agree with the scalar reference in
   *law* (not pathwise); static weighted ensembles additionally stay
-  resize prefix-stable because each replica's counter range depends only
-  on its position in the active prefix. See the README's
-  reproducibility-guarantees matrix.
+  resize prefix-stable and shardable because each replica's counter
+  range depends only on its global replica index, not on which other
+  replicas are still active. See the README's reproducibility-guarantees
+  matrix.
 
 Convergence-time convention (same as the scalar simulator): a replica's
 *stop round* is the number of rounds executed before the stopping

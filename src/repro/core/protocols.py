@@ -550,6 +550,32 @@ def _choose_neighbours(
     return slot_index, neighbour
 
 
+def _scatter_row_draws(
+    rngs: Sequence[np.random.Generator],
+    rows: IntArray,
+    where: np.ndarray,
+    fill: float,
+) -> FloatArray:
+    """``(A, M)`` block with replica ``rows[p]``'s next ``where[p].sum()``
+    uniforms at the true positions of row ``p`` (in slot order) and
+    ``fill`` elsewhere.
+
+    Each replica draws from its own generator in replica order, and one
+    boolean assignment scatters them all: row-major order of ``where``
+    is each row's slot order, so the per-replica consumption is exactly
+    a per-row scatter's.
+    """
+    counts = np.count_nonzero(where, axis=1)
+    block = np.full(where.shape, fill)
+    block[where] = np.concatenate(
+        [
+            rngs[row].random(count)
+            for row, count in zip(rows.tolist(), counts.tolist())
+        ]
+    )
+    return block
+
+
 class SelfishWeightedProtocol(Protocol):
     """Algorithm 2: weighted tasks, weight-oblivious migration condition.
 
@@ -829,16 +855,12 @@ class SelfishWeightedProtocol(Protocol):
         # (no padding, the pipeline's common case) fill whole rows
         # in place, which is the same stream read without the
         # boolean-scatter cost.
-        u_choice = np.empty((num_active, max_tasks)) if all_live else np.zeros(
-            (num_active, max_tasks)
-        )
-        for position in range(num_active):
-            if all_live:
+        if all_live:
+            u_choice = np.empty((num_active, max_tasks))
+            for position in range(num_active):
                 rngs[rows[position]].random(out=u_choice[position])
-            elif np.any(mask[position]):
-                u_choice[position, mask[position]] = rngs[rows[position]].random(
-                    int(np.count_nonzero(mask[position]))
-                )
+        else:
+            u_choice = _scatter_row_draws(rngs, rows, mask, 0.0)
         i = nodes if all_live else np.where(mask, nodes, 0)
         deg_i = degrees[i]
         chosen_slot = np.floor(u_choice * deg_i).astype(np.int64)
@@ -887,21 +909,15 @@ class SelfishWeightedProtocol(Protocol):
         # scattered into the valid positions in task order (again the
         # scalar kernel's consumption; full-row fill when every task has
         # a neighbour).
-        u_migrate = np.empty((num_active, max_tasks)) if all_valid else np.ones(
-            (num_active, max_tasks)
-        )
-        for position in range(num_active):
-            if all_valid:
+        if all_valid:
+            u_migrate = np.empty((num_active, max_tasks))
+            for position in range(num_active):
                 rngs[rows[position]].random(out=u_migrate[position])
-            else:
-                count = int(np.count_nonzero(valid[position]))
-                if count:
-                    u_migrate[position, valid[position]] = rngs[
-                        rows[position]
-                    ].random(count)
+        else:
+            u_migrate = _scatter_row_draws(rngs, rows, valid, 1.0)
         migrate = eligible & (u_migrate < probability)
 
-        move_positions, move_slots = np.nonzero(migrate)
+        move_positions, move_slots = np.divmod(np.flatnonzero(migrate), max_tasks)
         if move_positions.size:
             batch.apply_moves(
                 rows[move_positions], move_slots, j[move_positions, move_slots]
@@ -972,12 +988,10 @@ class SelfishWeightedProtocol(Protocol):
         if advancing_all:
             mask = batch.task_mask
             nodes = batch.task_nodes
-            own_weights = batch.task_weights
             node_weights = batch.node_weights
         else:
             mask = batch.task_mask[rows]
             nodes = batch.task_nodes[rows]
-            own_weights = batch.task_weights[rows]
             node_weights = batch.node_weights[rows]
         loads = node_weights / speeds
         num_active, max_tasks = mask.shape
@@ -995,32 +1009,36 @@ class SelfishWeightedProtocol(Protocol):
         # in tests/test_rng_streams.py pin the equivalence.
         src, dst = cache.csr_rows, graph.indices
         gain = loads[:, src] - loads[:, dst]
-        edge_eligible = gain > 1.0 / speeds[dst] + ELIGIBILITY_TOLERANCE
         w_src = node_weights[:, src]
         with np.errstate(divide="ignore", invalid="ignore"):
             if self._rule == "flow":
                 rate = alpha * cache.dij_csr * (
                     1.0 / speeds[src] + 1.0 / speeds[dst]
                 )
-                p_raw = np.where(
-                    w_src > 0, degrees[src] * gain / (rate * w_src), 0.0
-                )
+                p_raw = degrees[src] * gain / (rate * w_src)
             else:  # pseudocode rule
-                p_raw = np.where(
-                    w_src > 0,
+                p_raw = (
                     degrees[src]
                     / cache.dij_csr
                     * (w_src - node_weights[:, dst])
-                    / (2.0 * alpha * w_src),
-                    0.0,
+                    / (2.0 * alpha * w_src)
                 )
         if self._edgewise_condition:
-            p_eff = np.where(edge_eligible, np.clip(p_raw, 0.0, 1.0), 0.0)
+            # l_i - l_j > 1/s_j implies W_i > 0, so the eligibility gate
+            # also zeroes the W_i == 0 edges where p_raw is inf/nan, and
+            # an edge saturates exactly where the gated table exceeds 1.
+            p_eff = np.where(
+                gain > 1.0 / speeds[dst] + ELIGIBILITY_TOLERANCE, p_raw, 0.0
+            )
+            sat_edge = p_eff > 1.0 + 1e-12
+            np.clip(p_eff, 0.0, 1.0, out=p_eff)
         else:
             # Per-task condition (PerTaskThresholdProtocol): the clipped
             # probability table carries no eligibility gate; the per-task
             # test applies after the gather below.
+            p_raw[~(w_src > 0)] = 0.0
             p_eff = np.clip(p_raw, 0.0, 1.0)
+            sat_edge = None
 
         # Fused draw: one uniform per task slot. The integer part of
         # u * deg(i) is the chosen neighbour slot; the remainder is the
@@ -1043,7 +1061,9 @@ class SelfishWeightedProtocol(Protocol):
             ):
                 fused = None
         if fused is not None:
-            sat_edge = edge_eligible & (p_raw > 1.0 + 1e-12)
+            if sat_edge is None:
+                # The kernel reads it only under the edge-level condition.
+                sat_edge = np.zeros(p_eff.shape, dtype=bool)
             dest = np.full((num_active, max_tasks), -1, dtype=np.int64)
             moved = np.zeros(num_active, dtype=np.int64)
             weight = np.zeros(num_active, dtype=np.float64)
@@ -1053,7 +1073,7 @@ class SelfishWeightedProtocol(Protocol):
                 nodes,
                 mask,
                 all_live,
-                own_weights,
+                batch.task_weights if advancing_all else batch.task_weights[rows],
                 p_eff,
                 bool(self._edgewise_condition),
                 sat_edge,
@@ -1061,7 +1081,9 @@ class SelfishWeightedProtocol(Protocol):
                 gain,
                 speeds[dst],
                 p_raw,
-                bool(np.any(p_raw > 1.0 + 1e-12)),
+                # p_raw is read only under the per-task condition.
+                not self._edgewise_condition
+                and bool(np.any(p_raw > 1.0 + 1e-12)),
                 ELIGIBILITY_TOLERANCE,
                 graph.indptr,
                 cache.deg_float,
@@ -1071,7 +1093,7 @@ class SelfishWeightedProtocol(Protocol):
                 weight,
                 sat,
             )
-            move_pos, move_slot = np.nonzero(dest >= 0)
+            move_pos, move_slot = np.divmod(np.flatnonzero(dest >= 0), max_tasks)
             if move_pos.size:
                 batch.apply_moves(
                     rows[move_pos],
@@ -1086,9 +1108,14 @@ class SelfishWeightedProtocol(Protocol):
         i = nodes if all_live else np.where(mask, nodes, 0)
         u *= cache.deg_float[i]
         slot = u.astype(np.int64)
-        np.minimum(slot, cache.degm1[i], out=slot)  # u == 1.0 guard
+        if cache.has_isolated:
+            # Isolated nodes take slot -1. Elsewhere no clamp is needed:
+            # the fill's uniforms are at most 1 - 2**-53, and such a u
+            # times an integer degree d rounds to below d, never to d.
+            np.minimum(slot, cache.degm1[i], out=slot)
         u -= slot  # in-place remainder
-        edge = graph.indptr[i] + slot  # per-task local CSR slot
+        edge = graph.indptr[i]
+        edge += slot  # per-task local CSR slot
         # Tasks on isolated nodes carry slot -1 (their remainder is then
         # exactly 1.0, so they can never migrate), but their raw edge
         # index may be -1 and would wrap the gathers below into another
@@ -1102,28 +1129,15 @@ class SelfishWeightedProtocol(Protocol):
         flat = edge + (
             np.arange(num_active, dtype=np.int64) * src.shape[0]
         )[:, None]
-        p_task = np.take(p_eff, flat)
-        migrate = u < p_task
+        migrate = u < np.take(p_eff, flat)
         if not all_live:
             migrate &= mask
-        if not self._edgewise_condition:
-            # [6]-style per-task test, the scalar expression verbatim:
-            # gain > w_l / s_j + tolerance.
-            gain_task = np.take(gain, flat)
-            dst_speed_task = speeds[dst][edge]
-            eligible_task = self._migration_eligible(
-                gain_task, dst_speed_task, own_weights
-            )
-            if valid_edge is not None:
-                eligible_task &= valid_edge
-            migrate &= eligible_task
-            if np.any(p_raw > 1.0 + 1e-12):  # rare: ablation alpha only
-                sat_task = eligible_task & (np.take(p_raw, flat) > 1.0 + 1e-12)
-                if not all_live:
-                    sat_task &= mask
-                saturated[rows] = sat_task.any(axis=1)
-        else:
-            sat_edge = edge_eligible & (p_raw > 1.0 + 1e-12)
+        # Weights are gathered at the drawn migrations only, never as an
+        # (A, M) block.
+        move_pos, move_slot = np.divmod(np.flatnonzero(migrate), max_tasks)
+        move_edge = edge[move_pos, move_slot]
+        move_weights = batch.task_weights[rows[move_pos], move_slot]
+        if self._edgewise_condition:
             if np.any(sat_edge):  # rare: ablation alpha only
                 sat_task = np.take(sat_edge, flat)
                 if valid_edge is not None:
@@ -1131,16 +1145,41 @@ class SelfishWeightedProtocol(Protocol):
                 if not all_live:
                     sat_task &= mask
                 saturated[rows] = sat_task.any(axis=1)
+        else:
+            # [6]-style per-task test, the scalar expression verbatim:
+            # gain > w_l / s_j + tolerance. A drawn migration always sits
+            # on a real edge (its remainder is below 1.0), so only the
+            # saturation verdict, which reads every live task, needs the
+            # test over the whole stack.
+            if np.any(p_raw > 1.0 + 1e-12):  # rare: ablation alpha only
+                eligible_task = self._migration_eligible(
+                    np.take(gain, flat),
+                    speeds[dst][edge],
+                    batch.task_weights[rows],
+                )
+                if valid_edge is not None:
+                    eligible_task &= valid_edge
+                sat_task = eligible_task & (np.take(p_raw, flat) > 1.0 + 1e-12)
+                if not all_live:
+                    sat_task &= mask
+                saturated[rows] = sat_task.any(axis=1)
+                keep = eligible_task[move_pos, move_slot]
+            else:
+                keep = self._migration_eligible(
+                    np.take(gain, flat[move_pos, move_slot]),
+                    speeds[dst[move_edge]],
+                    move_weights,
+                )
+            move_pos = move_pos[keep]
+            move_slot = move_slot[keep]
+            move_edge = move_edge[keep]
+            move_weights = move_weights[keep]
 
-        move_pos, move_slot = np.nonzero(migrate)
         if move_pos.size:
-            destinations = graph.indices[edge[move_pos, move_slot]]
-            batch.apply_moves(rows[move_pos], move_slot, destinations)
-            tasks_moved[rows] = migrate.sum(axis=1)
+            batch.apply_moves(rows[move_pos], move_slot, dst[move_edge])
+            tasks_moved[rows] = np.bincount(move_pos, minlength=num_active)
             weight_moved[rows] = np.bincount(
-                move_pos,
-                weights=own_weights[move_pos, move_slot],
-                minlength=num_active,
+                move_pos, weights=move_weights, minlength=num_active
             )
         return summary
 

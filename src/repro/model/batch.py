@@ -679,7 +679,12 @@ class BatchWeightedState(BatchStateBase):
         if not np.all(self._mask[rows, cols]):
             raise ModelError("cannot move a padding task slot")
         flat = rows * self.max_tasks + cols
-        if np.unique(flat).shape[0] != flat.shape[0]:
+        # The kernels emit moves in row-major order, where strictly
+        # increasing flat indices already prove uniqueness; other
+        # orders fall back to the sort.
+        if not np.all(flat[1:] > flat[:-1]) and (
+            np.unique(flat).shape[0] != flat.shape[0]
+        ):
             raise ModelError("a task may move at most once per round")
         if dst.min() < 0 or dst.max() >= self.num_nodes:
             raise ModelError("destination node out of range")

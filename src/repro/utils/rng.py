@@ -64,6 +64,7 @@ __all__ = [
     "CounterStreams",
     "make_streams",
     "as_stream_layout",
+    "philox_uniforms",
 ]
 
 #: Recognized per-replica stream layout policies.
@@ -197,6 +198,46 @@ def _mix64(x: int) -> int:
     x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
     x = (x ^ (x >> 27)) * 0x94D049BB133111EB & _MASK64
     return x ^ (x >> 31)
+
+
+#: Skipped words above which a gap between requested rows gets its own
+#: Philox generator: building and positioning one costs ~23 us against
+#: 4-6 ns per drawn word, so a gap is drawn and discarded up to ~4k words.
+_SPLIT_GAP_WORDS = 4096
+
+#: Raw words converted per pass in :func:`philox_uniforms` (256 KB), so
+#: the shift and scale passes run over cache-resident data.
+_RAW_CHUNK_WORDS = 32768
+
+
+def philox_uniforms(key: np.ndarray, start_word: int, count: int) -> np.ndarray:
+    """``count`` uniforms from the ``key``-ed Philox stream, starting at
+    absolute 64-bit word ``start_word``.
+
+    The stream is positioned block-wise (Philox emits 4 words per
+    counter increment) with any sub-block remainder discarded, and each
+    raw word ``w`` becomes ``(w >> 11) * 2**-53``: numpy's own
+    ``next_double`` for Philox, so the block is bit-identical to
+    ``Generator(Philox(key=key)).random`` at the same position without
+    the ``Generator`` wrapper. This is the one reference fill of the
+    counter layout; :class:`CounterStreams` and the default
+    :meth:`repro.backends.ArrayBackend.philox_uniforms` hook both call it.
+    """
+    bit_generator = np.random.Philox(key=key)
+    blocks, remainder = divmod(start_word, 4)
+    if blocks:
+        bit_generator.advance(blocks)
+    if remainder:
+        bit_generator.random_raw(remainder)
+    out = np.empty(count, dtype=np.float64)
+    for low in range(0, count, _RAW_CHUNK_WORDS):
+        words = bit_generator.random_raw(min(_RAW_CHUNK_WORDS, count - low))
+        words >>= 11
+        # Below 2**53 after the shift, so the int64 view converts exactly.
+        np.multiply(
+            words.view(np.int64), 2.0**-53, out=out[low : low + words.size]
+        )
+    return out
 
 
 class StreamLayout:
@@ -471,14 +512,15 @@ class CounterStreams(StreamLayout):
         ``rows[p]``'s words, and is freshly allocated (safe to mutate
         in place).
 
-        Sparse row sets (retired-replica holes, shard windows) are
-        generated run by run: each maximal contiguous run of requested
-        global rows is one block fill starting at its first word, so
-        rows *between* runs — replicas that already converged — cost
-        zero draws. Because the addressing is absolute per row, the
-        result is bit-identical to generating the whole ``[low, high]``
-        span and gathering (the pre-run-splitting behaviour, pinned in
-        ``tests/test_backends.py``).
+        Sparse row sets (retired-replica holes, shard windows) are filled
+        over their covering ``[low, high]`` span with one generator and
+        gathered, so the words of rows between requested ones are drawn
+        and discarded. Only a gap whose skipped words cost more than
+        building and positioning a second generator
+        (:data:`_SPLIT_GAP_WORDS`) splits the span. Because the
+        addressing is absolute per row, every split gives the same bits
+        as the whole-span gather, and the gather handles unsorted and
+        duplicated rows alike.
         """
         key = self._site_key(label)
         rows = np.asarray(rows, dtype=np.int64)
@@ -502,20 +544,21 @@ class CounterStreams(StreamLayout):
         ):
             # Dense ascending rows (the unretired common case): one fill.
             return self._fill_words(key, low, span, width)
-        unique_rows, inverse = np.unique(global_rows, return_inverse=True)
-        breaks = np.flatnonzero(np.diff(unique_rows) > 1) + 1
-        starts = np.concatenate(([0], breaks))
-        ends = np.concatenate((breaks, [unique_rows.size]))
-        block = np.empty((unique_rows.size, width), dtype=np.float64)
-        for run_start, run_end in zip(starts, ends):
-            block[run_start:run_end] = self._fill_words(
-                key, int(unique_rows[run_start]), run_end - run_start, width
-            )
-        if unique_rows.size == global_rows.size and np.array_equal(
-            unique_rows, global_rows
-        ):
-            return block
-        return block[inverse]
+        ordered = np.sort(global_rows)
+        cuts = np.flatnonzero((np.diff(ordered) - 1) * width > _SPLIT_GAP_WORDS)
+        if cuts.size == 0:
+            block = self._fill_words(key, low, span, width)
+        else:
+            # One fill per segment between expensive gaps. The gap rows
+            # stay unwritten: the gather below never reads them.
+            firsts = ordered[np.concatenate(([0], cuts + 1))].tolist()
+            lasts = ordered[np.concatenate((cuts, [ordered.size - 1]))].tolist()
+            block = np.empty((span, width), dtype=np.float64)
+            for first, last in zip(firsts, lasts):
+                block[first - low : last - low + 1] = self._fill_words(
+                    key, first, last - first + 1, width
+                )
+        return block[global_rows - low]
 
     def _fill_words(
         self, key: np.ndarray, first_row: int, count: int, width: int
@@ -524,22 +567,11 @@ class CounterStreams(StreamLayout):
         starting at global row ``first_row`` (absolute word
         addressing), through the backend hook when one is set."""
         start_word = first_row * width
-        if self._backend is not None:
-            flat = self._backend.philox_uniforms(
-                key, start_word, count * width
-            )
-            return np.asarray(flat, dtype=np.float64).reshape(count, width)
-        bit_generator = np.random.Philox(key=key)
-        # Philox advances in 4-word counter blocks; position the stream
-        # on the run's first word, discarding any sub-block remainder
-        # word by word.
-        blocks, remainder = divmod(start_word, 4)
-        if blocks:
-            bit_generator.advance(blocks)
-        generator = np.random.Generator(bit_generator)
-        if remainder:
-            generator.random(remainder)
-        return generator.random((count, width))
+        if self._backend is None:
+            flat = philox_uniforms(key, start_word, count * width)
+        else:
+            flat = self._backend.philox_uniforms(key, start_word, count * width)
+        return np.asarray(flat, dtype=np.float64).reshape(count, width)
 
 
 def make_streams(

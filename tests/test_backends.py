@@ -10,10 +10,13 @@ optional dependencies skip via the ``requires_numba`` /
 * **numpy bit-identity** — the numpy backend (and ``backend=None``)
   reproduces the pre-backend measurement pipeline bit for bit, pinned
   against golden values captured before the seam existed;
+* **one reference fill** — :func:`repro.utils.rng.philox_uniforms`
+  (raw Philox words, converted in numpy's own way) equals
+  ``Generator(Philox(key)).random`` bit for bit at any start word;
 * **sparse-row regression** — ``CounterStreams.site_uniforms`` with
-  retired (non-contiguous) rows returns exactly what the old full-span
-  gather returned, while the run-splitting fill never draws for the
-  gaps;
+  retired (non-contiguous) rows returns exactly what the full-span
+  gather returns, and builds a second generator only across a gap
+  that costs more to draw than to skip;
 * **accelerated-backend laws** — numba/cupy kernels are same-seed
   deterministic, conserve the per-replica exact totals, and agree with
   the numpy reference in law (KS over first-hitting rounds).
@@ -47,7 +50,7 @@ from repro.experiments._common import (
     measure_variant_threshold_time,
     measure_weighted_threshold_time,
 )
-from repro.utils.rng import CounterStreams
+from repro.utils.rng import _SPLIT_GAP_WORDS, CounterStreams, philox_uniforms
 
 from equivalence import assert_batch_conserves, assert_ks_agreement
 
@@ -203,6 +206,72 @@ class TestResolveBackend:
                 assert resolve_backend(name, warn=False).name == "numpy"
 
 
+def _reference_block(key: np.ndarray, start_word: int, count: int) -> np.ndarray:
+    """``count`` uniforms at absolute word ``start_word`` through numpy's
+    ``Generator.random``: whole 4-word counter blocks are skipped with
+    ``advance``, the sub-block remainder is drawn and dropped."""
+    bit_generator = np.random.Philox(key=key)
+    bit_generator.advance(start_word // 4)
+    generator = np.random.Generator(bit_generator)
+    generator.random(start_word % 4)
+    return generator.random(count)
+
+
+class TestReferenceFill:
+    """The counter layout's one Philox fill, pinned bit for bit against
+    ``np.random.Generator(np.random.Philox(key=key)).random``."""
+
+    KEY = np.array([0x9E3779B97F4A7C15, 0x0123456789ABCDEF], dtype=np.uint64)
+
+    @pytest.mark.parametrize("start_word", [0, 1, 2, 3, 4, 9, 22, 31])
+    @pytest.mark.parametrize("count", [0, 1, 37, 4097])
+    def test_matches_generator_from_stream_start(self, start_word, count):
+        # Independent of advance(): draw from word 0 and slice.
+        expected = np.random.Generator(np.random.Philox(key=self.KEY)).random(
+            start_word + count
+        )[start_word:]
+        got = philox_uniforms(self.KEY, start_word, count)
+        assert got.dtype == np.float64 and got.shape == (count,)
+        np.testing.assert_array_equal(got, expected)
+
+    @pytest.mark.parametrize("start_word", [2**32 + r for r in range(4)])
+    @pytest.mark.parametrize("count", [0, 1, 1001])
+    def test_matches_generator_beyond_2_pow_32(self, start_word, count):
+        np.testing.assert_array_equal(
+            philox_uniforms(self.KEY, start_word, count),
+            _reference_block(self.KEY, start_word, count),
+        )
+
+    def test_long_fill_matches_generator(self):
+        # Longer than one raw-conversion chunk, odd, unaligned start.
+        count = 2 * 32768 + 5
+        np.testing.assert_array_equal(
+            philox_uniforms(self.KEY, 7, count),
+            _reference_block(self.KEY, 7, count),
+        )
+
+    def test_numpy_backend_hook_is_the_reference_fill(self):
+        backend = resolve_backend("numpy")
+        for start_word, count in ((0, 0), (5, 1), (2**32 + 3, 129)):
+            np.testing.assert_array_equal(
+                backend.philox_uniforms(self.KEY, start_word, count),
+                philox_uniforms(self.KEY, start_word, count),
+            )
+
+    def test_backend_none_and_numpy_give_identical_blocks(self):
+        for rows in (np.arange(12), np.array([0, 3, 4, 9, 30, 31]), np.array([7])):
+            blocks = []
+            for backend in (None, "numpy"):
+                streams = CounterStreams(
+                    77,
+                    32,
+                    backend=None if backend is None else resolve_backend(backend),
+                )
+                streams.begin_round(5)
+                blocks.append(streams.site_uniforms("weighted-migrate", rows, 300))
+            np.testing.assert_array_equal(blocks[0], blocks[1])
+
+
 class TestNumpyBitIdentity:
     """The numpy backend reproduces pre-seam measurements bit for bit.
 
@@ -252,13 +321,39 @@ class TestNumpyBitIdentity:
         assert measurement.churn_per_round == pytest.approx(0.7)
 
 
-class TestSparseRowFill:
-    """Regression pins for the contiguous-run ``site_uniforms`` rewrite.
+def _count_philox_builds(monkeypatch) -> list:
+    """Wrap ``np.random.Philox`` so each generator built is recorded."""
+    built: list = []
+    real = np.random.Philox
 
-    Retired replicas leave gaps in the active-row set; the fill now
-    splits the rows into contiguous runs and addresses each run's Philox
-    words absolutely, so the gaps cost zero draws while every returned
-    bit stays identical to the old low..high full-span gather.
+    def counting(*args, **kwargs):
+        built.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counting)
+    return built
+
+
+def _full_span_gather(seed, num_replicas, round_index, label, rows, width):
+    """The reference for any row set: one dense fill of the covering
+    span from a fresh layout, gathered at ``rows``."""
+    streams = CounterStreams(seed, num_replicas)
+    streams.begin_round(round_index)
+    low, high = int(rows.min()), int(rows.max())
+    dense = streams.site_uniforms(label, np.arange(low, high + 1), width)
+    return dense[rows - low]
+
+
+class TestSparseRowFill:
+    """Regression pins for sparse ``site_uniforms`` row sets.
+
+    Retired replicas leave gaps in the active-row set. The fill draws
+    the whole covering span with one Philox generator and gathers the
+    requested rows, so the words of a gap are drawn and discarded; only
+    a gap whose skipped words cost more than building and positioning a
+    second generator (``_SPLIT_GAP_WORDS``) splits the span. Words are
+    addressed absolutely per row, so either way every returned bit is
+    identical to the full-span gather.
     """
 
     SPARSE_SUM = 11.735004296001582
@@ -326,6 +421,56 @@ class TestSparseRowFill:
         block = hooked.site_uniforms("weighted-migrate", rows, 5)
         assert float(block.sum()) == self.SPARSE_SUM
         np.testing.assert_array_equal(block[:, 0], np.array(self.SPARSE_COLUMN))
+
+    @pytest.mark.parametrize("offset, generators", [(-1, 1), (1, 2)])
+    def test_split_threshold(self, monkeypatch, offset, generators):
+        """A gap one row below the threshold is drawn through; one row
+        above it gets a second generator. Both give the same bits."""
+        width = 512
+        gap = _SPLIT_GAP_WORDS // width + offset
+        rows = np.array([0, 1, 2 + gap, 3 + gap])
+        expected = _full_span_gather(31, 16, 2, "site-g", rows, width)
+        built = _count_philox_builds(monkeypatch)
+        streams = CounterStreams(31, 16)
+        streams.begin_round(2)
+        block = streams.site_uniforms("site-g", rows, width)
+        assert len(built) == generators
+        np.testing.assert_array_equal(block, expected)
+
+    def test_windowed_layout_with_retired_holes(self, monkeypatch):
+        """A shard with retired holes returns the monolithic layout's
+        rows for its global indices, from one generator."""
+        offset, rows = 30, np.array([0, 2, 3, 7, 8, 19])
+        expected = _full_span_gather(88, 64, 6, "weighted-migrate", rows + offset, 40)
+        built = _count_philox_builds(monkeypatch)
+        window = CounterStreams(88, 20, replica_offset=offset, total_replicas=64)
+        window.begin_round(6)
+        block = window.site_uniforms("weighted-migrate", rows, 40)
+        assert len(built) == 1
+        np.testing.assert_array_equal(block, expected)
+
+    def test_retirement_shaped_rows_build_at_most_two_generators(
+        self, monkeypatch
+    ):
+        """40 of 64 replicas still active in 15 runs at width 512: the
+        shape a convergence run leaves behind. Run-by-run filling built
+        15 generators here."""
+        runs = (3, 2, 4, 3, 2, 3, 2, 3, 3, 2, 3, 2, 3, 3, 2)
+        gaps = (2, 1, 2, 1, 2, 2, 1, 2, 2, 1, 2, 2, 1, 2)
+        rows, start = [], 1
+        for length, gap in zip(runs, gaps + (0,)):
+            rows.extend(range(start, start + length))
+            start += length + gap
+        rows = np.array(rows)
+        assert rows.size == 40 and rows.max() < 64
+        assert np.count_nonzero(np.diff(rows) > 1) + 1 == 15
+        expected = _full_span_gather(5, 64, 11, "weighted-migrate", rows, 512)
+        built = _count_philox_builds(monkeypatch)
+        streams = CounterStreams(5, 64)
+        streams.begin_round(11)
+        block = streams.site_uniforms("weighted-migrate", rows, 512)
+        assert len(built) <= 2
+        np.testing.assert_array_equal(block, expected)
 
 
 @pytest.mark.parametrize(

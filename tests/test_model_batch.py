@@ -321,6 +321,15 @@ class TestWeightedMutation:
         batch, _ = make_weighted_batch()
         with pytest.raises(ModelError):
             batch.apply_moves([0, 0], [1, 1], [0, 2])
+        # Out of row-major order, the duplicate is not adjacent.
+        with pytest.raises(ModelError, match="at most once"):
+            batch.apply_moves([0, 1, 0], [1, 0, 1], [0, 2, 2])
+
+    def test_apply_moves_accepts_unsorted_unique_moves(self):
+        batch, _ = make_weighted_batch()
+        batch.apply_moves([1, 0], [0, 1], [2, 1])
+        assert batch.task_nodes[1, 0] == 2
+        assert batch.task_nodes[0, 1] == 1
 
     def test_apply_moves_rejects_bad_destination(self):
         batch, _ = make_weighted_batch()
