@@ -29,7 +29,7 @@ BENCH_RESULTS_PATH = Path(__file__).resolve().parent / "BENCH.json"
 #: Stamped onto rows recorded by the current checkout; bump when a PR
 #: re-records (or adds) benchmark rows so the trajectory stays
 #: attributable.
-BENCH_CURRENT_PR = 12
+BENCH_CURRENT_PR = 13
 
 
 def _machine_metadata() -> dict:
@@ -46,12 +46,6 @@ def _machine_metadata() -> dict:
         import numba
 
         metadata["numba_version"] = numba.__version__
-    except ImportError:
-        pass
-    try:
-        import cupy
-
-        metadata["cupy_version"] = cupy.__version__
     except ImportError:
         pass
     return metadata
@@ -83,23 +77,18 @@ def record_bench(
     :mod:`repro.backends` implementation ran the kernels. Extra keyword
     scalars ride along. Recorded rows carry the recording PR
     (``BENCH_CURRENT_PR``) and machine metadata (cpu count, numpy /
-    numba / cupy versions), so the committed file is a cumulative
+    numba versions), so the committed file is a cumulative
     per-PR perf trajectory — rows from earlier PRs stay until a later
     PR's benchmark re-records them.
 
     Writes happen only when ``BENCH_RECORD=1`` is exported
-    (``BENCH_RECORD=1 pytest -q -m slow benchmarks/`` to refresh; the
-    legacy ``BENCH_PR5_RECORD=1`` spelling still works), so routine
+    (``BENCH_RECORD=1 pytest -q -m slow benchmarks/`` to refresh), so routine
     tier-1 runs — which include the slow acceptance benchmarks — never
     dirty the working tree with machine-local timings.
     """
     import os
 
-    enabled = ("1", "true", "yes")
-    if (
-        os.environ.get("BENCH_RECORD", "") not in enabled
-        and os.environ.get("BENCH_PR5_RECORD", "") not in enabled
-    ):
+    if os.environ.get("BENCH_RECORD", "") not in ("1", "true", "yes"):
         return
     rows = _load_bench_rows()
     rows = [
@@ -148,16 +137,12 @@ def pytest_collection_modifyitems(
     """Backend-marker skips for the benchmark tier (mirrors tests/)."""
     import importlib.util
 
-    for marker_name, module in (("requires_numba", "numba"), ("requires_cupy", "cupy")):
-        if importlib.util.find_spec(module) is not None:
-            continue
-        skip = pytest.mark.skip(
-            reason=f"{module} is not installed (install the "
-            f"{'jit' if module == 'numba' else 'gpu'} extra)"
-        )
-        for item in items:
-            if marker_name in item.keywords:
-                item.add_marker(skip)
+    if importlib.util.find_spec("numba") is not None:
+        return
+    skip = pytest.mark.skip(reason="numba is not installed (install the jit extra)")
+    for item in items:
+        if "requires_numba" in item.keywords:
+            item.add_marker(skip)
 
 
 @pytest.fixture

@@ -58,7 +58,7 @@ def _timed_per_round(backend, graph, states, rounds=30, repeats=2):
     best = float("inf")
     for _ in range(repeats):
         batch = BatchWeightedState.from_states(states)
-        streams = CounterStreams(7, replicas, backend=backend)
+        streams = CounterStreams(7, replicas)
         # One untimed round warms every cache on the path (graph tables,
         # allocator, and — decisively for numba — JIT compilation).
         streams.begin_round(0)

@@ -1,8 +1,7 @@
 """Bench: self-stabilization (experiment ``robustness``).
 
 Shock-recovery times vs the Theorem 1.1 bound plus a kernel benchmark
-of one churn-plus-round step (via the declarative scenario event — the
-legacy ``PoissonChurn`` helper is a deprecated shim over it).
+of one churn-plus-round step (via the declarative scenario event).
 """
 
 from __future__ import annotations

@@ -279,7 +279,6 @@ def measure_convergence_rounds(
                 count,
                 replica_offset=replica_offset,
                 total_replicas=repetitions,
-                backend=resolved_backend,
             )
         else:
             rngs = generators

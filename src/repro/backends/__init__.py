@@ -1,17 +1,14 @@
 """Pluggable array backends for the batched kernels.
 
-The seam is :class:`~repro.backends.base.ArrayBackend` — an array
-module handle (``xp``), host transfer (``asarray`` / ``to_numpy``), a
-fused-kernel registry (``kernel(name)``), and the counter layout's
-Philox fill hook — with three implementations:
+The seam is :class:`~repro.backends.base.ArrayBackend` — an
+availability probe and a fused-kernel registry (``kernel(name)``) —
+with two implementations:
 
-* ``"numpy"`` (default) — the identity: no fused kernels, reference
-  Philox fill, bit-identical to running without a backend at all.
+* ``"numpy"`` (default) — the identity: no fused kernels, bit-identical
+  to running without a backend at all.
 * ``"numba"`` — JIT-fused host kernels (optional ``jit`` extra). Same
   Philox draws as numpy; the weighted counter kernel collapses to one
   ``@njit(parallel=True)`` pass.
-* ``"cupy"`` — GPU arrays and on-device Philox generation (optional
-  ``gpu`` extra, import-guarded; needs a CUDA device).
 
 Every entry point that accepts a ``backend`` knob resolves it through
 :func:`resolve_backend`, which warns (``RuntimeWarning``) and falls
@@ -24,7 +21,6 @@ from __future__ import annotations
 import warnings
 
 from repro.backends.base import ArrayBackend
-from repro.backends.cupy_backend import CupyBackend
 from repro.backends.numba_backend import NumbaBackend
 from repro.backends.numpy_backend import NumpyBackend
 from repro.errors import ValidationError
@@ -33,7 +29,6 @@ __all__ = [
     "ArrayBackend",
     "NumpyBackend",
     "NumbaBackend",
-    "CupyBackend",
     "BACKEND_NAMES",
     "check_backend",
     "available_backends",
@@ -41,12 +36,11 @@ __all__ = [
 ]
 
 #: Recognized backend names, default first.
-BACKEND_NAMES = ("numpy", "numba", "cupy")
+BACKEND_NAMES = ("numpy", "numba")
 
 _BACKEND_CLASSES: dict[str, type[ArrayBackend]] = {
     NumpyBackend.name: NumpyBackend,
     NumbaBackend.name: NumbaBackend,
-    CupyBackend.name: CupyBackend,
 }
 
 #: One shared instance per backend so JIT compilation caches persist
@@ -91,8 +85,8 @@ def resolve_backend(
         if warn:
             warnings.warn(
                 f"backend {name!r} requested but its optional dependency "
-                f"is not installed; falling back to 'numpy' (install the "
-                f"{'jit' if name == 'numba' else 'gpu'} extra to enable it)",
+                "is not installed; falling back to 'numpy' (install the "
+                "jit extra to enable it)",
                 RuntimeWarning,
                 stacklevel=2,
             )

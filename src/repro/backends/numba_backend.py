@@ -17,17 +17,14 @@ protocols with single ``@njit(parallel=True)`` passes:
   saturation rescale, stay column) in one pass; the multinomial draw
   itself stays on the host numpy ``Generator`` under every backend.
 
-Both kernels take and return host numpy arrays — numba is a compiler
-for the host, not a device, so ``xp`` is numpy and transfer is the
-identity. Randomness stays on the reference Philox fill (already a
-single C-speed block generation; nothing to fuse).
+Both kernels take and return host numpy arrays. Randomness stays on the
+reference Philox fill (already a single C-speed block generation;
+nothing to fuse).
 """
 
 from __future__ import annotations
 
 import importlib.util
-
-import numpy as np
 
 from repro.backends.base import ArrayBackend
 
@@ -130,13 +127,14 @@ def _uniform_pvals(
 ):
     """Fused build of the uniform kernel's multinomial table.
 
-    Fills the (zero-initialised) padded ``(A, n, Delta + 1)`` ``pvals``
-    with the per-slot choose-and-move probabilities, rescales saturated
-    node rows to total probability one, and writes the stay column —
-    the same expressions as the numpy path evaluated per element
-    (summation order differs from numpy's pairwise reduction, so the
-    contract is law-equivalence, not bit-identity; see the README
-    backend matrix).
+    Mirrors :func:`repro.core.protocols._csr_migration_probabilities`:
+    Algorithm 1's probability is written out again per element here so
+    the build stays one pass. Fills the (zero-initialised) padded
+    ``(A, n, Delta + 1)`` ``pvals`` with the per-slot choose-and-move
+    probabilities, rescales saturated node rows to total probability
+    one, and writes the stay column (summation order differs from
+    numpy's pairwise reduction, so the contract is law-equivalence, not
+    bit-identity; see the README backend matrix).
     """
     num_active, num_nodes = counts.shape
     nnz = csr_rows.shape[0]
@@ -183,16 +181,6 @@ class NumbaBackend(ArrayBackend):
     @classmethod
     def is_available(cls) -> bool:
         return importlib.util.find_spec("numba") is not None
-
-    @property
-    def xp(self):
-        return np
-
-    def asarray(self, array) -> np.ndarray:
-        return np.asarray(array)
-
-    def to_numpy(self, array) -> np.ndarray:
-        return np.asarray(array)
 
     def kernel(self, name: str):
         if njit is None:

@@ -1,13 +1,11 @@
 """The default numpy backend: the identity seam.
 
-No fused kernels, host arrays, the reference Philox fill — running any
-pipeline with ``backend="numpy"`` is bit-identical to running it with
-no backend at all (pinned in ``tests/test_backends.py``).
+No fused kernels — running any pipeline with ``backend="numpy"`` is
+bit-identical to running it with no backend at all (pinned in
+``tests/test_backends.py``).
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.backends.base import ArrayBackend
 
@@ -15,20 +13,10 @@ __all__ = ["NumpyBackend"]
 
 
 class NumpyBackend(ArrayBackend):
-    """Host numpy arrays, plain-numpy kernels."""
+    """Plain-numpy kernels."""
 
     name = "numpy"
 
     @classmethod
     def is_available(cls) -> bool:
         return True
-
-    @property
-    def xp(self):
-        return np
-
-    def asarray(self, array) -> np.ndarray:
-        return np.asarray(array)
-
-    def to_numpy(self, array) -> np.ndarray:
-        return np.asarray(array)

@@ -143,8 +143,8 @@ class BatchSimulator:
         to :meth:`run`.
     backend:
         Array backend for the batched kernels: a name from
-        :data:`repro.backends.BACKEND_NAMES` (``"numpy"`` default,
-        ``"numba"``, ``"cupy"``) or an
+        :data:`repro.backends.BACKEND_NAMES` (``"numpy"`` default or
+        ``"numba"``) or an
         :class:`~repro.backends.ArrayBackend` instance. Resolved with
         warn-and-fallback to numpy when the named backend's optional
         dependency is missing. The numpy backend is bit-identical to
@@ -258,8 +258,7 @@ class BatchSimulator:
         num_replicas = batch.num_replicas
         if rngs is None:
             streams: StreamLayout = make_streams(
-                self._rng_policy, self._seed, num_replicas,
-                backend=self._backend,
+                self._rng_policy, self._seed, num_replicas
             )
         else:
             streams = as_stream_layout(rngs)

@@ -257,28 +257,30 @@ class Protocol:
 
 
 def _csr_migration_probabilities(
-    state: LoadStateBase, graph: Graph, cache: _GraphCache, alpha: float
+    loads: FloatArray,
+    weights: np.ndarray,
+    speeds: FloatArray,
+    graph: Graph,
+    cache: _GraphCache,
+    alpha: float,
 ) -> FloatArray:
-    """Per-CSR-slot probability that a single task on ``csr_rows[k]``
-    chooses slot ``k``'s neighbour *and* migrates there.
+    """Algorithm 1's per-CSR-slot probability that a single task on
+    ``csr_rows[k]`` chooses slot ``k``'s neighbour *and* migrates there.
 
     ``q_k = (l_i - l_j) / (alpha * d_ij * (1/s_i + 1/s_j) * W_i)`` when the
     migration condition ``l_i - l_j > 1/s_j`` holds, else 0. Summing
     ``q_k * W_i`` over a node's slots recovers the expected outgoing flow.
+    ``loads`` and ``weights`` are ``(..., n)`` and the result is
+    ``(..., nnz)``: the batched kernel passes a leading replica axis.
     """
-    loads = state.loads
-    speeds = state.speeds
-    weights = state.node_weights
     src = cache.csr_rows
     dst = graph.indices
-    gain = loads[src] - loads[dst]
+    gain = loads[..., src] - loads[..., dst]
+    w_src = weights[..., src]
     eligible = gain > 1.0 / speeds[dst] + ELIGIBILITY_TOLERANCE
     inv_rate = alpha * cache.dij_csr * (1.0 / speeds[src] + 1.0 / speeds[dst])
     with np.errstate(divide="ignore", invalid="ignore"):
-        q = np.where(
-            eligible & (weights[src] > 0), gain / (inv_rate * weights[src]), 0.0
-        )
-    return q
+        return np.where(eligible & (w_src > 0), gain / (inv_rate * w_src), 0.0)
 
 
 class SelfishUniformProtocol(Protocol):
@@ -327,7 +329,9 @@ class SelfishUniformProtocol(Protocol):
 
         cache = self._graph_cache(graph)
         alpha = self.resolve_alpha(state)
-        q = _csr_migration_probabilities(state, graph, cache, alpha)
+        q = _csr_migration_probabilities(
+            state.loads, state.node_weights, state.speeds, graph, cache, alpha
+        )
 
         # Saturation check: per-node total choose-and-move probability.
         total_q = np.zeros(graph.num_vertices)
@@ -444,7 +448,7 @@ class SelfishUniformProtocol(Protocol):
         max_degree = graph.max_degree
         speeds = batch.speeds
         counts = batch.counts[rows]  # (A, n) copy via fancy indexing
-        src, dst = cache.csr_rows, graph.indices
+        dst = graph.indices
 
         fused = None if backend is None else backend.kernel("uniform_pvals")
         if fused is not None:
@@ -463,22 +467,9 @@ class SelfishUniformProtocol(Protocol):
                 row_saturated,
             )
         else:
-            loads = counts / speeds
-
-            # Choose-and-move probability per (replica, CSR slot), exactly
-            # as in the scalar kernel but with a leading replica axis.
-            gain = loads[:, src] - loads[:, dst]
-            eligible = gain > 1.0 / speeds[dst] + ELIGIBILITY_TOLERANCE
-            weights_src = counts[:, src].astype(np.float64)
-            inv_rate = alpha * cache.dij_csr * (
-                1.0 / speeds[src] + 1.0 / speeds[dst]
+            q = _csr_migration_probabilities(
+                counts / speeds, counts, speeds, graph, cache, alpha
             )
-            with np.errstate(divide="ignore", invalid="ignore"):
-                q = np.where(
-                    eligible & (weights_src > 0),
-                    gain / (inv_rate * weights_src),
-                    0.0,
-                )
 
             # Scatter into the padded (A, n, Delta + 1) multinomial
             # layout; column Delta is the stay probability.
@@ -531,23 +522,28 @@ class SelfishUniformProtocol(Protocol):
 
 
 def _choose_neighbours(
-    task_nodes: IntArray, graph: Graph, rng: np.random.Generator
-) -> tuple[IntArray, IntArray]:
-    """For each task, pick a uniformly random neighbour of its node.
+    u: FloatArray, nodes: IntArray, graph: Graph, live: np.ndarray | None = None
+) -> tuple[IntArray, IntArray, np.ndarray]:
+    """For each task, the neighbour of its node that its uniform picks.
 
-    Returns (csr_slot_index, chosen_neighbour); tasks on isolated nodes
-    get slot -1 / neighbour -1 and never migrate.
+    ``floor(u * deg(i))`` is the neighbour's position in node ``i``'s
+    adjacency list. Returns ``(csr_slot_index, neighbour, valid)``;
+    ``valid`` marks the tasks that are ``live`` (all when ``None``) and
+    sit on a node with a neighbour. Other positions hold slot 0 and
+    neighbour 0 and never migrate.
     """
-    degrees = graph.degrees[task_nodes]
-    chosen_slot = np.floor(rng.random(task_nodes.shape[0]) * degrees).astype(np.int64)
+    degrees = graph.degrees[nodes]
+    chosen_slot = np.floor(u * degrees).astype(np.int64)
     # Guard the measure-zero event random() == 1.0 exactly.
     np.minimum(chosen_slot, np.maximum(degrees - 1, 0), out=chosen_slot)
-    has_neighbour = degrees > 0
-    slot_index = np.where(
-        has_neighbour, graph.indptr[task_nodes] + chosen_slot, -1
-    )
-    neighbour = np.where(has_neighbour, graph.indices[np.maximum(slot_index, 0)], -1)
-    return slot_index, neighbour
+    valid = degrees > 0
+    if live is not None:
+        valid &= live
+    if valid.all():
+        slot_index = graph.indptr[nodes] + chosen_slot
+        return slot_index, graph.indices[slot_index], valid
+    slot_index = np.where(valid, graph.indptr[nodes] + chosen_slot, 0)
+    return slot_index, np.where(valid, graph.indices[slot_index], 0), valid
 
 
 def _scatter_row_draws(
@@ -629,13 +625,14 @@ class SelfishWeightedProtocol(Protocol):
     counter_shardable = True
 
     #: Algorithm 2's migration condition depends only on the (source,
-    #: destination) edge, never on the task's own weight — so the counter
-    #: kernel can evaluate it once per ``(replica, edge)`` and gather.
-    #: :class:`PerTaskThresholdProtocol` overrides this: its condition is
-    #: per task and is evaluated after the gather instead. Subclass
-    #: contract: any subclass whose :meth:`_migration_eligible` reads
-    #: ``own_weights`` MUST set this to ``False``, or the counter kernel
-    #: will gate migrations with the edge-level condition only.
+    #: destination) edge, never on the task's own weight — so
+    #: :meth:`_edge_table` evaluates it once per ``(replica, edge)`` and
+    #: bakes it into the gated table ``p_eff`` every kernel gathers from.
+    #: :class:`PerTaskThresholdProtocol` overrides this: its table is
+    #: ungated and its condition is evaluated per task after the gather.
+    #: Subclass contract: any subclass whose :meth:`_migration_eligible`
+    #: reads ``own_weights`` MUST set this to ``False``, or every kernel
+    #: gates migrations with the edge-level condition only.
     _edgewise_condition = True
 
     @classmethod
@@ -658,58 +655,106 @@ class SelfishWeightedProtocol(Protocol):
         return self._rule
 
     def _migration_eligible(
-        self, gain: FloatArray, dst_speeds: FloatArray, own_weights: FloatArray
+        self,
+        gain: FloatArray,
+        dst_speeds: FloatArray,
+        own_weights: FloatArray | None,
     ) -> np.ndarray:
-        """Migration condition per task (elementwise over aligned arrays).
+        """Migration condition (elementwise over aligned arrays).
 
         Algorithm 2's condition is weight-oblivious: ``l_i - l_j >
-        1/s_j`` regardless of ``own_weights``.
+        1/s_j`` regardless of ``own_weights``, so :meth:`_edge_table`
+        evaluates it per edge (with ``own_weights=None``).
         :class:`PerTaskThresholdProtocol` overrides this with the [6]
         per-task test — the *only* behavioural difference between the
-        two protocols, in both the scalar and the batched kernel.
+        two protocols, in every kernel.
         """
         return gain > 1.0 / dst_speeds + ELIGIBILITY_TOLERANCE
 
-    def _conditional_probability(
+    def _edge_table(
         self,
-        state: WeightedState,
+        loads: FloatArray,
+        node_weights: FloatArray,
+        speeds: FloatArray,
         graph: Graph,
         cache: _GraphCache,
-        slot_index: IntArray,
-        neighbour: IntArray,
-        valid: np.ndarray,
         alpha: float,
-    ) -> FloatArray:
-        """P(migrate | chose neighbour) per task, before eligibility."""
-        task_nodes = state.task_nodes
-        loads = state.loads
-        speeds = state.speeds
-        weights = state.node_weights
-        degrees = graph.degrees
+    ) -> tuple[FloatArray, FloatArray, FloatArray, np.ndarray | None]:
+        """Algorithm 2's migration table over the directed CSR edges.
 
-        i = task_nodes[valid]
-        j = neighbour[valid]
-        dij = cache.dij_csr[slot_index[valid]]
-        w_i = weights[i]
-        probability = np.zeros(valid.sum(), dtype=np.float64)
-        positive = w_i > 0
-        if self._rule == "flow":
-            gain = loads[i] - loads[j]
-            rate = alpha * dij * (1.0 / speeds[i] + 1.0 / speeds[j])
-            probability[positive] = (
-                degrees[i][positive]
-                * gain[positive]
-                / (rate[positive] * w_i[positive])
+        The probability that a task on ``i`` which chose neighbour ``j``
+        migrates depends only on the edge ``(i, j)``, so every kernel
+        gathers it from here at its tasks' chosen edges. ``loads`` and
+        ``node_weights`` are ``(..., n)``; each returned array is
+        ``(..., nnz)``:
+
+        * ``gain`` — ``l_i - l_j``;
+        * ``p_raw`` — the rule's probability before clipping;
+        * ``p_eff`` — the clipped probability, gated by the edge-level
+          condition when :attr:`_edgewise_condition` holds;
+        * ``sat_edge`` — where the gated probability exceeds one (the
+          round's ``saturated`` verdict), ``None`` under a per-task
+          condition, which the kernels test after the gather.
+        """
+        src, dst = cache.csr_rows, graph.indices
+        gain = loads[..., src] - loads[..., dst]
+        w_src = node_weights[..., src]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if self._rule == "flow":
+                rate = alpha * cache.dij_csr * (
+                    1.0 / speeds[src] + 1.0 / speeds[dst]
+                )
+                p_raw = graph.degrees[src] * gain / (rate * w_src)
+            else:  # pseudocode rule
+                p_raw = (
+                    graph.degrees[src]
+                    / cache.dij_csr
+                    * (w_src - node_weights[..., dst])
+                    / (2.0 * alpha * w_src)
+                )
+        if self._edgewise_condition:
+            # l_i - l_j > 1/s_j implies W_i > 0, so the eligibility gate
+            # also zeroes the W_i == 0 edges where p_raw is inf/nan, and
+            # an edge saturates exactly where the gated table exceeds 1.
+            p_eff = np.where(
+                self._migration_eligible(gain, speeds[dst], None), p_raw, 0.0
             )
-        else:  # pseudocode rule
-            weight_gap = w_i - weights[j]
-            probability[positive] = (
-                degrees[i][positive]
-                / dij[positive]
-                * weight_gap[positive]
-                / (2.0 * alpha * w_i[positive])
-            )
-        return probability
+            sat_edge = p_eff > 1.0 + 1e-12
+            np.clip(p_eff, 0.0, 1.0, out=p_eff)
+            return gain, p_raw, p_eff, sat_edge
+        # A task always sits on a node with W_i > 0; zeroing the other
+        # edges keeps inf/nan out of the table.
+        p_raw[~(w_src > 0)] = 0.0
+        return gain, p_raw, np.clip(p_raw, 0.0, 1.0), None
+
+    def _resolve_tasks(
+        self,
+        table: tuple,
+        edge: IntArray,
+        u: FloatArray,
+        dst_speeds: FloatArray,
+        own_weights: FloatArray,
+        valid: "np.ndarray | bool",
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Migration decisions of tasks gathered from an :meth:`_edge_table`.
+
+        ``edge`` indexes each task's chosen edge in the flattened table
+        and ``u`` is its migration uniform; ``valid`` marks the tasks
+        that have a neighbour (the others carry ``u = 1.0``, which no
+        clipped probability exceeds). Returns the ``migrate`` mask and
+        the ``saturated`` verdict reduced over the last (task) axis.
+        """
+        gain, p_raw, p_eff, sat_edge = table
+        if self._edgewise_condition:
+            migrate = u < np.take(p_eff, edge)
+            if not sat_edge.any():  # the common case: nothing clips
+                return migrate, np.zeros(migrate.shape[:-1], dtype=bool)
+            return migrate, np.any(np.take(sat_edge, edge) & valid, axis=-1)
+        eligible = valid & self._migration_eligible(
+            np.take(gain, edge), dst_speeds, own_weights
+        )
+        saturated = np.any(eligible & (np.take(p_raw, edge) > 1.0 + 1e-12), axis=-1)
+        return eligible & (u < np.take(p_eff, edge)), saturated
 
     def execute_round(
         self, state: LoadStateBase, graph: Graph, rng: np.random.Generator
@@ -725,35 +770,33 @@ class SelfishWeightedProtocol(Protocol):
         cache = self._graph_cache(graph)
         alpha = self.resolve_alpha(state)
         task_nodes = state.task_nodes
-        slot_index, neighbour = _choose_neighbours(task_nodes, graph, rng)
-        valid = neighbour >= 0
+        slot_index, neighbour, valid = _choose_neighbours(
+            rng.random(task_nodes.shape[0]), task_nodes, graph
+        )
         if not np.any(valid):
             return RoundSummary(0, 0.0, False)
 
-        loads = state.loads
-        speeds = state.speeds
-        i = task_nodes[valid]
-        j = neighbour[valid]
-        eligible = self._migration_eligible(
-            loads[i] - loads[j], speeds[j], state.task_weights[valid]
+        table = self._edge_table(
+            state.loads, state.node_weights, state.speeds, graph, cache, alpha
         )
-
-        probability = self._conditional_probability(
-            state, graph, cache, slot_index, neighbour, valid, alpha
+        edge = slot_index[valid]
+        migrate, saturated = self._resolve_tasks(
+            table,
+            edge,
+            rng.random(edge.shape[0]),
+            state.speeds[neighbour[valid]],
+            state.task_weights[valid],
+            True,
         )
-        saturated = bool(np.any(probability[eligible] > 1.0 + 1e-12))
-        probability = np.clip(probability, 0.0, 1.0)
-
-        migrate = eligible & (rng.random(probability.shape[0]) < probability)
+        saturated = bool(saturated)
         task_ids = np.flatnonzero(valid)[migrate]
         if task_ids.size == 0:
             # Empty-migration round: exact int/float zeros, with the
             # saturation verdict still reported (shared with the batch
             # kernel's per-replica semantics).
             return RoundSummary(0, 0.0, saturated)
-        destinations = j[migrate]
         moved_weight = float(state.task_weights[task_ids].sum())
-        state.apply_moves(task_ids, destinations)
+        state.apply_moves(task_ids, neighbour[task_ids])
         return RoundSummary(int(task_ids.size), moved_weight, saturated)
 
     def execute_round_batch(
@@ -828,21 +871,17 @@ class SelfishWeightedProtocol(Protocol):
         cache = self._graph_cache(graph)
         alpha = self.resolve_alpha(batch)
         speeds = batch.speeds
-        degrees = graph.degrees
         advancing_all = rows.size == num_replicas
         if advancing_all:
             # Views, not copies: the kernel only reads these before the
             # single apply_moves mutation at the end.
             mask = batch.task_mask
             nodes = batch.task_nodes
-            own_weights = batch.task_weights
             node_weights = batch.node_weights
         else:
             mask = batch.task_mask[rows]
             nodes = batch.task_nodes[rows]
-            own_weights = batch.task_weights[rows]
             node_weights = batch.node_weights[rows]
-        loads = node_weights / speeds
         num_active, max_tasks = mask.shape
         all_live = bool(mask.all())
         if not all_live and not np.any(mask):
@@ -851,71 +890,46 @@ class SelfishWeightedProtocol(Protocol):
         # Neighbour-choice uniforms: replica r draws exactly m_r values
         # from its own stream, scattered into the padded layout in task
         # order (padding consumes no randomness) — the same draw the
-        # scalar kernel's _choose_neighbours makes. Rectangular stacks
-        # (no padding, the pipeline's common case) fill whole rows
-        # in place, which is the same stream read without the
-        # boolean-scatter cost.
+        # scalar kernel makes. Rectangular stacks (no padding, the
+        # pipeline's common case) fill whole rows in place, which is the
+        # same stream read without the boolean-scatter cost.
         if all_live:
             u_choice = np.empty((num_active, max_tasks))
             for position in range(num_active):
                 rngs[rows[position]].random(out=u_choice[position])
+            slot_index, j, valid = _choose_neighbours(u_choice, nodes, graph)
         else:
             u_choice = _scatter_row_draws(rngs, rows, mask, 0.0)
-        i = nodes if all_live else np.where(mask, nodes, 0)
-        deg_i = degrees[i]
-        chosen_slot = np.floor(u_choice * deg_i).astype(np.int64)
-        # Guard the measure-zero event random() == 1.0 exactly.
-        np.minimum(chosen_slot, np.maximum(deg_i - 1, 0), out=chosen_slot)
-        valid = mask & (deg_i > 0)
-        all_valid = bool(valid.all())
-        if all_valid:
-            slot_index = graph.indptr[i] + chosen_slot
-            j = graph.indices[slot_index]
-        else:
-            slot_index = np.where(valid, graph.indptr[i] + chosen_slot, 0)
-            j = np.where(valid, graph.indices[slot_index], 0)
+            slot_index, j, valid = _choose_neighbours(
+                u_choice, np.where(mask, nodes, 0), graph, mask
+            )
 
-        replica_axis = np.arange(num_active)[:, None]
-        gain = loads[replica_axis, i] - loads[replica_axis, j]
-        eligible = valid & self._migration_eligible(gain, speeds[j], own_weights)
-
-        # Conditional migration probability, elementwise identical to
-        # the scalar _conditional_probability. Live tasks always have
-        # W_i >= w_l > 0 (their own weight is part of the node weight),
-        # so ``valid`` is exactly the scalar kernel's positive-weight
-        # guard; padding positions may produce inf/nan and are masked
-        # out here.
-        w_i = node_weights[replica_axis, i]
-        dij = cache.dij_csr[slot_index]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            if self._rule == "flow":
-                rate = alpha * dij * (1.0 / speeds[i] + 1.0 / speeds[j])
-                probability = np.where(
-                    valid, deg_i * gain / (rate * w_i), 0.0
-                )
-            else:  # pseudocode rule
-                weight_gap = w_i - node_weights[replica_axis, j]
-                probability = np.where(
-                    valid,
-                    deg_i / dij * weight_gap / (2.0 * alpha * w_i),
-                    0.0,
-                )
-        saturated_rows = np.any(
-            eligible & (probability > 1.0 + 1e-12), axis=1
+        table = self._edge_table(
+            node_weights / speeds, node_weights, speeds, graph, cache, alpha
         )
-        probability = np.clip(probability, 0.0, 1.0)
+        flat = slot_index + (
+            np.arange(num_active, dtype=np.int64) * graph.indices.shape[0]
+        )[:, None]
 
         # Migration uniforms: replica r draws exactly valid_r values,
         # scattered into the valid positions in task order (again the
         # scalar kernel's consumption; full-row fill when every task has
-        # a neighbour).
-        if all_valid:
+        # a neighbour). Positions without a neighbour get 1.0, which no
+        # clipped probability exceeds.
+        if valid.all():
             u_migrate = np.empty((num_active, max_tasks))
             for position in range(num_active):
                 rngs[rows[position]].random(out=u_migrate[position])
         else:
             u_migrate = _scatter_row_draws(rngs, rows, valid, 1.0)
-        migrate = eligible & (u_migrate < probability)
+        migrate, saturated[rows] = self._resolve_tasks(
+            table,
+            flat,
+            u_migrate,
+            speeds[j],
+            batch.task_weights if advancing_all else batch.task_weights[rows],
+            valid,
+        )
 
         move_positions, move_slots = np.divmod(np.flatnonzero(migrate), max_tasks)
         if move_positions.size:
@@ -925,10 +939,9 @@ class SelfishWeightedProtocol(Protocol):
             tasks_moved[rows] = migrate.sum(axis=1)
             weight_moved[rows] = np.bincount(
                 move_positions,
-                weights=own_weights[move_positions, move_slots],
+                weights=batch.task_weights[rows[move_positions], move_slots],
                 minlength=num_active,
             )
-        saturated[rows] = saturated_rows
         return summary
 
     def _execute_round_batch_counter(
@@ -943,16 +956,14 @@ class SelfishWeightedProtocol(Protocol):
 
         The migration probability of a task on node ``i`` that chose
         neighbour ``j`` depends only on ``(replica, i, j)``, so the
-        kernel first builds a tiny per-``(replica, directed edge)``
-        probability table ``(A, nnz)`` — exactly the scalar expressions,
-        evaluated once per edge instead of once per task — and then
-        resolves every task with a *single* uniform: ``u * deg(i)``
+        kernel gathers from the per-``(replica, directed edge)`` table
+        ``(A, nnz)`` of :meth:`_edge_table`, the one every kernel reads,
+        and resolves every task with a *single* uniform: ``u * deg(i)``
         selects the neighbour slot (its integer part) *and* supplies the
         migration uniform (its fractional part, which is U[0, 1)
         independent of the selected slot). One ``(A, M)`` Philox block
         per round replaces the spawned layout's ``2 R`` per-replica
-        fills, and the per-task math drops from ~20 full-stack passes to
-        ~8 — together the >= 2.5x heavy-m per-round win pinned in
+        fills — the heavy-m per-round win pinned in
         ``benchmarks/test_batch_throughput.py``.
 
         Law: identical to the scalar kernel per replica (neighbour
@@ -983,7 +994,6 @@ class SelfishWeightedProtocol(Protocol):
         cache = self._graph_cache(graph)
         alpha = self.resolve_alpha(batch)
         speeds = batch.speeds
-        degrees = graph.degrees
         advancing_all = rows.size == num_replicas
         if advancing_all:
             mask = batch.task_mask
@@ -993,52 +1003,15 @@ class SelfishWeightedProtocol(Protocol):
             mask = batch.task_mask[rows]
             nodes = batch.task_nodes[rows]
             node_weights = batch.node_weights[rows]
-        loads = node_weights / speeds
         num_active, max_tasks = mask.shape
         all_live = bool(mask.all())
         if not all_live and not np.any(mask):
             return summary
 
-        # Per-(replica, directed edge) tables, shape (A, nnz): the same
-        # eligibility and probability expressions as the scalar kernel,
-        # evaluated once per edge. These MUST stay in sync with
-        # _csr_migration_probabilities / _conditional_probability /
-        # _migration_eligible — they cannot share code because those
-        # helpers are shaped per task, and re-deriving per task is the
-        # cost this kernel exists to avoid; the KS law-agreement tests
-        # in tests/test_rng_streams.py pin the equivalence.
-        src, dst = cache.csr_rows, graph.indices
-        gain = loads[:, src] - loads[:, dst]
-        w_src = node_weights[:, src]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            if self._rule == "flow":
-                rate = alpha * cache.dij_csr * (
-                    1.0 / speeds[src] + 1.0 / speeds[dst]
-                )
-                p_raw = degrees[src] * gain / (rate * w_src)
-            else:  # pseudocode rule
-                p_raw = (
-                    degrees[src]
-                    / cache.dij_csr
-                    * (w_src - node_weights[:, dst])
-                    / (2.0 * alpha * w_src)
-                )
-        if self._edgewise_condition:
-            # l_i - l_j > 1/s_j implies W_i > 0, so the eligibility gate
-            # also zeroes the W_i == 0 edges where p_raw is inf/nan, and
-            # an edge saturates exactly where the gated table exceeds 1.
-            p_eff = np.where(
-                gain > 1.0 / speeds[dst] + ELIGIBILITY_TOLERANCE, p_raw, 0.0
-            )
-            sat_edge = p_eff > 1.0 + 1e-12
-            np.clip(p_eff, 0.0, 1.0, out=p_eff)
-        else:
-            # Per-task condition (PerTaskThresholdProtocol): the clipped
-            # probability table carries no eligibility gate; the per-task
-            # test applies after the gather below.
-            p_raw[~(w_src > 0)] = 0.0
-            p_eff = np.clip(p_raw, 0.0, 1.0)
-            sat_edge = None
+        gain, p_raw, p_eff, sat_edge = self._edge_table(
+            node_weights / speeds, node_weights, speeds, graph, cache, alpha
+        )
+        dst = graph.indices
 
         # Fused draw: one uniform per task slot. The integer part of
         # u * deg(i) is the chosen neighbour slot; the remainder is the
@@ -1127,7 +1100,7 @@ class SelfishWeightedProtocol(Protocol):
             valid_edge = slot >= 0
             np.maximum(edge, 0, out=edge)
         flat = edge + (
-            np.arange(num_active, dtype=np.int64) * src.shape[0]
+            np.arange(num_active, dtype=np.int64) * dst.shape[0]
         )[:, None]
         migrate = u < np.take(p_eff, flat)
         if not all_live:

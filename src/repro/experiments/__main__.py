@@ -28,7 +28,7 @@ repetitions). ``--rng counter`` switches the sweep experiments onto the
 vectorized Philox counter stream layout (statistically equivalent,
 same-seed deterministic, different sample paths from the default
 ``spawned`` layout); under it only the weighted kinds may shard — see
-:mod:`repro.experiments.executor`. ``--backend numba`` (or ``cupy``)
+:mod:`repro.experiments.executor`. ``--backend numba``
 dispatches the batched kernels through :mod:`repro.backends` — the
 default ``numpy`` backend stays bit-identical to every earlier release,
 and a requested backend whose optional dependency is missing warns and
@@ -150,12 +150,11 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--backend",
-        choices=("numpy", "numba", "cupy"),
+        choices=("numpy", "numba"),
         default="numpy",
         help="array backend for the batched kernels: 'numpy' (default; "
-        "bit-identical to earlier releases), 'numba' (JIT-fused kernels, "
-        "requires the 'jit' extra), or 'cupy' (GPU arrays, requires the "
-        "'gpu' extra). A missing optional dependency prints a "
+        "bit-identical to earlier releases) or 'numba' (JIT-fused "
+        "kernels, requires the 'jit' extra). A missing optional dependency prints a "
         "RuntimeWarning and falls back to numpy; run_meta records the "
         "requested and effective backend",
     )

@@ -208,8 +208,7 @@ class CellSpec:
     backend:
         Array backend for the cell's batched kernels: ``"numpy"``
         (default, bit-identical to all earlier releases), ``"numba"``
-        (JIT-fused kernels, ``jit`` extra), or ``"cupy"`` (GPU arrays,
-        ``gpu`` extra). Resolved inside the measurement function with
+        (JIT-fused kernels, ``jit`` extra). Resolved inside the measurement function with
         warn-and-fallback to numpy when the extra is missing, so the
         knob travels process boundaries as a plain string and pooled
         runs behave exactly like serial ones.

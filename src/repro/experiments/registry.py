@@ -187,8 +187,8 @@ def run_experiment(
     backend:
         Array backend for the experiment's batched kernels
         (``--backend``): ``"numpy"`` (default, bit-identical to every
-        earlier release), ``"numba"`` (JIT-fused kernels, ``jit``
-        extra), or ``"cupy"`` (GPU arrays, ``gpu`` extra). Resolved
+        earlier release), or ``"numba"`` (JIT-fused kernels, ``jit``
+        extra). Resolved
         once up front with warn-and-fallback to numpy when the named
         backend's optional dependency is missing; the requested and
         effective names are both recorded in ``run_meta``. Forwarded

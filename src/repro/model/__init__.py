@@ -44,12 +44,6 @@ from repro.model.placement import (
     place_weighted_random,
     place_weighted_proportional,
 )
-from repro.model.perturbation import (
-    inject_tasks,
-    remove_tasks,
-    shock_to_node,
-    PoissonChurn,
-)
 
 __all__ = [
     "uniform_speeds",
@@ -82,8 +76,4 @@ __all__ = [
     "place_weighted_all_on_one",
     "place_weighted_random",
     "place_weighted_proportional",
-    "inject_tasks",
-    "remove_tasks",
-    "shock_to_node",
-    "PoissonChurn",
 ]

@@ -717,8 +717,7 @@ class ScenarioRunner:
         resolved_backend = resolve_backend(backend)
         if rngs is None:
             streams = make_streams(
-                check_rng_policy(rng_policy), seed, num_replicas,
-                backend=resolved_backend,
+                check_rng_policy(rng_policy), seed, num_replicas
             )
         else:
             streams = as_stream_layout(rngs)
@@ -1045,7 +1044,6 @@ class ScenarioRunner:
                         count,
                         replica_offset=replica_offset,
                         total_replicas=repetitions,
-                        backend=resolved_backend,
                     )
                     return self.run_batch(
                         batch, rounds, rngs=window, backend=resolved_backend

@@ -219,9 +219,8 @@ def philox_uniforms(key: np.ndarray, start_word: int, count: int) -> np.ndarray:
     raw word ``w`` becomes ``(w >> 11) * 2**-53``: numpy's own
     ``next_double`` for Philox, so the block is bit-identical to
     ``Generator(Philox(key=key)).random`` at the same position without
-    the ``Generator`` wrapper. This is the one reference fill of the
-    counter layout; :class:`CounterStreams` and the default
-    :meth:`repro.backends.ArrayBackend.philox_uniforms` hook both call it.
+    the ``Generator`` wrapper. This is the one fill of the counter
+    layout: every :class:`CounterStreams` site block comes from it.
     """
     bit_generator = np.random.Philox(key=key)
     blocks, remainder = divmod(start_word, 4)
@@ -390,7 +389,6 @@ class CounterStreams(StreamLayout):
         num_replicas: int,
         replica_offset: int = 0,
         total_replicas: int | None = None,
-        backend: object | None = None,
     ):
         super().__init__(num_replicas)
         if seed is None:
@@ -425,12 +423,6 @@ class CounterStreams(StreamLayout):
         self._round: int | None = None
         self._site_sequence = 0
         self._label_cache: dict[str, int] = {}
-        # Optional ArrayBackend whose philox_uniforms hook fills the
-        # site blocks (a device backend generates where its arrays
-        # live). ``None`` uses the reference numpy fill; the numpy
-        # backend's hook is that same fill, so either spelling is
-        # bit-identical.
-        self._backend = backend
 
     @property
     def root_seed(self) -> int:
@@ -565,31 +557,17 @@ class CounterStreams(StreamLayout):
     ) -> np.ndarray:
         """Fill ``count`` consecutive replica rows of a site's stream,
         starting at global row ``first_row`` (absolute word
-        addressing), through the backend hook when one is set."""
-        start_word = first_row * width
-        if self._backend is None:
-            flat = philox_uniforms(key, start_word, count * width)
-        else:
-            flat = self._backend.philox_uniforms(key, start_word, count * width)
-        return np.asarray(flat, dtype=np.float64).reshape(count, width)
+        addressing)."""
+        return philox_uniforms(key, first_row * width, count * width).reshape(
+            count, width
+        )
 
 
-def make_streams(
-    policy: str,
-    seed: SeedLike,
-    num_replicas: int,
-    backend: object | None = None,
-) -> StreamLayout:
-    """Build the stream layout for ``policy`` (see :data:`RNG_POLICIES`).
-
-    ``backend`` (an :class:`repro.backends.ArrayBackend`, optional)
-    routes the counter layout's Philox block fills through the
-    backend's fill hook; the spawned layout's per-replica generators
-    are host-sequential by construction and ignore it.
-    """
+def make_streams(policy: str, seed: SeedLike, num_replicas: int) -> StreamLayout:
+    """Build the stream layout for ``policy`` (see :data:`RNG_POLICIES`)."""
     check_rng_policy(policy)
     if policy == "counter":
-        return CounterStreams(seed, num_replicas, backend=backend)
+        return CounterStreams(seed, num_replicas)
     return SpawnedStreams(seed=seed, num_replicas=num_replicas)
 
 

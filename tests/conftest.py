@@ -37,23 +37,19 @@ def pytest_collection_modifyitems(
 ) -> None:
     """Skip backend-marked tests whose optional dependency is missing.
 
-    ``requires_numba`` / ``requires_cupy`` tests skip (never fail) when
-    the ``jit`` / ``gpu`` extra is not installed, so the conformance
-    suite runs green on a minimal checkout and picks the backends up
-    automatically once the extras appear.
+    ``requires_numba`` tests skip (never fail) when the ``jit`` extra is
+    not installed, so the conformance suite runs green on a minimal
+    checkout and picks the backend up automatically once the extra
+    appears.
     """
     import importlib.util
 
-    for marker_name, module in (("requires_numba", "numba"), ("requires_cupy", "cupy")):
-        if importlib.util.find_spec(module) is not None:
-            continue
-        skip = pytest.mark.skip(
-            reason=f"{module} is not installed (install the "
-            f"{'jit' if module == 'numba' else 'gpu'} extra)"
-        )
-        for item in items:
-            if marker_name in item.keywords:
-                item.add_marker(skip)
+    if importlib.util.find_spec("numba") is not None:
+        return
+    skip = pytest.mark.skip(reason="numba is not installed (install the jit extra)")
+    for item in items:
+        if "requires_numba" in item.keywords:
+            item.add_marker(skip)
 
 
 def pytest_addoption(parser: pytest.Parser) -> None:

@@ -1,12 +1,11 @@
 """Conformance suite for the pluggable array-backend seam.
 
-Four layers of contract, each over every *installed* backend (missing
-optional dependencies skip via the ``requires_numba`` /
-``requires_cupy`` markers, they never fail):
+Four layers of contract, each over every *installed* backend (a
+missing numba skips via the ``requires_numba`` marker, it never fails):
 
 * **seam shape** — every backend exposes the :class:`ArrayBackend`
-  surface (name, availability probe, ``xp`` module, transfer pair,
-  kernel registry, Philox fill hook) with the documented semantics;
+  surface (name, availability probe, kernel registry) with the
+  documented semantics;
 * **numpy bit-identity** — the numpy backend (and ``backend=None``)
   reproduces the pre-backend measurement pipeline bit for bit, pinned
   against golden values captured before the seam existed;
@@ -17,7 +16,7 @@ optional dependencies skip via the ``requires_numba`` /
   retired (non-contiguous) rows returns exactly what the full-span
   gather returns, and builds a second generator only across a gap
   that costs more to draw than to skip;
-* **accelerated-backend laws** — numba/cupy kernels are same-seed
+* **accelerated-backend laws** — numba kernels are same-seed
   deterministic, conserve the per-replica exact totals, and agree with
   the numpy reference in law (KS over first-hitting rounds).
 
@@ -37,7 +36,6 @@ import pytest
 from repro.backends import (
     BACKEND_NAMES,
     ArrayBackend,
-    CupyBackend,
     NumbaBackend,
     NumpyBackend,
     available_backends,
@@ -57,13 +55,11 @@ from equivalence import assert_batch_conserves, assert_ks_agreement
 _BACKEND_CLASSES = {
     "numpy": NumpyBackend,
     "numba": NumbaBackend,
-    "cupy": CupyBackend,
 }
 
 #: Marker per accelerated backend (conftest skips when not importable).
 _BACKEND_MARKS = {
     "numba": pytest.mark.requires_numba,
-    "cupy": pytest.mark.requires_cupy,
 }
 
 KERNEL_NAMES = ("weighted_migrate", "uniform_pvals")
@@ -101,7 +97,7 @@ class _BackendProtocol:
 
 class TestSeamShape:
     def test_backend_names_cover_registry(self):
-        assert BACKEND_NAMES == ("numpy", "numba", "cupy")
+        assert BACKEND_NAMES == ("numpy", "numba")
         for name in BACKEND_NAMES:
             assert _BACKEND_CLASSES[name].name == name
 
@@ -119,20 +115,6 @@ class TestSeamShape:
             check_backend("jax")
 
     @pytest.mark.parametrize("name", _installed_params())
-    def test_xp_module_and_transfer_round_trip(self, name):
-        backend = resolve_backend(name, warn=False)
-        assert backend.name == name
-        host = np.arange(12, dtype=np.float64).reshape(3, 4)
-        device = backend.asarray(host)
-        # The xp handle speaks the numpy API over the backend's arrays.
-        total = backend.xp.sum(device)
-        assert float(backend.to_numpy(total)) == float(host.sum())
-        round_tripped = backend.to_numpy(device)
-        assert isinstance(round_tripped, np.ndarray)
-        np.testing.assert_array_equal(round_tripped, host)
-        assert round_tripped.dtype == host.dtype
-
-    @pytest.mark.parametrize("name", _installed_params())
     def test_kernel_registry_callable_or_none(self, name):
         backend = resolve_backend(name, warn=False)
         for kernel_name in KERNEL_NAMES:
@@ -146,33 +128,6 @@ class TestSeamShape:
         backend = resolve_backend("numpy")
         for kernel_name in KERNEL_NAMES:
             assert backend.kernel(kernel_name) is None
-
-    @pytest.mark.parametrize("name", _installed_params())
-    def test_philox_fill_shape_and_determinism(self, name):
-        backend = resolve_backend(name, warn=False)
-        key = np.uint64(0xDEADBEEF)
-        first = backend.philox_uniforms(key, 12, 37)
-        again = backend.philox_uniforms(key, 12, 37)
-        assert first.shape == (37,)
-        assert np.all((first >= 0.0) & (first < 1.0))
-        np.testing.assert_array_equal(first, again)
-        # A different start word is a different stream position.
-        assert not np.array_equal(first, backend.philox_uniforms(key, 13, 37))
-
-    def test_numpy_philox_fill_matches_reference(self):
-        # The numpy backend inherits the reference hook, which must be
-        # the exact block-advance + word-discard fill CounterStreams
-        # has always used.
-        key = np.uint64(424242)
-        bit_generator = np.random.Philox(key=key)
-        bit_generator.advance(5)  # 22 words = 5 blocks + 2 discards
-        generator = np.random.Generator(bit_generator)
-        generator.random(2)
-        expected = generator.random(10)
-        np.testing.assert_array_equal(
-            resolve_backend("numpy").philox_uniforms(key, 22, 10), expected
-        )
-
 
 class TestResolveBackend:
     def test_none_and_default_resolve_to_numpy(self):
@@ -191,19 +146,15 @@ class TestResolveBackend:
             resolve_backend("jax")
 
     def test_missing_dependency_warns_and_falls_back(self):
-        missing = [
-            name for name in ("numba", "cupy") if name not in available_backends()
-        ]
-        if not missing:
-            pytest.skip("all optional backends installed; nothing to fall back")
-        for name in missing:
-            with pytest.warns(RuntimeWarning, match="falling back to 'numpy'"):
-                backend = resolve_backend(name)
-            assert backend.name == "numpy"
-            # warn=False keeps the fallback silent (registry pre-resolution).
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                assert resolve_backend(name, warn=False).name == "numpy"
+        if "numba" in available_backends():
+            pytest.skip("numba installed; nothing to fall back")
+        with pytest.warns(RuntimeWarning, match="falling back to 'numpy'"):
+            backend = resolve_backend("numba")
+        assert backend.name == "numpy"
+        # warn=False keeps the fallback silent (registry pre-resolution).
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert resolve_backend("numba", warn=False).name == "numpy"
 
 
 def _reference_block(key: np.ndarray, start_word: int, count: int) -> np.ndarray:
@@ -249,28 +200,6 @@ class TestReferenceFill:
             philox_uniforms(self.KEY, 7, count),
             _reference_block(self.KEY, 7, count),
         )
-
-    def test_numpy_backend_hook_is_the_reference_fill(self):
-        backend = resolve_backend("numpy")
-        for start_word, count in ((0, 0), (5, 1), (2**32 + 3, 129)):
-            np.testing.assert_array_equal(
-                backend.philox_uniforms(self.KEY, start_word, count),
-                philox_uniforms(self.KEY, start_word, count),
-            )
-
-    def test_backend_none_and_numpy_give_identical_blocks(self):
-        for rows in (np.arange(12), np.array([0, 3, 4, 9, 30, 31]), np.array([7])):
-            blocks = []
-            for backend in (None, "numpy"):
-                streams = CounterStreams(
-                    77,
-                    32,
-                    backend=None if backend is None else resolve_backend(backend),
-                )
-                streams.begin_round(5)
-                blocks.append(streams.site_uniforms("weighted-migrate", rows, 300))
-            np.testing.assert_array_equal(blocks[0], blocks[1])
-
 
 class TestNumpyBitIdentity:
     """The numpy backend reproduces pre-seam measurements bit for bit.
@@ -412,16 +341,6 @@ class TestSparseRowFill:
             )
             np.testing.assert_array_equal(sparse, dense[rows - low])
 
-    def test_backend_hook_path_is_bit_identical(self):
-        """Routing the fill through the numpy backend's Philox hook
-        changes nothing bit-wise vs the inline default."""
-        rows = np.array([0, 1, 4, 7, 8])
-        hooked = CounterStreams(4242, 10, backend=resolve_backend("numpy"))
-        hooked.begin_round(3)
-        block = hooked.site_uniforms("weighted-migrate", rows, 5)
-        assert float(block.sum()) == self.SPARSE_SUM
-        np.testing.assert_array_equal(block[:, 0], np.array(self.SPARSE_COLUMN))
-
     @pytest.mark.parametrize("offset, generators", [(-1, 1), (1, 2)])
     def test_split_threshold(self, monkeypatch, offset, generators):
         """A gap one row below the threshold is drawn through; one row
@@ -477,7 +396,7 @@ class TestSparseRowFill:
     "name",
     [
         pytest.param(name, marks=_BACKEND_MARKS[name])
-        for name in ("numba", "cupy")
+        for name in ("numba",)
     ],
 )
 class TestAcceleratedBackends:
@@ -486,8 +405,7 @@ class TestAcceleratedBackends:
     The fused kernels replace the numpy arithmetic, so the contract is
     the counter layout's own: same-seed determinism, exact per-replica
     conservation, and KS agreement with the numpy reference — not
-    bit-identity (summation order and, for cupy, the Philox variant
-    differ).
+    bit-identity (the uniform table's summation order differs).
     """
 
     def test_registers_fused_kernels(self, name):
@@ -529,7 +447,7 @@ class TestAcceleratedBackends:
             WeightedState(place_weighted_random(m, n, rng), weights, speeds)
             for rng in spawn_rngs(11, replicas)
         ]
-        streams = CounterStreams(11, replicas, backend=backend)
+        streams = CounterStreams(11, replicas)
         assert_batch_conserves(
             BatchWeightedState.from_states(states),
             _BackendProtocol(SelfishWeightedProtocol(), backend),
@@ -597,25 +515,22 @@ class TestExecutorAndCLIDegradation:
             run_cell(spec)
 
     def test_run_experiment_records_backend_fallback(self, tmp_path):
-        missing = [
-            name for name in ("cupy", "numba") if name not in available_backends()
-        ]
-        if not missing:
-            pytest.skip("all optional backends installed; nothing degrades")
+        if "numba" in available_backends():
+            pytest.skip("numba installed; nothing degrades")
         from repro.experiments.registry import run_experiment
 
         with pytest.warns(RuntimeWarning, match="falling back to 'numpy'"):
             result = run_experiment(
-                "weighted-variants", quick=True, seed=7, backend=missing[0]
+                "weighted-variants", quick=True, seed=7, backend="numba"
             )
         assert result.passed
         meta = result.data["run_meta"]
-        assert meta["backend_requested"] == missing[0]
+        assert meta["backend_requested"] == "numba"
         assert meta["backend_effective"] == "numpy"
 
-    def test_cli_backend_cupy_degrades_to_exit_zero(self, tmp_path, capsys):
-        if "cupy" in available_backends():
-            pytest.skip("cupy installed and usable; no degradation to test")
+    def test_cli_backend_numba_degrades_to_exit_zero(self, tmp_path, capsys):
+        if "numba" in available_backends():
+            pytest.skip("numba installed; no degradation to test")
         import json
 
         from repro.experiments.__main__ import main
@@ -628,7 +543,7 @@ class TestExecutorAndCLIDegradation:
                     "run",
                     "weighted-variants",
                     "--backend",
-                    "cupy",
+                    "numba",
                     "--seed",
                     "7",
                     "--json",
@@ -638,5 +553,5 @@ class TestExecutorAndCLIDegradation:
         capsys.readouterr()
         assert exit_code == 0
         meta = json.loads(json_path.read_text())["weighted-variants"]["run_meta"]
-        assert meta["backend_requested"] == "cupy"
+        assert meta["backend_requested"] == "numba"
         assert meta["backend_effective"] == "numpy"
