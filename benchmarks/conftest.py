@@ -29,17 +29,20 @@ BENCH_RESULTS_PATH = Path(__file__).resolve().parent / "BENCH.json"
 #: Stamped onto rows recorded by the current checkout; bump when a PR
 #: re-records (or adds) benchmark rows so the trajectory stays
 #: attributable.
-BENCH_CURRENT_PR = 13
+BENCH_CURRENT_PR = 14
 
 
 def _machine_metadata() -> dict:
     """Hardware/toolchain context for a freshly recorded row."""
     import os
+    import platform
 
     import numpy
 
     metadata: dict = {
         "cpu_count": os.cpu_count(),
+        "platform": platform.platform(),
+        "python": platform.python_version(),
         "numpy_version": numpy.__version__,
     }
     try:
@@ -76,8 +79,8 @@ def record_bench(
     the row's stated baseline; ``backend`` tags which
     :mod:`repro.backends` implementation ran the kernels. Extra keyword
     scalars ride along. Recorded rows carry the recording PR
-    (``BENCH_CURRENT_PR``) and machine metadata (cpu count, numpy /
-    numba versions), so the committed file is a cumulative
+    (``BENCH_CURRENT_PR``) and machine metadata (cpu count, platform,
+    python / numpy / numba versions), so the committed file is a cumulative
     per-PR perf trajectory — rows from earlier PRs stay until a later
     PR's benchmark re-records them.
 

@@ -26,6 +26,7 @@ the *start* of the round (the protocol is concurrent).
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
@@ -131,6 +132,37 @@ class _GraphCache:
         self.has_isolated = bool(np.any(degrees == 0))
 
 
+class _Workspace:
+    """Per-protocol scratch buffers that rounds reuse.
+
+    One flat buffer per dtype, grown on demand; :meth:`blocks` hands out
+    contiguous views of its prefix. A kernel that writes its full-stack
+    temporaries into these (``out=`` ufuncs, ``np.copyto``) allocates
+    nothing of that size per round, so the allocator cannot trim and
+    regrow the heap between rounds — a minor page fault per touched page
+    when it does. The views stay valid until the next :meth:`blocks`
+    call for the same dtype, so none may outlive the round, and a
+    protocol instance runs one round at a time: give each thread its own.
+    """
+
+    def __init__(self) -> None:
+        self._buffers: dict[np.dtype, np.ndarray] = {}
+
+    def blocks(
+        self, dtype: type[np.generic], count: int, shape: tuple[int, ...]
+    ) -> list[np.ndarray]:
+        """``count`` disjoint, uninitialised ``shape`` views of one buffer."""
+        dtype = np.dtype(dtype)
+        size = math.prod(shape)
+        buffer = self._buffers.get(dtype)
+        if buffer is None or buffer.size < count * size:
+            buffer = np.empty(count * size, dtype=dtype)
+            self._buffers[dtype] = buffer
+        return [
+            buffer[k * size : (k + 1) * size].reshape(shape) for k in range(count)
+        ]
+
+
 class Protocol:
     """Base class: one concurrent round of selfish migrations.
 
@@ -183,12 +215,29 @@ class Protocol:
         # served the stale cache's dij/CSR arrays. ``_last`` is an
         # identity fast path for the per-round lookup in single-graph
         # simulation loops (a weak ref, so it cannot resurrect ids).
+        self._reset_caches()
+
+    def _reset_caches(self) -> None:
+        """Empty graph caches and workspace (built fresh after unpickling)."""
         self._cache: "weakref.WeakKeyDictionary[Graph, _GraphCache]" = (
             weakref.WeakKeyDictionary()
         )
         # Recency order for LRU eviction: weak refs, least recent first.
         self._cache_order: list[weakref.ref] = []
         self._last: tuple[weakref.ref, _GraphCache] | None = None
+        self._workspace = _Workspace()
+
+    def __getstate__(self) -> dict:
+        # Caches and scratch buffers are derived state: weak references
+        # do not pickle, and the buffers would only bloat the payload.
+        state = self.__dict__.copy()
+        for key in ("_cache", "_cache_order", "_last", "_workspace"):
+            state.pop(key, None)
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._reset_caches()
 
     def resolve_alpha(self, state: LoadStateBase) -> float:
         """The alpha used for this state (explicit or ``4 s_max``)."""
@@ -472,8 +521,13 @@ class SelfishUniformProtocol(Protocol):
             )
 
             # Scatter into the padded (A, n, Delta + 1) multinomial
-            # layout; column Delta is the stay probability.
-            pvals = np.zeros((rows.size, n, max_degree + 1))
+            # layout; column Delta is the stay probability. The layout
+            # lives in the protocol's workspace, as the weighted counter
+            # round's blocks do.
+            (pvals,) = self._workspace.blocks(
+                np.float64, 1, (rows.size, n, max_degree + 1)
+            )
+            pvals.fill(0.0)
             pvals[:, cache.csr_rows, cache.slot_in_row] = q
             total = pvals[..., :max_degree].sum(axis=2)
             row_saturated = (total > 1.0 + 1e-12).any(axis=1)
@@ -494,7 +548,9 @@ class SelfishUniformProtocol(Protocol):
             )
         else:
             # One exact multinomial draw per replica from its own stream.
-            draws = np.empty((rows.size, n, max_degree + 1), dtype=np.int64)
+            (draws,) = self._workspace.blocks(
+                np.int64, 1, (rows.size, n, max_degree + 1)
+            )
             for position, replica in enumerate(rows):
                 draws[position] = streams[replica].multinomial(
                     counts[position], pvals[position]
@@ -1078,17 +1134,20 @@ class SelfishWeightedProtocol(Protocol):
             saturated[rows] = sat
             return summary
 
+        # The (A, M) integer and mask blocks live in the protocol's
+        # workspace; the gathers below stay bounds-checked fancy indexing.
+        slot, edge, flat = self._workspace.blocks(np.int64, 3, u.shape)
+        (migrate,) = self._workspace.blocks(np.bool_, 1, u.shape)
         i = nodes if all_live else np.where(mask, nodes, 0)
         u *= cache.deg_float[i]
-        slot = u.astype(np.int64)
+        np.copyto(slot, u, casting="unsafe")  # truncates, as astype does
         if cache.has_isolated:
             # Isolated nodes take slot -1. Elsewhere no clamp is needed:
             # the fill's uniforms are at most 1 - 2**-53, and such a u
             # times an integer degree d rounds to below d, never to d.
             np.minimum(slot, cache.degm1[i], out=slot)
         u -= slot  # in-place remainder
-        edge = graph.indptr[i]
-        edge += slot  # per-task local CSR slot
+        np.add(graph.indptr[i], slot, out=edge)  # per-task local CSR slot
         # Tasks on isolated nodes carry slot -1 (their remainder is then
         # exactly 1.0, so they can never migrate), but their raw edge
         # index may be -1 and would wrap the gathers below into another
@@ -1099,10 +1158,12 @@ class SelfishWeightedProtocol(Protocol):
         if cache.has_isolated:
             valid_edge = slot >= 0
             np.maximum(edge, 0, out=edge)
-        flat = edge + (
-            np.arange(num_active, dtype=np.int64) * dst.shape[0]
-        )[:, None]
-        migrate = u < np.take(p_eff, flat)
+        np.add(
+            edge,
+            (np.arange(num_active, dtype=np.int64) * dst.shape[0])[:, None],
+            out=flat,
+        )
+        np.less(u, np.take(p_eff, flat), out=migrate)
         if not all_live:
             migrate &= mask
         # Weights are gathered at the drawn migrations only, never as an

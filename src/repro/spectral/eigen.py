@@ -13,10 +13,9 @@ spectrum. The quantities of interest are:
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sp
-import scipy.sparse.linalg
 
 from repro.errors import DisconnectedGraphError, SpectralError
 from repro.graphs.graph import Graph
@@ -27,6 +26,9 @@ from repro.spectral.laplacian import (
 )
 from repro.types import FloatArray
 from repro.utils.validation import check_array_1d
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "DENSE_CUTOFF",
@@ -52,12 +54,16 @@ def laplacian_spectrum(graph: Graph) -> FloatArray:
             f"full spectrum requested for n={graph.num_vertices} > {DENSE_CUTOFF}; "
             "use algebraic_connectivity for large graphs"
         )
+    import scipy.linalg
+
     values = scipy.linalg.eigvalsh(laplacian_matrix(graph))
     return np.clip(values, 0.0, None)
 
 
 def _smallest_two_sparse(matrix: sp.csr_matrix) -> FloatArray:
     """Two smallest eigenvalues of a sparse symmetric PSD matrix."""
+    import scipy.sparse.linalg
+
     n = matrix.shape[0]
     # Shift-invert around sigma=0 fails on singular L, so shift by a small
     # negative sigma which keeps (L - sigma I) positive definite.
@@ -110,12 +116,16 @@ def fiedler_vector(graph: Graph) -> FloatArray:
     by the eigensolver and are acceptable for the sweep-cut heuristic.
     """
     if graph.num_vertices > DENSE_CUTOFF:
+        import scipy.sparse.linalg
+
         lap = laplacian_sparse(graph)
         values, vectors = scipy.sparse.linalg.eigsh(lap, k=2, sigma=-1e-3, which="LM")
         order = np.argsort(values)
         if values[order[1]] < ZERO_TOLERANCE:
             raise DisconnectedGraphError(f"{graph.name} appears disconnected")
         return vectors[:, order[1]]
+    import scipy.linalg
+
     values, vectors = scipy.linalg.eigh(laplacian_matrix(graph))
     if values[1] < ZERO_TOLERANCE:
         raise DisconnectedGraphError(f"{graph.name} appears disconnected")
@@ -133,6 +143,8 @@ def generalized_spectrum(graph: Graph, speeds: object) -> FloatArray:
             f"full generalized spectrum requested for n={graph.num_vertices}; "
             "use generalized_lambda2 instead"
         )
+    import scipy.linalg
+
     values = scipy.linalg.eigvalsh(symmetrized_laplacian(graph, speeds))
     return np.clip(values, 0.0, None)
 
@@ -147,7 +159,8 @@ def generalized_lambda2(graph: Graph, speeds: object) -> float:
         spectrum = generalized_spectrum(graph, speeds_array)
         mu2 = float(spectrum[1])
     else:
-        n = graph.num_vertices
+        import scipy.sparse as sp
+
         inv_sqrt = sp.diags(1.0 / np.sqrt(speeds_array))
         sym = inv_sqrt @ laplacian_sparse(graph) @ inv_sqrt
         values = _smallest_two_sparse(sym.tocsr())

@@ -12,13 +12,17 @@ Definitions follow the paper's Appendix A:
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-import scipy.sparse as sp
 
 from repro.errors import SpeedError
 from repro.graphs.graph import Graph
 from repro.types import FloatArray
 from repro.utils.validation import check_array_1d
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "laplacian_matrix",
@@ -49,6 +53,8 @@ def laplacian_matrix(graph: Graph) -> FloatArray:
 
 def laplacian_sparse(graph: Graph) -> sp.csr_matrix:
     """Sparse CSR combinatorial Laplacian for large graphs."""
+    import scipy.sparse as sp
+
     n = graph.num_vertices
     u, v = graph.edges_u, graph.edges_v
     rows = np.concatenate([u, v, np.arange(n)])
