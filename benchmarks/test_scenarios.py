@@ -22,14 +22,23 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import record_bench, run_quick
-from repro.core.protocols import SelfishUniformProtocol
+from repro.core.protocols import SelfishUniformProtocol, SelfishWeightedProtocol
+from repro.core.stopping import NashStop
 from repro.experiments.scenario_cells import measure_scenario_recovery
 from repro.graphs.generators import torus_graph
 from repro.model.batch import BatchUniformState
-from repro.model.placement import random_placement
+from repro.model.placement import place_weighted_random, random_placement
 from repro.model.speeds import uniform_speeds
-from repro.model.state import UniformState
-from repro.scenarios import PoissonChurnEvent
+from repro.model.state import UniformState, WeightedState
+from repro.model.tasks import two_class_weights
+from repro.scenarios import (
+    LoadShock,
+    PoissonChurnEvent,
+    ScenarioRunner,
+    Schedule,
+    at,
+    every,
+)
 from repro.utils.rng import CounterStreams, spawn_rngs
 
 #: Replica count for the per-round cost benchmarks.
@@ -217,4 +226,58 @@ def test_scenario_speedup_at_100_repetitions(tasks):
     assert speedup >= 3.0, (
         f"batched scenario engine only {speedup:.1f}x faster on the {tasks} "
         f"cell ({batch_seconds:.2f}s vs {scalar_seconds:.2f}s)"
+    )
+
+
+@pytest.mark.slow
+def test_weighted_churn_scenario_spawned():
+    """The weighted churn scenario end to end, on stacks with holes.
+
+    torus(36), m = 8n two-class tasks, Poisson churn every round and a
+    load shock at round 60, ``NashStop`` target, R = 16 replicas over
+    T = 300 rounds, spawned streams. Departures keep holes in the padded
+    stack for the whole run, so every spawned weighted round takes the
+    live-task-list layout. The batch run must equal the scalar engine's
+    (total weights up to round-off); its best-of-five wall clock lands
+    in ``BENCH.json`` with the speedup over the scalar engine.
+    """
+    graph = torus_graph(6)
+    n = graph.num_vertices
+    m = 8 * n
+    weights = two_class_weights(m, heavy_fraction=0.1, heavy=1.0, light=0.1)
+
+    def factory(rng):
+        return WeightedState(place_weighted_random(m, n, rng), weights, np.ones(n))
+
+    schedule = Schedule(
+        [every(1, PoissonChurnEvent(1.0, weight=0.5)), at(60, LoadShock(0.5))]
+    )
+    runner = ScenarioRunner(
+        graph, SelfishWeightedProtocol(), schedule, target=NashStop()
+    )
+
+    def timed(engine, repeats):
+        best_seconds, result = float("inf"), None
+        for _ in range(repeats):
+            start = time.perf_counter()
+            result = runner.run_ensemble(
+                factory, repetitions=16, rounds=300, seed=1, engine=engine
+            )
+            best_seconds = min(best_seconds, time.perf_counter() - start)
+        return result, best_seconds
+
+    batch, batch_seconds = timed("batch", 5)
+    scalar, scalar_seconds = timed("scalar", 1)
+    assert batch.engine == "batch" and scalar.engine == "scalar"
+    for name in ("psi0", "max_load_difference", "num_tasks", "target_satisfied"):
+        np.testing.assert_array_equal(getattr(batch, name), getattr(scalar, name))
+    # Totals are summed over a padded row on one engine and a compact
+    # array on the other, so they agree only to round-off.
+    np.testing.assert_allclose(batch.total_weight, scalar.total_weight, rtol=1e-12)
+    record_bench(
+        "weighted churn scenario spawned torus(36) m=8n R=16 T=300",
+        "spawned",
+        batch_seconds,
+        scalar_seconds / batch_seconds,
+        baseline="scalar engine",
     )

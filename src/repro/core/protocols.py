@@ -578,23 +578,20 @@ class SelfishUniformProtocol(Protocol):
 
 
 def _choose_neighbours(
-    u: FloatArray, nodes: IntArray, graph: Graph, live: np.ndarray | None = None
+    u: FloatArray, nodes: IntArray, graph: Graph
 ) -> tuple[IntArray, IntArray, np.ndarray]:
     """For each task, the neighbour of its node that its uniform picks.
 
     ``floor(u * deg(i))`` is the neighbour's position in node ``i``'s
     adjacency list. Returns ``(csr_slot_index, neighbour, valid)``;
-    ``valid`` marks the tasks that are ``live`` (all when ``None``) and
-    sit on a node with a neighbour. Other positions hold slot 0 and
-    neighbour 0 and never migrate.
+    ``valid`` marks the tasks that sit on a node with a neighbour. Other
+    positions hold slot 0 and neighbour 0 and never migrate.
     """
     degrees = graph.degrees[nodes]
     chosen_slot = np.floor(u * degrees).astype(np.int64)
     # Guard the measure-zero event random() == 1.0 exactly.
     np.minimum(chosen_slot, np.maximum(degrees - 1, 0), out=chosen_slot)
     valid = degrees > 0
-    if live is not None:
-        valid &= live
     if valid.all():
         slot_index = graph.indptr[nodes] + chosen_slot
         return slot_index, graph.indices[slot_index], valid
@@ -602,30 +599,24 @@ def _choose_neighbours(
     return slot_index, np.where(valid, graph.indices[slot_index], 0), valid
 
 
-def _scatter_row_draws(
-    rngs: Sequence[np.random.Generator],
-    rows: IntArray,
-    where: np.ndarray,
-    fill: float,
+def _row_draws(
+    rngs: Sequence[np.random.Generator], rows: IntArray, counts: IntArray
 ) -> FloatArray:
-    """``(A, M)`` block with replica ``rows[p]``'s next ``where[p].sum()``
-    uniforms at the true positions of row ``p`` (in slot order) and
-    ``fill`` elsewhere.
-
-    Each replica draws from its own generator in replica order, and one
-    boolean assignment scatters them all: row-major order of ``where``
-    is each row's slot order, so the per-replica consumption is exactly
-    a per-row scatter's.
-    """
-    counts = np.count_nonzero(where, axis=1)
-    block = np.full(where.shape, fill)
-    block[where] = np.concatenate(
-        [
-            rngs[row].random(count)
-            for row, count in zip(rows.tolist(), counts.tolist())
-        ]
+    """Replica ``rows[p]``'s next ``counts[p]`` uniforms, concatenated
+    over ``p`` — aligned with a row-major task list of those counts."""
+    return np.concatenate(
+        [rngs[row].random(count) for row, count in zip(rows.tolist(), counts.tolist())]
     )
-    return block
+
+
+def _any_per_row(
+    flags: np.ndarray, position: IntArray | None, num_rows: int
+) -> np.ndarray:
+    """``flags`` reduced by ``any`` over the task axis: the last axis, or
+    the rows ``position`` names on a flat task list."""
+    if position is None:
+        return np.any(flags, axis=-1)
+    return np.bincount(position[flags], minlength=num_rows) > 0
 
 
 class SelfishWeightedProtocol(Protocol):
@@ -791,6 +782,8 @@ class SelfishWeightedProtocol(Protocol):
         dst_speeds: FloatArray,
         own_weights: FloatArray,
         valid: "np.ndarray | bool",
+        position: IntArray | None = None,
+        num_rows: int = 0,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Migration decisions of tasks gathered from an :meth:`_edge_table`.
 
@@ -798,19 +791,24 @@ class SelfishWeightedProtocol(Protocol):
         and ``u`` is its migration uniform; ``valid`` marks the tasks
         that have a neighbour (the others carry ``u = 1.0``, which no
         clipped probability exceeds). Returns the ``migrate`` mask and
-        the ``saturated`` verdict reduced over the last (task) axis.
+        the ``saturated`` verdict reduced over the last (task) axis, or,
+        on a flat task list, over the ``num_rows`` rows that ``position``
+        assigns the tasks to.
         """
         gain, p_raw, p_eff, sat_edge = table
         if self._edgewise_condition:
             migrate = u < np.take(p_eff, edge)
             if not sat_edge.any():  # the common case: nothing clips
-                return migrate, np.zeros(migrate.shape[:-1], dtype=bool)
-            return migrate, np.any(np.take(sat_edge, edge) & valid, axis=-1)
+                shape = migrate.shape[:-1] if position is None else num_rows
+                return migrate, np.zeros(shape, dtype=bool)
+            sat_task = np.take(sat_edge, edge) & valid
+            return migrate, _any_per_row(sat_task, position, num_rows)
         eligible = valid & self._migration_eligible(
             np.take(gain, edge), dst_speeds, own_weights
         )
-        saturated = np.any(eligible & (np.take(p_raw, edge) > 1.0 + 1e-12), axis=-1)
-        return eligible & (u < np.take(p_eff, edge)), saturated
+        sat_task = eligible & (np.take(p_raw, edge) > 1.0 + 1e-12)
+        migrate = eligible & (u < np.take(p_eff, edge))
+        return migrate, _any_per_row(sat_task, position, num_rows)
 
     def execute_round(
         self, state: LoadStateBase, graph: Graph, rng: np.random.Generator
@@ -881,6 +879,14 @@ class SelfishWeightedProtocol(Protocol):
             replicas run alongside it or when they retire. The counter
             layout routes through :meth:`_execute_round_batch_counter`
             instead — same per-round migration law, one fused block draw.
+
+            The spawned round has two layouts, selected on
+            ``mask.all()`` over the active rows. A rectangular stack
+            keeps the ``(A, M)`` block and fills whole rows in place. A
+            stack with holes works on ``live = flatnonzero(mask)``, whose
+            row-major order is each replica's stream order, so the draws
+            need no scatter. Neither layout wins on both: the flat one
+            pays full-size gathers that the block layout does not need.
         active:
             Boolean mask of replicas to advance (all when ``None``).
             Retired replicas neither move tasks nor consume randomness.
@@ -942,61 +948,66 @@ class SelfishWeightedProtocol(Protocol):
         all_live = bool(mask.all())
         if not all_live and not np.any(mask):
             return summary
+        weights = batch.task_weights if advancing_all else batch.task_weights[rows]
 
         # Neighbour-choice uniforms: replica r draws exactly m_r values
-        # from its own stream, scattered into the padded layout in task
-        # order (padding consumes no randomness) — the same draw the
-        # scalar kernel makes. Rectangular stacks (no padding, the
-        # pipeline's common case) fill whole rows in place, which is the
-        # same stream read without the boolean-scatter cost.
+        # from its own stream in task order (padding consumes no
+        # randomness) — the same draw the scalar kernel makes. A
+        # rectangular stack fills whole rows in place. On a stack with
+        # holes the tasks form the row-major list ``live``, which is each
+        # replica's draws concatenated in replica order: no scatter.
         if all_live:
+            live = position = None
             u_choice = np.empty((num_active, max_tasks))
-            for position in range(num_active):
-                rngs[rows[position]].random(out=u_choice[position])
-            slot_index, j, valid = _choose_neighbours(u_choice, nodes, graph)
+            for p in range(num_active):
+                rngs[rows[p]].random(out=u_choice[p])
+            row_offset = np.arange(num_active, dtype=np.int64)[:, None]
         else:
-            u_choice = _scatter_row_draws(rngs, rows, mask, 0.0)
-            slot_index, j, valid = _choose_neighbours(
-                u_choice, np.where(mask, nodes, 0), graph, mask
-            )
-
+            live = np.flatnonzero(mask)
+            live_counts = np.count_nonzero(mask, axis=1)
+            position = np.repeat(np.arange(num_active, dtype=np.int64), live_counts)
+            u_choice = _row_draws(rngs, rows, live_counts)
+            nodes, weights = np.take(nodes, live), np.take(weights, live)
+            row_offset = position
+        slot_index, j, valid = _choose_neighbours(u_choice, nodes, graph)
         table = self._edge_table(
             node_weights / speeds, node_weights, speeds, graph, cache, alpha
         )
-        flat = slot_index + (
-            np.arange(num_active, dtype=np.int64) * graph.indices.shape[0]
-        )[:, None]
+        flat = slot_index + row_offset * graph.indices.shape[0]
 
-        # Migration uniforms: replica r draws exactly valid_r values,
-        # scattered into the valid positions in task order (again the
-        # scalar kernel's consumption; full-row fill when every task has
-        # a neighbour). Positions without a neighbour get 1.0, which no
-        # clipped probability exceeds.
-        if valid.all():
+        # Migration uniforms: replica r draws exactly valid_r values in
+        # task order (again the scalar kernel's consumption). Tasks
+        # without a neighbour get 1.0, which no clipped probability
+        # exceeds.
+        if not valid.all():
+            u_migrate = np.ones(valid.shape)
+            u_migrate[valid] = _row_draws(
+                rngs,
+                rows,
+                np.count_nonzero(valid, axis=1)
+                if live is None
+                else np.bincount(position[valid], minlength=num_active),
+            )
+        elif live is None:
             u_migrate = np.empty((num_active, max_tasks))
-            for position in range(num_active):
-                rngs[rows[position]].random(out=u_migrate[position])
+            for p in range(num_active):
+                rngs[rows[p]].random(out=u_migrate[p])
         else:
-            u_migrate = _scatter_row_draws(rngs, rows, valid, 1.0)
+            u_migrate = _row_draws(rngs, rows, live_counts)
         migrate, saturated[rows] = self._resolve_tasks(
-            table,
-            flat,
-            u_migrate,
-            speeds[j],
-            batch.task_weights if advancing_all else batch.task_weights[rows],
-            valid,
+            table, flat, u_migrate, speeds[j], weights, valid, position, num_active
         )
 
-        move_positions, move_slots = np.divmod(np.flatnonzero(migrate), max_tasks)
+        # Row-major move order keeps apply_moves on its sorted fast path.
+        moved = np.flatnonzero(migrate)
+        move_positions, move_slots = np.divmod(
+            moved if live is None else live[moved], max_tasks
+        )
         if move_positions.size:
-            batch.apply_moves(
-                rows[move_positions], move_slots, j[move_positions, move_slots]
-            )
-            tasks_moved[rows] = migrate.sum(axis=1)
+            batch.apply_moves(rows[move_positions], move_slots, np.take(j, moved))
+            tasks_moved[rows] = np.bincount(move_positions, minlength=num_active)
             weight_moved[rows] = np.bincount(
-                move_positions,
-                weights=batch.task_weights[rows[move_positions], move_slots],
-                minlength=num_active,
+                move_positions, weights=np.take(weights, moved), minlength=num_active
             )
         return summary
 

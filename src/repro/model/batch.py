@@ -813,7 +813,9 @@ class BatchWeightedState(BatchStateBase):
         counter kernel addresses its words by *slot*, so compaction
         there changes which word each task draws — deterministically,
         but pathwise; same-seed counter runs compact at the same rounds
-        and stay reproducible.
+        and stay reproducible. Between compactions the spawned weighted
+        round runs on the stack with holes through its flat live-task
+        layout (see ``SelfishWeightedProtocol.execute_round_batch``).
         """
         live_counts = self._mask.sum(axis=1)
         new_width = int(live_counts.max(initial=0))

@@ -31,6 +31,9 @@ __all__ = [
     "place_weighted_proportional",
 ]
 
+#: Tasks drawn per ``integers`` call in :func:`random_placement`.
+PLACEMENT_CHUNK = 1 << 22
+
 
 def all_on_one_placement(n: int, m: int, node: int = 0) -> IntArray:
     """All ``m`` tasks on ``node``; returns per-node counts."""
@@ -53,12 +56,20 @@ def adversarial_placement(speeds: object, m: int) -> IntArray:
 
 
 def random_placement(n: int, m: int, seed: SeedLike = None) -> IntArray:
-    """Each task placed on an independent uniformly random node."""
+    """Each task placed on an independent uniformly random node.
+
+    Drawn and counted in chunks of :data:`PLACEMENT_CHUNK`, so memory is
+    bounded at any ``m``. Consecutive ``integers`` calls read the stream
+    as one ``integers(0, n, size=m)`` call does: the counts are equal.
+    """
     n = check_integer(n, "n", minimum=1)
     m = check_integer(m, "m", minimum=0)
     rng = make_rng(seed)
-    assignment = rng.integers(0, n, size=m)
-    return np.bincount(assignment, minlength=n).astype(np.int64)
+    counts = np.zeros(n, dtype=np.int64)
+    for start in range(0, m, PLACEMENT_CHUNK):
+        size = min(PLACEMENT_CHUNK, m - start)
+        counts += np.bincount(rng.integers(0, n, size=size), minlength=n)
+    return counts
 
 
 def proportional_placement(speeds: object, m: int) -> IntArray:

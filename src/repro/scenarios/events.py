@@ -279,6 +279,47 @@ def _remove_uniform_block(
     raise ModelError(f"unsupported batch type {type(batch).__name__}")
 
 
+def _remove_weighted_spawned(
+    batch: BatchWeightedState,
+    streams: StreamLayout,
+    rows: IntArray,
+    requested: IntArray,
+    outcome: BatchEventOutcome,
+) -> None:
+    """Spawned-path uniform task removal from a weighted stack.
+
+    Replica ``rows[p]`` draws the scalar call ``choice(m_r, k,
+    replace=False)`` with ``k = min(requested[p], m_r)``: ranks among
+    its live slots. One ``flatnonzero`` of the mask plus per-row
+    offsets maps all ranks to slots for a single ``remove_tasks``.
+    Removed weights are summed per replica in draw order, as the scalar
+    path sums them. Shared by :class:`TaskDeparture` and
+    :class:`PoissonChurnEvent`.
+    """
+    mask = batch.task_mask[rows]
+    live_counts = np.count_nonzero(mask, axis=1)
+    k = np.minimum(requested, live_counts)
+    outcome.tasks_removed[rows] = k
+    drawn = np.flatnonzero(k)
+    if drawn.size == 0:
+        return
+    ranks = np.concatenate(
+        [
+            streams[rows[p]].choice(live_counts[p], size=k[p], replace=False)
+            for p in drawn.tolist()
+        ]
+    )
+    positions = np.repeat(drawn, k[drawn])
+    row_starts = np.cumsum(live_counts) - live_counts
+    flat = np.flatnonzero(mask)[row_starts[positions] + ranks]
+    slots = flat - positions * batch.max_tasks
+    weights = batch.task_weights[rows[positions], slots]
+    outcome.weight_removed[rows[drawn]] = [
+        float(chunk.sum()) for chunk in np.split(weights, np.cumsum(k[drawn])[:-1])
+    ]
+    batch.remove_tasks(rows[positions], slots)
+
+
 class Event:
     """Base class: one declarative workload perturbation.
 
@@ -572,25 +613,8 @@ class TaskDeparture(Event):
             batch.adjust_counts(rows, deltas)
             return outcome
         if isinstance(batch, BatchWeightedState):
-            mask = batch.task_mask
-            weights = batch.task_weights
-            slot_rows: list[np.ndarray] = []
-            slot_cols: list[np.ndarray] = []
-            for replica in rows:
-                live = np.flatnonzero(mask[replica])
-                k = min(self.count, live.size)
-                if k == 0:
-                    continue
-                chosen = streams[replica].choice(live.size, size=k, replace=False)
-                slots = live[chosen]
-                slot_rows.append(np.full(k, replica, dtype=np.int64))
-                slot_cols.append(slots)
-                outcome.tasks_removed[replica] = k
-                outcome.weight_removed[replica] = float(weights[replica, slots].sum())
-            if slot_rows:
-                batch.remove_tasks(
-                    np.concatenate(slot_rows), np.concatenate(slot_cols)
-                )
+            per_row = np.full(rows.size, self.count, dtype=np.int64)
+            _remove_weighted_spawned(batch, streams, rows, per_row, outcome)
             return outcome
         raise ModelError(f"unsupported batch type {type(batch).__name__}")
 
@@ -647,58 +671,46 @@ class PoissonChurnEvent(Event):
             return outcome
         if streams.policy == "counter":
             return self._apply_batch_counter(batch, streams, rows, outcome)
+        is_uniform = isinstance(batch, BatchUniformState)
+        if not (is_uniform or isinstance(batch, BatchWeightedState)):
+            raise ModelError(f"unsupported batch type {type(batch).__name__}")
         # Per-replica draw order matches the scalar path exactly:
         # poisson(arrivals), poisson(departures), then arrival placement,
         # then departure selection (which sees the post-arrival state).
         # Across replicas the arrivals land in one stack mutation and the
         # departures in another.
+        n = batch.num_nodes
         arrivals = np.empty(rows.size, dtype=np.int64)
         departures = np.empty(rows.size, dtype=np.int64)
-        for position, replica in enumerate(rows):
-            arrivals[position] = streams[replica].poisson(self.rate)
-            departures[position] = streams[replica].poisson(self.rate)
-
-        n = batch.num_nodes
-        is_uniform = isinstance(batch, BatchUniformState)
-        is_weighted = isinstance(batch, BatchWeightedState)
-        if not (is_uniform or is_weighted):
-            raise ModelError(f"unsupported batch type {type(batch).__name__}")
+        placed: list[IntArray] = []
+        for position, replica in enumerate(rows.tolist()):
+            rng = streams[replica]
+            arrivals[position] = count = rng.poisson(self.rate)
+            departures[position] = rng.poisson(self.rate)
+            if count and self.node is None:
+                placed.append(rng.integers(0, n, size=count))
 
         # --- arrivals -------------------------------------------------
+        if self.node is not None:
+            targets = np.full(int(arrivals.sum()), self.node, dtype=np.int64)
+        else:
+            targets = np.concatenate(placed) if placed else np.zeros(0, np.int64)
         if is_uniform:
-            deltas = np.zeros((rows.size, n), dtype=np.int64)
-            for position, replica in enumerate(rows):
-                k = int(arrivals[position])
-                if k == 0:
-                    continue
-                targets = TaskArrival(k, node=self.node)._targets(
-                    streams[replica], n
-                )
-                np.add.at(deltas[position], targets, 1)
-            batch.adjust_counts(rows, deltas)
-            outcome.tasks_added[rows] = arrivals
+            task_positions = np.repeat(np.arange(rows.size), arrivals)
+            deltas = np.bincount(
+                task_positions * n + targets, minlength=rows.size * n
+            ).reshape(rows.size, n)
+            batch.adjust_counts(rows, deltas.astype(np.int64))
             outcome.weight_added[rows] = arrivals.astype(np.float64)
         else:
-            add_rows: list[np.ndarray] = []
-            add_nodes: list[np.ndarray] = []
-            for position, replica in enumerate(rows):
-                k = int(arrivals[position])
-                if k == 0:
-                    continue
-                targets = TaskArrival(k, node=self.node)._targets(
-                    streams[replica], n
-                )
-                add_rows.append(np.full(k, replica, dtype=np.int64))
-                add_nodes.append(targets)
-            if add_rows:
-                task_rows = np.concatenate(add_rows)
+            if targets.size:
                 batch.add_tasks(
-                    task_rows,
-                    np.concatenate(add_nodes),
-                    np.full(task_rows.shape[0], self.weight),
+                    np.repeat(rows, arrivals),
+                    targets,
+                    np.full(targets.size, self.weight),
                 )
-            outcome.tasks_added[rows] = arrivals
             outcome.weight_added[rows] = arrivals * self.weight
+        outcome.tasks_added[rows] = arrivals
 
         # --- departures (seeing the post-arrival state) ---------------
         if is_uniform:
@@ -716,25 +728,7 @@ class PoissonChurnEvent(Event):
                 outcome.weight_removed[replica] = float(gone)
             batch.adjust_counts(rows, deltas)
         else:
-            mask = batch.task_mask
-            weights = batch.task_weights
-            slot_rows: list[np.ndarray] = []
-            slot_cols: list[np.ndarray] = []
-            for position, replica in enumerate(rows):
-                live = np.flatnonzero(mask[replica])
-                k = min(int(departures[position]), live.size)
-                if k == 0:
-                    continue
-                chosen = streams[replica].choice(live.size, size=k, replace=False)
-                slots = live[chosen]
-                slot_rows.append(np.full(k, replica, dtype=np.int64))
-                slot_cols.append(slots)
-                outcome.tasks_removed[replica] = k
-                outcome.weight_removed[replica] = float(weights[replica, slots].sum())
-            if slot_rows:
-                batch.remove_tasks(
-                    np.concatenate(slot_rows), np.concatenate(slot_cols)
-                )
+            _remove_weighted_spawned(batch, streams, rows, departures, outcome)
         return outcome
 
     def _apply_batch_counter(

@@ -46,6 +46,7 @@ from repro.core.stopping import (
 )
 from repro.errors import ProtocolError
 from repro.graphs.generators import cycle_graph, torus_graph
+from repro.graphs.graph import Graph
 from repro.model.batch import BatchUniformState, BatchWeightedState
 from repro.model.placement import place_weighted_random
 from repro.model.state import WeightedState
@@ -130,6 +131,56 @@ class TestPathwiseIdentity:
             np.testing.assert_array_equal(
                 batch.node_weights[r], state.node_weights
             )
+
+    @pytest.mark.parametrize("alpha", [None, 0.3], ids=["default-alpha", "alpha0.3"])
+    @pytest.mark.parametrize(
+        "make_protocol",
+        [
+            pytest.param(lambda a: SelfishWeightedProtocol(a, "flow"), id="flow"),
+            pytest.param(
+                lambda a: SelfishWeightedProtocol(a, "pseudocode"), id="pseudocode"
+            ),
+            pytest.param(lambda a: PerTaskThresholdProtocol(a), id="per-task"),
+        ],
+    )
+    def test_stack_with_holes_bitwise_equal(self, make_protocol, alpha):
+        """The live-task-list path of the spawned kernel, against the
+        scalar kernel: holes mid-row, an empty and a full replica, and
+        tasks on an isolated node (so ``valid`` is not all true)."""
+        graph = Graph(10, torus_graph(3).edges, name="torus9+isolated")
+        speeds = np.array([1.0, 2.0, 1.0, 3.0, 1.0, 2.0, 1.0, 1.0, 2.0, 1.0])
+        rngs = spawn_rngs(17, 5)
+        states = [
+            WeightedState(
+                rng.integers(0, 10, size=m), rng.uniform(0.2, 1.0, size=m), speeds
+            )
+            for rng, m in zip(rngs, (28, 24, 20, 6, 30))
+        ]
+        batch = BatchWeightedState.from_states(states)
+        batch.remove_tasks([0, 0, 0, 1, 1, 2, 2], [2, 3, 15, 0, 11, 7, 19])
+        batch.remove_tasks(np.full(6, 3), np.arange(6))
+        assert batch.task_mask[4].all() and not batch.task_mask[3].any()
+        assert np.any(batch.task_nodes[batch.task_mask] == 9)
+        scalars = [batch.replica(r) for r in range(5)]
+        batch_rngs = spawn_rngs(29, 5)
+        scalar_rngs = spawn_rngs(29, 5)
+        batch_protocol = make_protocol(alpha)
+        scalar_protocol = make_protocol(alpha)
+        any_saturated = False
+        for _ in range(10):
+            summary = batch_protocol.execute_round_batch(batch, graph, batch_rngs)
+            for r, (state, rng) in enumerate(zip(scalars, scalar_rngs)):
+                expected = scalar_protocol.execute_round(state, graph, rng)
+                assert summary.tasks_moved[r] == expected.tasks_moved
+                assert summary.weight_moved[r] == pytest.approx(
+                    expected.weight_moved, abs=1e-12
+                )
+                assert bool(summary.saturated[r]) == expected.saturated
+                np.testing.assert_array_equal(
+                    batch.replica(r).task_nodes, state.task_nodes
+                )
+            any_saturated |= bool(summary.saturated.any())
+        assert any_saturated == (alpha is not None)
 
     def test_end_to_end_stop_rounds_identical(self, ring8):
         """Same seed -> the two engines return the *same* stop rounds.

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.errors import PlacementError
+from repro.model import placement
 from repro.model.placement import (
+    PLACEMENT_CHUNK,
     adversarial_placement,
     all_on_one_placement,
     counts_from_assignment,
@@ -47,6 +51,45 @@ class TestRandomPlacement:
     def test_roughly_uniform(self):
         counts = random_placement(4, 40000, seed=2)
         assert np.all(np.abs(counts - 10000) < 500)
+
+    @staticmethod
+    def _assert_matches_one_shot(n, m):
+        rng, one_shot = np.random.default_rng(11), np.random.default_rng(11)
+        expected = np.bincount(one_shot.integers(0, n, size=m), minlength=n)
+        np.testing.assert_array_equal(random_placement(n, m, seed=rng), expected)
+        # The chunked draw leaves the stream where the one-shot draw does.
+        assert rng.random() == one_shot.random()
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1, PLACEMENT_CHUNK * 3 // 2])
+    def test_chunked_draw_equals_one_shot(self, offset):
+        self._assert_matches_one_shot(36, PLACEMENT_CHUNK + offset)
+
+    @pytest.mark.parametrize("n", [7, 36, 1000])
+    @pytest.mark.parametrize("m", [0, 1000, 1001, 1002, 2502])
+    def test_odd_chunk_boundaries_equal_one_shot(self, monkeypatch, n, m):
+        monkeypatch.setattr(placement, "PLACEMENT_CHUNK", 1001)
+        self._assert_matches_one_shot(n, m)
+
+    @pytest.mark.parametrize("n", [7, 36, 1000, 2**31 + 5])
+    def test_sequential_integers_read_the_stream_as_one_call(self, n):
+        # The property the chunked placement relies on, for bounds on
+        # either side of 2**32 (numpy's 32- and 64-bit paths).
+        rng, one_shot = np.random.default_rng(5), np.random.default_rng(5)
+        chunks = [rng.integers(0, n, size=size) for size in (1001, 3, 998, 1)]
+        np.testing.assert_array_equal(
+            np.concatenate(chunks), one_shot.integers(0, n, size=2003)
+        )
+        assert rng.random() == one_shot.random()
+
+    def test_peak_memory_is_bounded(self):
+        tracemalloc.start()
+        try:
+            counts = random_placement(36, 10**7, seed=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert counts.sum() == 10**7
+        assert peak <= 64 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 class TestProportionalPlacement:

@@ -287,6 +287,41 @@ class TestBatchScalarPathwise:
 
     @pytest.mark.parametrize(
         "event",
+        [TaskDeparture(12), PoissonChurnEvent(12.0, weight=0.5)],
+        ids=["departure", "churn"],
+    )
+    def test_weighted_outcomes_equal_scalar_on_stack_with_holes(self, event):
+        """Outcome counts and weights equal the scalar ones bit for bit.
+
+        Eight or more departures per replica is where a weight sum taken
+        in another order could differ in the last bit.
+        """
+        graph = cycle_graph(4)
+        batch, _ = _weighted_batch(num_replicas=5, m=40, seed=11)
+        # Holes mid-row in replicas 0-2, replica 3 emptied, replica 4 full.
+        batch.remove_tasks([0, 0, 1, 2, 2, 2], [3, 17, 0, 5, 6, 30])
+        batch.remove_tasks(np.full(40, 3), np.arange(40))
+        assert batch.task_mask[4].all() and not batch.task_mask.all()
+        scalars = [batch.replica(index) for index in range(5)]
+        rngs_batch = spawn_rngs(99, 5)
+        rngs_scalar = spawn_rngs(99, 5)
+        most_removed = 0
+        for _ in range(3):
+            outcome = event.apply_batch(batch, graph, rngs_batch)
+            for index, (state, generator) in enumerate(zip(scalars, rngs_scalar)):
+                expected = event.apply(state, graph, generator)
+                assert outcome.tasks_added[index] == expected.tasks_added
+                assert outcome.weight_added[index] == expected.weight_added
+                assert outcome.tasks_removed[index] == expected.tasks_removed
+                assert outcome.weight_removed[index] == expected.weight_removed
+                np.testing.assert_array_equal(
+                    batch.replica(index).task_nodes, state.task_nodes
+                )
+            most_removed = max(most_removed, int(outcome.tasks_removed.max()))
+        assert most_removed >= 8
+
+    @pytest.mark.parametrize(
+        "event",
         [
             TaskArrival(5),
             TaskDeparture(4),
