@@ -23,7 +23,8 @@ from repro.model.state import UniformState
 #: Machine-readable record of the acceptance benchmarks, committed so the
 #: perf trajectory accumulates across PRs. Versioned: a ``schema``
 #: header plus ``rows`` keyed by (cell, policy, backend), each row
-#: tagged with the PR that recorded it.
+#: tagged with the PR that recorded it. Every row's backend is
+#: ``"numpy"``, the one array library the kernels run on.
 BENCH_RESULTS_PATH = Path(__file__).resolve().parent / "BENCH.json"
 
 #: Stamped onto rows recorded by the current checkout; bump when a PR
@@ -39,19 +40,12 @@ def _machine_metadata() -> dict:
 
     import numpy
 
-    metadata: dict = {
+    return {
         "cpu_count": os.cpu_count(),
         "platform": platform.platform(),
         "python": platform.python_version(),
         "numpy_version": numpy.__version__,
     }
-    try:
-        import numba
-
-        metadata["numba_version"] = numba.__version__
-    except ImportError:
-        pass
-    return metadata
 
 
 def _load_bench_rows() -> list[dict]:
@@ -69,20 +63,17 @@ def record_bench(
     policy: str,
     wall_clock_seconds: float,
     speedup: float,
-    backend: str = "numpy",
     **extra,
 ) -> None:
-    """Upsert one (cell, policy, backend) row into ``BENCH.json``.
+    """Upsert one (cell, policy, "numpy") row into ``BENCH.json``.
 
     ``wall_clock_seconds`` is the timed quantity of the row (per-round or
     end-to-end — the cell name says which); ``speedup`` is relative to
-    the row's stated baseline; ``backend`` tags which
-    :mod:`repro.backends` implementation ran the kernels. Extra keyword
-    scalars ride along. Recorded rows carry the recording PR
-    (``BENCH_CURRENT_PR``) and machine metadata (cpu count, platform,
-    python / numpy / numba versions), so the committed file is a cumulative
-    per-PR perf trajectory — rows from earlier PRs stay until a later
-    PR's benchmark re-records them.
+    the row's stated baseline. Extra keyword scalars ride along.
+    Recorded rows carry the recording PR (``BENCH_CURRENT_PR``) and
+    machine metadata (cpu count, platform, python / numpy versions), so
+    the committed file is a cumulative per-PR perf trajectory — rows
+    from earlier PRs stay until a later PR's benchmark re-records them.
 
     Writes happen only when ``BENCH_RECORD=1`` is exported
     (``BENCH_RECORD=1 pytest -q -m slow benchmarks/`` to refresh), so routine
@@ -97,14 +88,13 @@ def record_bench(
     rows = [
         row
         for row in rows
-        if (row["cell"], row["policy"], row.get("backend", "numpy"))
-        != (cell, policy, backend)
+        if (row["cell"], row["policy"]) != (cell, policy)
     ]
     rows.append(
         {
             "cell": cell,
             "policy": policy,
-            "backend": backend,
+            "backend": "numpy",
             "pr": BENCH_CURRENT_PR,
             "wall_clock_seconds": round(float(wall_clock_seconds), 6),
             "speedup": round(float(speedup), 3),
@@ -112,9 +102,7 @@ def record_bench(
             **extra,
         }
     )
-    rows.sort(
-        key=lambda row: (row["cell"], row["policy"], row.get("backend", "numpy"))
-    )
+    rows.sort(key=lambda row: (row["cell"], row["policy"]))
     document = {
         "schema": {
             "version": 2,
@@ -132,20 +120,6 @@ def record_bench(
     BENCH_RESULTS_PATH.write_text(
         json.dumps(document, indent=2) + "\n", encoding="utf-8"
     )
-
-
-def pytest_collection_modifyitems(
-    config: pytest.Config, items: list[pytest.Item]
-) -> None:
-    """Backend-marker skips for the benchmark tier (mirrors tests/)."""
-    import importlib.util
-
-    if importlib.util.find_spec("numba") is not None:
-        return
-    skip = pytest.mark.skip(reason="numba is not installed (install the jit extra)")
-    for item in items:
-        if "requires_numba" in item.keywords:
-            item.add_marker(skip)
 
 
 @pytest.fixture

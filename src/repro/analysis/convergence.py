@@ -47,7 +47,6 @@ from typing import Callable
 import numpy as np
 
 from repro.analysis.statistics import SampleSummary, summarize
-from repro.backends import ArrayBackend, resolve_backend
 from repro.core.batch import BatchSimulator
 from repro.core.flows import default_alpha
 from repro.core.protocols import Protocol
@@ -157,7 +156,6 @@ def measure_convergence_rounds(
     rng_policy: str = "spawned",
     replica_offset: int = 0,
     replica_count: int | None = None,
-    backend: "str | ArrayBackend | None" = None,
 ) -> ConvergenceMeasurement:
     """Measure first-hitting rounds of ``stopping`` over repetitions.
 
@@ -213,14 +211,6 @@ def measure_convergence_rounds(
         uniform kernels resolve probability clipping differently; the
         weighted kernels clip per task exactly as the scalar kernel
         does, so weighted runs batch in every regime.
-    backend:
-        Array backend for the batch engine's kernels (a name from
-        :data:`repro.backends.BACKEND_NAMES` or an
-        :class:`~repro.backends.ArrayBackend`; ``"numpy"`` default,
-        warn-and-fallback when the named extra is missing). The numpy
-        backend is bit-identical to the pre-backend measurement at the
-        same seeds; the scalar engine has no batched kernels and
-        ignores the knob.
     """
     if repetitions < 1:
         raise ValidationError(f"repetitions must be >= 1, got {repetitions}")
@@ -270,9 +260,8 @@ def measure_convergence_rounds(
     )
 
     if use_batch:
-        resolved_backend = resolve_backend(backend)
         batch = _batch_state_class(protocol).from_states(states)  # type: ignore[union-attr]
-        simulator = BatchSimulator(graph, protocol, backend=resolved_backend)
+        simulator = BatchSimulator(graph, protocol)
         if rng_policy == "counter":
             rngs: object = CounterStreams(
                 seed,

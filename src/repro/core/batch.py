@@ -49,7 +49,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.backends import ArrayBackend, resolve_backend
 from repro.core.protocols import Protocol
 from repro.core.stopping import StoppingRule
 from repro.errors import SimulationError
@@ -141,14 +140,6 @@ class BatchSimulator:
         release) or ``"counter"`` (vectorized Philox block draws,
         law-level equivalent). Ignored when explicit ``rngs`` are passed
         to :meth:`run`.
-    backend:
-        Array backend for the batched kernels: a name from
-        :data:`repro.backends.BACKEND_NAMES` (``"numpy"`` default or
-        ``"numba"``) or an
-        :class:`~repro.backends.ArrayBackend` instance. Resolved with
-        warn-and-fallback to numpy when the named backend's optional
-        dependency is missing. The numpy backend is bit-identical to
-        the pre-backend kernels at the same seeds.
     """
 
     def __init__(
@@ -157,7 +148,6 @@ class BatchSimulator:
         protocol: Protocol,
         seed: SeedLike = None,
         rng_policy: str = "spawned",
-        backend: "str | ArrayBackend | None" = None,
     ):
         if not getattr(protocol, "supports_batch", False):
             raise SimulationError(
@@ -168,7 +158,6 @@ class BatchSimulator:
         self._protocol = protocol
         self._seed = seed
         self._rng_policy = check_rng_policy(rng_policy)
-        self._backend = resolve_backend(backend)
 
     @property
     def graph(self) -> Graph:
@@ -179,11 +168,6 @@ class BatchSimulator:
     def protocol(self) -> Protocol:
         """The protocol being simulated."""
         return self._protocol
-
-    @property
-    def backend(self) -> ArrayBackend:
-        """The resolved array backend the kernels dispatch through."""
-        return self._backend
 
     def swap_graph(self, graph: Graph) -> None:
         """Replace the network with ``graph`` (same vertex count).
@@ -287,7 +271,7 @@ class BatchSimulator:
             if before_round is not None:
                 before_round(round_index, batch)
             summary = self._protocol.execute_round_batch(
-                batch, self._graph, streams, active, backend=self._backend
+                batch, self._graph, streams, active
             )
             any_saturation |= summary.saturated
             rounds_executed += 1
@@ -323,12 +307,9 @@ def run_protocol_batch(
     seed: SeedLike = None,
     check_every: int = 1,
     rng_policy: str = "spawned",
-    backend: "str | ArrayBackend | None" = None,
 ) -> BatchSimulationResult:
     """One-call convenience wrapper around :class:`BatchSimulator`."""
-    simulator = BatchSimulator(
-        graph, protocol, seed, rng_policy=rng_policy, backend=backend
-    )
+    simulator = BatchSimulator(graph, protocol, seed, rng_policy=rng_policy)
     return simulator.run(
         batch, stopping=stopping, max_rounds=max_rounds, check_every=check_every
     )

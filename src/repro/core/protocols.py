@@ -427,7 +427,6 @@ class SelfishUniformProtocol(Protocol):
         graph: Graph,
         rngs: Sequence[np.random.Generator],
         active: np.ndarray | None = None,
-        backend: "object | None" = None,
     ) -> BatchRoundSummary:
         """Execute one concurrent round for every active replica at once.
 
@@ -447,14 +446,6 @@ class SelfishUniformProtocol(Protocol):
         active:
             Boolean mask of replicas to advance (all when ``None``).
             Retired replicas neither move tasks nor consume randomness.
-        backend:
-            Optional :class:`repro.backends.ArrayBackend`. A backend
-            registering a ``"uniform_pvals"`` fused kernel builds the
-            padded multinomial table in one pass; the multinomial draw
-            itself always stays on the host numpy generator, so the
-            per-round law is backend-independent. ``None`` (and the
-            numpy backend, whose registry is empty) keeps the plain
-            numpy table build.
 
         Notes
         -----
@@ -499,45 +490,25 @@ class SelfishUniformProtocol(Protocol):
         counts = batch.counts[rows]  # (A, n) copy via fancy indexing
         dst = graph.indices
 
-        fused = None if backend is None else backend.kernel("uniform_pvals")
-        if fused is not None:
-            pvals = np.zeros((rows.size, n, max_degree + 1))
-            row_saturated = np.zeros(rows.size, dtype=bool)
-            fused(
-                counts,
-                speeds,
-                cache.csr_rows,
-                graph.indices,
-                cache.slot_in_row,
-                cache.dij_csr,
-                alpha,
-                ELIGIBILITY_TOLERANCE,
-                pvals,
-                row_saturated,
-            )
-        else:
-            q = _csr_migration_probabilities(
-                counts / speeds, counts, speeds, graph, cache, alpha
-            )
+        q = _csr_migration_probabilities(
+            counts / speeds, counts, speeds, graph, cache, alpha
+        )
 
-            # Scatter into the padded (A, n, Delta + 1) multinomial
-            # layout; column Delta is the stay probability. The layout
-            # lives in the protocol's workspace, as the weighted counter
-            # round's blocks do.
-            (pvals,) = self._workspace.blocks(
-                np.float64, 1, (rows.size, n, max_degree + 1)
-            )
-            pvals.fill(0.0)
-            pvals[:, cache.csr_rows, cache.slot_in_row] = q
-            total = pvals[..., :max_degree].sum(axis=2)
-            row_saturated = (total > 1.0 + 1e-12).any(axis=1)
-            if np.any(total > 1.0):
-                scale = np.where(
-                    total > 1.0, 1.0 / np.maximum(total, 1e-300), 1.0
-                )
-                pvals[..., :max_degree] *= scale[..., None]
-                total = np.minimum(total, 1.0)
-            pvals[..., max_degree] = np.maximum(1.0 - total, 0.0)
+        # Scatter into the padded (A, n, Delta + 1) multinomial layout;
+        # column Delta is the stay probability. The layout lives in the
+        # protocol's workspace, as the weighted counter round's blocks do.
+        (pvals,) = self._workspace.blocks(
+            np.float64, 1, (rows.size, n, max_degree + 1)
+        )
+        pvals.fill(0.0)
+        pvals[:, cache.csr_rows, cache.slot_in_row] = q
+        total = pvals[..., :max_degree].sum(axis=2)
+        row_saturated = (total > 1.0 + 1e-12).any(axis=1)
+        if np.any(total > 1.0):
+            scale = np.where(total > 1.0, 1.0 / np.maximum(total, 1e-300), 1.0)
+            pvals[..., :max_degree] *= scale[..., None]
+            total = np.minimum(total, 1.0)
+        pvals[..., max_degree] = np.maximum(1.0 - total, 0.0)
 
         if streams.policy == "counter":
             # One vectorized multinomial over the whole active stack from
@@ -859,7 +830,6 @@ class SelfishWeightedProtocol(Protocol):
         graph: Graph,
         rngs: Sequence[np.random.Generator],
         active: np.ndarray | None = None,
-        backend: "object | None" = None,
     ) -> BatchRoundSummary:
         """Execute one concurrent round for every active replica at once.
 
@@ -890,11 +860,6 @@ class SelfishWeightedProtocol(Protocol):
         active:
             Boolean mask of replicas to advance (all when ``None``).
             Retired replicas neither move tasks nor consume randomness.
-        backend:
-            Optional :class:`repro.backends.ArrayBackend`, forwarded to
-            the counter kernel's fused per-task resolve
-            (``"weighted_migrate"``). The spawned path is per-replica
-            host-sequential by construction and ignores it.
         """
         from repro.model.batch import BatchWeightedState
 
@@ -915,9 +880,7 @@ class SelfishWeightedProtocol(Protocol):
                 f"need one generator per replica ({num_replicas}), got {len(streams)}"
             )
         if streams.policy == "counter":
-            return self._execute_round_batch_counter(
-                batch, graph, streams, active, backend=backend
-            )
+            return self._execute_round_batch_counter(batch, graph, streams, active)
         rngs = streams.generators
         tasks_moved = np.zeros(num_replicas, dtype=np.int64)
         weight_moved = np.zeros(num_replicas, dtype=np.float64)
@@ -1017,7 +980,6 @@ class SelfishWeightedProtocol(Protocol):
         graph: Graph,
         streams: StreamLayout,
         active: np.ndarray | None,
-        backend: "object | None" = None,
     ) -> BatchRoundSummary:
         """Counter-layout round: one fused block draw for the whole stack.
 
@@ -1086,64 +1048,6 @@ class SelfishWeightedProtocol(Protocol):
         # slots and isolated nodes resolve to remainder 1.0 (degm1 = -1),
         # which never beats a clipped probability.
         u = streams.site_uniforms("weighted-migrate", rows, max_tasks)
-
-        # A backend registering a "weighted_migrate" fused kernel takes
-        # over the per-task resolve from here — one pass over (A, M)
-        # instead of the ~10 intermediate full-stack temporaries below.
-        # Only the two known eligibility tests are fusible: a subclass
-        # with a custom per-task _migration_eligible keeps the numpy
-        # path, which calls the override.
-        fused = None if backend is None else backend.kernel("weighted_migrate")
-        if fused is not None and not self._edgewise_condition:
-            if (
-                type(self)._migration_eligible
-                is not PerTaskThresholdProtocol._migration_eligible
-            ):
-                fused = None
-        if fused is not None:
-            if sat_edge is None:
-                # The kernel reads it only under the edge-level condition.
-                sat_edge = np.zeros(p_eff.shape, dtype=bool)
-            dest = np.full((num_active, max_tasks), -1, dtype=np.int64)
-            moved = np.zeros(num_active, dtype=np.int64)
-            weight = np.zeros(num_active, dtype=np.float64)
-            sat = np.zeros(num_active, dtype=bool)
-            fused(
-                u,
-                nodes,
-                mask,
-                all_live,
-                batch.task_weights if advancing_all else batch.task_weights[rows],
-                p_eff,
-                bool(self._edgewise_condition),
-                sat_edge,
-                bool(sat_edge.any()),
-                gain,
-                speeds[dst],
-                p_raw,
-                # p_raw is read only under the per-task condition.
-                not self._edgewise_condition
-                and bool(np.any(p_raw > 1.0 + 1e-12)),
-                ELIGIBILITY_TOLERANCE,
-                graph.indptr,
-                cache.deg_float,
-                cache.degm1,
-                dest,
-                moved,
-                weight,
-                sat,
-            )
-            move_pos, move_slot = np.divmod(np.flatnonzero(dest >= 0), max_tasks)
-            if move_pos.size:
-                batch.apply_moves(
-                    rows[move_pos],
-                    move_slot,
-                    graph.indices[dest[move_pos, move_slot]],
-                )
-                tasks_moved[rows] = moved
-                weight_moved[rows] = weight
-            saturated[rows] = sat
-            return summary
 
         # The (A, M) integer and mask blocks live in the protocol's
         # workspace; the gathers below stay bounds-checked fancy indexing.

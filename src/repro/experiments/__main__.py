@@ -28,12 +28,7 @@ repetitions). ``--rng counter`` switches the sweep experiments onto the
 vectorized Philox counter stream layout (statistically equivalent,
 same-seed deterministic, different sample paths from the default
 ``spawned`` layout); under it only the weighted kinds may shard — see
-:mod:`repro.experiments.executor`. ``--backend numba``
-dispatches the batched kernels through :mod:`repro.backends` — the
-default ``numpy`` backend stays bit-identical to every earlier release,
-and a requested backend whose optional dependency is missing warns and
-falls back to numpy (``run_meta`` records requested vs effective).
-Requesting ``--workers`` (or
+:mod:`repro.experiments.executor`. Requesting ``--workers`` (or
 ``--rng``/``--shard-size``/``--target-ci``) for an experiment that has
 no such parameter prints a RuntimeWarning to stderr and falls back
 instead of silently dropping the flag. Unknown experiment ids exit with
@@ -148,16 +143,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "this generator (mmpp, diurnal, flash-crowd, adversarial, "
         "mmpp-flash; other experiments warn and ignore it)",
     )
-    parser.add_argument(
-        "--backend",
-        choices=("numpy", "numba"),
-        default="numpy",
-        help="array backend for the batched kernels: 'numpy' (default; "
-        "bit-identical to earlier releases) or 'numba' (JIT-fused "
-        "kernels, requires the 'jit' extra). A missing optional dependency prints a "
-        "RuntimeWarning and falls back to numpy; run_meta records the "
-        "requested and effective backend",
-    )
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -208,7 +193,6 @@ def main(argv: list[str] | None = None) -> int:
                 target_ci=args.target_ci,
                 trace=None if args.trace is None else str(args.trace),
                 workload=args.workload,
-                backend=args.backend,
             )
         except ReproError as error:
             # Any deliberate library error (unknown id, bad parameters,

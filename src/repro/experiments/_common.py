@@ -182,7 +182,6 @@ def measure_weighted_threshold_time(
     rng_policy: str = "spawned",
     replica_offset: int = 0,
     replica_count: int | None = None,
-    backend: str = "numpy",
 ) -> FamilyMeasurement:
     """Measure Algorithm 2's rounds to the threshold state on one cell.
 
@@ -219,7 +218,6 @@ def measure_weighted_threshold_time(
         rng_policy=rng_policy,
         replica_offset=replica_offset,
         replica_count=replica_count,
-        backend=backend,
     )
     return FamilyMeasurement(
         family=family_name,
@@ -249,7 +247,6 @@ def measure_psi_threshold_time(
     rng_policy: str = "spawned",
     replica_offset: int = 0,
     replica_count: int | None = None,
-    backend: str = "numpy",
 ) -> FamilyMeasurement:
     """Measure rounds until ``Psi_0 <= 4 psi_c`` on one family cell.
 
@@ -281,7 +278,6 @@ def measure_psi_threshold_time(
         rng_policy=rng_policy,
         replica_offset=replica_offset,
         replica_count=replica_count,
-        backend=backend,
     )
     return FamilyMeasurement(
         family=family_name,
@@ -431,7 +427,6 @@ def measure_variant_threshold_time(
     churn_window: int = 200,
     replica_offset: int = 0,
     replica_count: int | None = None,
-    backend: str = "numpy",
 ) -> VariantMeasurement:
     """Measure one ablation variant's rounds-to-threshold and churn.
 
@@ -474,7 +469,6 @@ def measure_variant_threshold_time(
         rng_policy=rng_policy,
         replica_offset=replica_offset,
         replica_count=replica_count,
-        backend=backend,
     )
 
     # The churn probe is always a spawned scalar replay of repetition
@@ -531,7 +525,6 @@ def measure_exact_nash_time(
     rng_policy: str = "spawned",
     replica_offset: int = 0,
     replica_count: int | None = None,
-    backend: str = "numpy",
 ) -> FamilyMeasurement:
     """Measure rounds until the exact NE on one family cell.
 
@@ -562,7 +555,6 @@ def measure_exact_nash_time(
         rng_policy=rng_policy,
         replica_offset=replica_offset,
         replica_count=replica_count,
-        backend=backend,
     )
     return FamilyMeasurement(
         family=family_name,

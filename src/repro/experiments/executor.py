@@ -54,6 +54,7 @@ cannot reproduce. Under the default spawned policy every kind shards.
 
 from __future__ import annotations
 
+import inspect
 import math
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -63,7 +64,6 @@ from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 import numpy as np
 
 from repro.analysis.statistics import bootstrap_half_width, summarize
-from repro.backends import check_backend
 from repro.errors import ValidationError
 from repro.experiments._common import (
     FamilyMeasurement,
@@ -91,6 +91,7 @@ from repro.experiments.workload_cells import (
 )
 from repro.scenarios import merge_replica_results
 from repro.utils.rng import derive_seed
+from repro.utils.validation import check_integer, check_non_negative
 
 __all__ = [
     "CellSpec",
@@ -205,13 +206,6 @@ class CellSpec:
         independently, with results merged in replica order —
         byte-identical to the monolithic run. Under adaptive sizing it
         sets the wave size instead.
-    backend:
-        Array backend for the cell's batched kernels: ``"numpy"``
-        (default, bit-identical to all earlier releases), ``"numba"``
-        (JIT-fused kernels, ``jit`` extra). Resolved inside the measurement function with
-        warn-and-fallback to numpy when the extra is missing, so the
-        knob travels process boundaries as a plain string and pooled
-        runs behave exactly like serial ones.
     target_ci:
         Adaptive ensemble sizing (family sweep kinds only): run
         replicas in shard-sized waves until the bootstrap CI half-width
@@ -230,7 +224,6 @@ class CellSpec:
     rng_policy: str = "spawned"
     shard_size: int | None = None
     target_ci: float | None = None
-    backend: str = "numpy"
 
 
 @dataclass(frozen=True)
@@ -263,7 +256,6 @@ class CellTiming:
     shards: tuple[ShardTiming, ...]
     adaptive_stop: str | None = None
     ci_half_width: float | None = None
-    backend: str = "numpy"
 
     def to_json(self) -> dict:
         """Plain-dict form for the experiment artifact's ``run_meta``."""
@@ -272,7 +264,6 @@ class CellTiming:
             "family": self.family,
             "n": self.n,
             "rng_policy": self.rng_policy,
-            "backend": self.backend,
             "seconds": self.seconds,
             "repetitions_requested": self.repetitions_requested,
             "repetitions_effective": self.repetitions_effective,
@@ -313,9 +304,30 @@ def _measurement_for(kind: str) -> Callable[..., object]:
 
 
 def _check_spec(spec: CellSpec) -> None:
-    """Validate one spec's sharding/adaptive configuration up front."""
-    _measurement_for(spec.kind)
-    check_backend(spec.backend)
+    """Validate one spec's values and sharding/adaptive plan up front."""
+    measure = _measurement_for(spec.kind)
+    check_integer(spec.seed, "seed", minimum=0)
+    check_non_negative(spec.m_factor, "m_factor")
+    parameters = inspect.signature(measure).parameters
+    # The family and size go in positionally, the rest by _spec_kwargs;
+    # a spec's params may name none of them.
+    filled = {*list(parameters)[:2], *_spec_kwargs(spec, (0, 1))}
+    open_ended = any(p.kind is p.VAR_KEYWORD for p in parameters.values())
+    unknown = sorted(
+        name
+        for name, _ in spec.params
+        if name in filled or not (open_ended or name in parameters)
+    )
+    if unknown:
+        accepted = sorted(
+            name
+            for name, p in parameters.items()
+            if p.kind is not p.VAR_KEYWORD and name not in filled
+        )
+        raise ValidationError(
+            f"kind {spec.kind!r} does not take params {unknown}; "
+            f"it takes {accepted}"
+        )
     if spec.shard_size is not None and spec.shard_size < 1:
         raise ValidationError(
             f"shard_size must be >= 1, got {spec.shard_size}"
@@ -350,18 +362,26 @@ def _check_spec(spec: CellSpec) -> None:
         )
 
 
+def _spec_kwargs(
+    spec: CellSpec, window: tuple[int, int] | None = None
+) -> dict[str, object]:
+    """The keyword arguments a measurement call fills from the spec."""
+    kwargs: dict[str, object] = {
+        "m_factor": spec.m_factor,
+        "repetitions": spec.repetitions,
+        "seed": spec.seed,
+        "rng_policy": spec.rng_policy,
+    }
+    if window is not None:
+        kwargs["replica_offset"], kwargs["replica_count"] = window
+    return kwargs
+
+
 def _run_monolithic(spec: CellSpec) -> object:
     """Run one fixed-R cell whole, in the current process."""
     measure = _measurement_for(spec.kind)
     return measure(
-        spec.family,
-        spec.n,
-        m_factor=spec.m_factor,
-        repetitions=spec.repetitions,
-        seed=spec.seed,
-        rng_policy=spec.rng_policy,
-        backend=spec.backend,
-        **dict(spec.params),
+        spec.family, spec.n, **_spec_kwargs(spec), **dict(spec.params)
     )
 
 
@@ -394,33 +414,13 @@ def run_cell_shard(
     :class:`~repro.scenarios.ScenarioResult` for the scenario kinds.
     Partials merge in offset order via :func:`_merge_shards`.
     """
+    kwargs = _spec_kwargs(spec, (replica_offset, replica_count))
     if spec.kind in _SCENARIO_KINDS:
         return run_scenario_window(
-            spec.kind,
-            spec.family,
-            spec.n,
-            spec.m_factor,
-            repetitions=spec.repetitions,
-            seed=spec.seed,
-            replica_offset=replica_offset,
-            replica_count=replica_count,
-            rng_policy=spec.rng_policy,
-            backend=spec.backend,
-            **dict(spec.params),
+            spec.kind, spec.family, spec.n, **kwargs, **dict(spec.params)
         )
     measure = _measurement_for(spec.kind)
-    return measure(
-        spec.family,
-        spec.n,
-        m_factor=spec.m_factor,
-        repetitions=spec.repetitions,
-        seed=spec.seed,
-        rng_policy=spec.rng_policy,
-        replica_offset=replica_offset,
-        replica_count=replica_count,
-        backend=spec.backend,
-        **dict(spec.params),
-    )
+    return measure(spec.family, spec.n, **kwargs, **dict(spec.params))
 
 
 def _merge_family_shards(
@@ -535,12 +535,27 @@ def _wave_windows(spec: CellSpec) -> list[tuple[int, int]]:
 def _run_task(
     spec: CellSpec, window: tuple[int, int] | None
 ) -> tuple[object, float]:
-    """Pool task body: one monolithic cell or one shard, timed."""
+    """Pool task body: one monolithic cell or one shard, timed.
+
+    An error leaves with a note naming the cell and its replica window.
+    """
     start = time.perf_counter()
-    if window is None:
-        payload = run_cell(spec)
-    else:
-        payload = run_cell_shard(spec, window[0], window[1])
+    try:
+        if window is None:
+            payload = run_cell(spec)
+        else:
+            payload = run_cell_shard(spec, window[0], window[1])
+    except Exception as error:
+        offset, count = window or (0, spec.repetitions)
+        note = (
+            f"in cell ({spec.kind}, {spec.family}, {spec.n}), "
+            f"replicas [{offset}, {offset + count})"
+        )
+        if hasattr(error, "add_note"):
+            error.add_note(note)
+        else:  # Python 3.10: the same attribute, not shown in tracebacks
+            error.__notes__ = [*getattr(error, "__notes__", ()), note]
+        raise
     return payload, time.perf_counter() - start
 
 
@@ -694,7 +709,6 @@ class _CellJob:
             shards=shards,
             adaptive_stop=adaptive_stop,
             ci_half_width=ci_half_width,
-            backend=spec.backend,
         )
 
 
@@ -720,7 +734,12 @@ def _execute_pooled(jobs: list[_CellJob], workers: int) -> None:
             finished, _ = wait(set(pending), return_when=FIRST_COMPLETED)
             for future in finished:
                 index, slot = pending.pop(future)
-                payload, seconds = future.result()
+                try:
+                    payload, seconds = future.result()
+                except Exception:
+                    # Leaving the block would first run every queued task.
+                    pool.shutdown(cancel_futures=True)
+                    raise
                 for new_slot, new_window in jobs[index].complete(
                     slot, payload, seconds
                 ):
@@ -791,7 +810,6 @@ def sweep_specs(
     rng_policy: str = "spawned",
     shard_size: int | None = None,
     target_ci: float | None = None,
-    backend: str = "numpy",
     **params: object,
 ) -> list[CellSpec]:
     """Expand a ``{family: [sizes]}`` sweep table into a spec list.
@@ -811,7 +829,6 @@ def sweep_specs(
             rng_policy=rng_policy,
             shard_size=shard_size,
             target_ci=target_ci,
-            backend=backend,
         )
         for family, sizes in sweep.items()
         for n in sizes

@@ -139,7 +139,6 @@ def run_experiment(
     target_ci: float | None = None,
     trace: str | None = None,
     workload: str | None = None,
-    backend: str = "numpy",
 ) -> ExperimentResult:
     """Run an experiment by id.
 
@@ -184,17 +183,6 @@ def run_experiment(
         Name of a workload generator (``--workload``); forwarded only
         to runners that accept it, narrowing the grid to one cell of
         that generator.
-    backend:
-        Array backend for the experiment's batched kernels
-        (``--backend``): ``"numpy"`` (default, bit-identical to every
-        earlier release), or ``"numba"`` (JIT-fused kernels, ``jit``
-        extra). Resolved
-        once up front with warn-and-fallback to numpy when the named
-        backend's optional dependency is missing; the requested and
-        effective names are both recorded in ``run_meta``. Forwarded
-        only to runners that accept a ``backend`` keyword — requesting
-        a non-numpy backend from one that does not warns and runs on
-        numpy.
 
     Notes
     -----
@@ -206,13 +194,9 @@ def run_experiment(
     their cells report per-cell wall-clock and effective ensemble sizes
     under ``run_meta["cell_timings"]``.
     """
-    from repro.backends import resolve_backend
     from repro.utils.rng import check_rng_policy
 
     check_rng_policy(rng_policy)
-    # Resolve once up front so a missing optional dependency warns here
-    # (not once per cell) and run_meta can record the effective backend.
-    backend_effective = resolve_backend(backend).name
     runner = get_experiment(experiment_id)
     keywords: dict[str, object] = {}
     if workers is not None and _accepts_keyword(runner, "workers"):
@@ -276,16 +260,6 @@ def run_experiment(
                 RuntimeWarning,
                 stacklevel=2,
             )
-    if _accepts_keyword(runner, "backend"):
-        keywords["backend"] = backend_effective
-    elif backend_effective != "numpy":
-        warnings.warn(
-            f"experiment {experiment_id!r} has no backend parameter; "
-            f"ignoring --backend {backend} and running on numpy",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        backend_effective = "numpy"
     result = runner(quick, seed, **keywords)
     cell_timings = result.data.pop("cell_timings", None)
     result.data["run_meta"] = {
@@ -299,8 +273,6 @@ def run_experiment(
         "target_ci_effective": keywords.get("target_ci"),
         "trace": keywords.get("trace"),
         "workload": keywords.get("workload"),
-        "backend_requested": backend,
-        "backend_effective": backend_effective,
         "seed": seed,
         "quick": quick,
     }

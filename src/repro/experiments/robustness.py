@@ -40,7 +40,6 @@ def run_robustness(
     workers: int | None = None,
     rng_policy: str = "spawned",
     shard_size: int | None = None,
-    backend: str = "numpy",
 ) -> ExperimentResult:
     """Run the self-stabilization experiment.
 
@@ -63,7 +62,6 @@ def run_robustness(
             params=(("num_shocks", 3 if quick else 6),),
             rng_policy=rng_policy,
             shard_size=shard_size,
-            backend=backend,
         ),
         CellSpec(
             kind="churn-band",
@@ -75,7 +73,6 @@ def run_robustness(
             params=(("horizon", 400 if quick else 2000),),
             rng_policy=rng_policy,
             shard_size=shard_size,
-            backend=backend,
         ),
     ]
     shock: ShockRecoveryMeasurement

@@ -279,7 +279,6 @@ def measure_scenario_recovery(
     violation_window: int = 10,
     engine: str = "auto",
     rng_policy: str = "spawned",
-    backend: str = "numpy",
 ) -> ScenarioCellMeasurement:
     """Measure recovery from a mid-churn load shock on one cell.
 
@@ -311,7 +310,6 @@ def measure_scenario_recovery(
         seed=cell.cell_seed,
         engine=engine,
         rng_policy=rng_policy,
-        backend=backend,
     )
     return cell.summarize(result)
 
@@ -427,7 +425,6 @@ def measure_shock_recovery(
     budget_factor: float = 2.0,
     engine: str = "auto",
     rng_policy: str = "spawned",
-    backend: str = "numpy",
 ) -> ShockRecoveryMeasurement:
     """Measure recovery from repeated adversarial shocks on one cell.
 
@@ -454,7 +451,6 @@ def measure_shock_recovery(
         seed=cell.cell_seed,
         engine=engine,
         rng_policy=rng_policy,
-        backend=backend,
     )
     return cell.summarize(result)
 
@@ -544,7 +540,6 @@ def measure_churn_band(
     warmup: int = 100,
     engine: str = "auto",
     rng_policy: str = "spawned",
-    backend: str = "numpy",
 ) -> ChurnBandMeasurement:
     """Measure the stationary potential band under Poisson churn."""
     cell = _build_churn_cell(
@@ -563,7 +558,6 @@ def measure_churn_band(
         seed=cell.cell_seed,
         engine=engine,
         rng_policy=rng_policy,
-        backend=backend,
     )
     return cell.summarize(result)
 
@@ -700,7 +694,6 @@ def measure_topology_resilience(
     horizon: int = 140,
     engine: str = "auto",
     rng_policy: str = "spawned",
-    backend: str = "numpy",
 ) -> TopologyResilienceMeasurement:
     """Measure resilience through a failure → partition → recovery cycle.
 
@@ -729,7 +722,6 @@ def measure_topology_resilience(
         seed=cell.cell_seed,
         engine=engine,
         rng_policy=rng_policy,
-        backend=backend,
     )
     return cell.summarize(result)
 
@@ -772,7 +764,6 @@ def run_scenario_window(
     replica_count: int | None = None,
     engine: str = "auto",
     rng_policy: str = "spawned",
-    backend: str = "numpy",
     **params,
 ) -> ScenarioResult:
     """Run one replica window of a scenario cell (executor shard body).
@@ -793,7 +784,6 @@ def run_scenario_window(
         seed=cell.cell_seed,
         engine=engine,
         rng_policy=rng_policy,
-        backend=backend,
         replica_offset=replica_offset,
         replica_count=replica_count,
     )

@@ -65,7 +65,6 @@ def _specs(
     repetitions: int,
     rng_policy: str = "spawned",
     shard_size: int | None = None,
-    backend: str = "numpy",
 ) -> list[CellSpec]:
     grid = SCENARIO_GRID_QUICK if quick else SCENARIO_GRID_FULL
     return [
@@ -78,7 +77,6 @@ def _specs(
             seed=seed,
             rng_policy=rng_policy,
             shard_size=shard_size,
-            backend=backend,
             params=tuple(
                 sorted(
                     {
@@ -102,7 +100,6 @@ def run_scenarios_churn_shock(
     workers: int | None = None,
     rng_policy: str = "spawned",
     shard_size: int | None = None,
-    backend: str = "numpy",
 ) -> ExperimentResult:
     """Churn + flash-crowd scenario sweep on both task systems.
 
@@ -116,7 +113,7 @@ def run_scenarios_churn_shock(
     vectorizes the churn draws).
     """
     repetitions = 25 if quick else 50
-    specs = _specs(quick, seed, repetitions, rng_policy, shard_size, backend)
+    specs = _specs(quick, seed, repetitions, rng_policy, shard_size)
     report = execute_cells_report(specs, workers=workers)
     cells: list[ScenarioCellMeasurement] = list(report.results)  # type: ignore[arg-type]
 

@@ -179,7 +179,6 @@ def run_table1_approx(
     rng_policy: str = "spawned",
     shard_size: int | None = None,
     target_ci: float | None = None,
-    backend: str = "numpy",
 ) -> ExperimentResult:
     """Table 1, eps-approximate NE columns.
 
@@ -203,7 +202,6 @@ def run_table1_approx(
         rng_policy=rng_policy,
         shard_size=shard_size,
         target_ci=target_ci,
-        backend=backend,
     )
     report = execute_cells_report(specs, workers=workers)
     measurements: dict[str, list[FamilyMeasurement]] = group_by_family(
@@ -261,7 +259,6 @@ def run_table1_exact(
     rng_policy: str = "spawned",
     shard_size: int | None = None,
     target_ci: float | None = None,
-    backend: str = "numpy",
 ) -> ExperimentResult:
     """Table 1, exact NE columns.
 
@@ -283,7 +280,6 @@ def run_table1_exact(
         rng_policy=rng_policy,
         shard_size=shard_size,
         target_ci=target_ci,
-        backend=backend,
     )
     report = execute_cells_report(specs, workers=workers)
     measurements: dict[str, list[FamilyMeasurement]] = group_by_family(
@@ -335,7 +331,6 @@ def run_table1_weighted(
     rng_policy: str = "spawned",
     shard_size: int | None = None,
     target_ci: float | None = None,
-    backend: str = "numpy",
 ) -> ExperimentResult:
     """Weighted extension of the Table 1 sweep (Theorem 1.3 target).
 
@@ -362,7 +357,6 @@ def run_table1_weighted(
         rng_policy=rng_policy,
         shard_size=shard_size,
         target_ci=target_ci,
-        backend=backend,
     )
     report = execute_cells_report(specs, workers=workers)
     measurements: dict[str, list[FamilyMeasurement]] = group_by_family(

@@ -74,7 +74,6 @@ def _specs(
     repetitions: int,
     rng_policy: str = "spawned",
     shard_size: int | None = None,
-    backend: str = "numpy",
 ) -> list[CellSpec]:
     grid = TOPOLOGY_GRID_QUICK if quick else TOPOLOGY_GRID_FULL
     return [
@@ -87,7 +86,6 @@ def _specs(
             seed=seed,
             rng_policy=rng_policy,
             shard_size=shard_size,
-            backend=backend,
             params=tuple(
                 sorted(
                     {
@@ -112,7 +110,6 @@ def run_topology_failures(
     workers: int | None = None,
     rng_policy: str = "spawned",
     shard_size: int | None = None,
-    backend: str = "numpy",
 ) -> ExperimentResult:
     """Failure → partition → recovery sweep over the datacenter families.
 
@@ -123,7 +120,7 @@ def run_topology_failures(
     values see the identical graph sequence.
     """
     repetitions = 10 if quick else 25
-    specs = _specs(quick, seed, repetitions, rng_policy, shard_size, backend)
+    specs = _specs(quick, seed, repetitions, rng_policy, shard_size)
     report = execute_cells_report(specs, workers=workers)
     cells: list[TopologyResilienceMeasurement] = list(report.results)  # type: ignore[arg-type]
 

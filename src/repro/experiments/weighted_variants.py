@@ -48,7 +48,6 @@ def run_weighted_variants(
     workers: int | None = None,
     rng_policy: str = "spawned",
     shard_size: int | None = None,
-    backend: str = "numpy",
 ) -> ExperimentResult:
     """Run the weighted-protocol ablation.
 
@@ -84,7 +83,6 @@ def run_weighted_variants(
             ),
             rng_policy=rng_policy,
             shard_size=shard_size,
-            backend=backend,
         )
         for variant in _VARIANTS
     ]

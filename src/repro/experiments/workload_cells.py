@@ -246,7 +246,6 @@ def measure_workload_replay(
     seed: int,
     engine: str = "auto",
     rng_policy: str = "spawned",
-    backend: str = "numpy",
     **params,
 ) -> WorkloadMeasurement:
     """Replay a compiled workload trace over an ensemble and summarize.
@@ -268,7 +267,6 @@ def measure_workload_replay(
         seed=cell.cell_seed,
         engine=engine,
         rng_policy=rng_policy,
-        backend=backend,
     )
     return cell.summarize(result)
 
@@ -281,7 +279,6 @@ def measure_workload_adversarial(
     seed: int,
     engine: str = "auto",
     rng_policy: str = "spawned",
-    backend: str = "numpy",
     **params,
 ) -> WorkloadMeasurement:
     """Replay the adversarial generator: arrivals chase the loaded node.
@@ -301,6 +298,5 @@ def measure_workload_adversarial(
         seed=cell.cell_seed,
         engine=engine,
         rng_policy=rng_policy,
-        backend=backend,
     )
     return cell.summarize(result)

@@ -57,7 +57,6 @@ def _grid_specs(
     shard_size: int | None,
     trace: str | None,
     workload: str | None,
-    backend: str = "numpy",
 ) -> list[CellSpec]:
     if trace is not None and workload is not None:
         raise ValidationError(
@@ -112,7 +111,6 @@ def _grid_specs(
                 seed=seed,
                 rng_policy=rng_policy,
                 shard_size=shard_size,
-                backend=backend,
                 params=tuple(sorted(params.items())),
             )
         )
@@ -128,7 +126,6 @@ def run_workloads_traffic(
     shard_size: int | None = None,
     trace: str | None = None,
     workload: str | None = None,
-    backend: str = "numpy",
 ) -> ExperimentResult:
     """Replay generated (or saved) traffic traces and verify conservation.
 
@@ -141,8 +138,7 @@ def run_workloads_traffic(
     """
     repetitions = 6 if quick else 16
     specs = _grid_specs(
-        quick, seed, repetitions, rng_policy, shard_size, trace, workload,
-        backend,
+        quick, seed, repetitions, rng_policy, shard_size, trace, workload
     )
     report = execute_cells_report(specs, workers=workers)
     cells: list[WorkloadMeasurement] = list(report.results)  # type: ignore[arg-type]

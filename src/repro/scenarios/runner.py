@@ -40,7 +40,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.analysis.streaming import ObservableSummary, RunningMoments
-from repro.backends import resolve_backend
 from repro.core.batch import BatchSimulator
 from repro.core.equilibrium import nash_slack_matrix
 from repro.core.potentials import psi0_potential
@@ -689,7 +688,6 @@ class ScenarioRunner:
         seed: SeedLike = None,
         rng_policy: str = "spawned",
         recording: StreamingRecording | None = None,
-        backend: "str | object | None" = None,
     ) -> ScenarioResult | StreamingScenarioResult:
         """Run the scenario on a replica stack (mutated in place).
 
@@ -700,11 +698,6 @@ class ScenarioRunner:
         layout (events and kernels draw whole-stack blocks). When
         omitted, a layout is built from ``seed`` under ``rng_policy``.
 
-        ``backend`` selects the array backend the batched kernels
-        dispatch through (:func:`repro.backends.resolve_backend`
-        semantics: name or instance, warn-and-fallback to numpy). The
-        numpy default is bit-identical to the pre-backend runner.
-
         Passing ``recording`` switches to the streaming recorder: rows
         are observed via the batch simulator's ``after_round`` hook (the
         stack is untouched between a round's kernel and the next round's
@@ -714,7 +707,6 @@ class ScenarioRunner:
         """
         rounds = check_integer(rounds, "rounds", minimum=0)
         num_replicas = batch.num_replicas
-        resolved_backend = resolve_backend(backend)
         if rngs is None:
             streams = make_streams(
                 check_rng_policy(rng_policy), seed, num_replicas
@@ -730,9 +722,7 @@ class ScenarioRunner:
         all_rows = np.arange(num_replicas, dtype=np.int64)
         current_graph: list[Graph] = [self._graph]
         spectral_memo: dict[Graph, tuple[float, float, bool]] = {}
-        simulator = BatchSimulator(
-            self._graph, self._protocol, seed, backend=resolved_backend
-        )
+        simulator = BatchSimulator(self._graph, self._protocol, seed)
 
         def record(round_index: int, current: BatchStateBase) -> None:
             graph = current_graph[0]
@@ -895,13 +885,8 @@ class ScenarioRunner:
         replica_offset: int = 0,
         replica_count: int | None = None,
         recording: StreamingRecording | None = None,
-        backend: "str | object | None" = None,
     ) -> ScenarioResult | StreamingScenarioResult:
         """Run ``repetitions`` independent replicas of the scenario.
-
-        ``backend`` selects the array backend for the batch engine's
-        kernels (warn-and-fallback resolution, numpy default /
-        bit-identical); scalar replica runs ignore it.
 
         ``replica_offset`` / ``replica_count`` select a *window* of the
         ``repetitions``-sized ensemble (``repetitions`` stays the
@@ -1030,7 +1015,6 @@ class ScenarioRunner:
                 "instead)"
             )
         if use_batch:
-            resolved_backend = resolve_backend(backend)
             batch = _batch_state_class(self._protocol).from_states(states)
             if rng_policy == "counter":
                 if windowed:
@@ -1045,23 +1029,16 @@ class ScenarioRunner:
                         replica_offset=replica_offset,
                         total_replicas=repetitions,
                     )
-                    return self.run_batch(
-                        batch, rounds, rngs=window, backend=resolved_backend
-                    )
+                    return self.run_batch(batch, rounds, rngs=window)
                 return self.run_batch(
                     batch,
                     rounds,
                     seed=seed,
                     rng_policy="counter",
                     recording=recording,
-                    backend=resolved_backend,
                 )
             return self.run_batch(
-                batch,
-                rounds,
-                rngs=generators,
-                recording=recording,
-                backend=resolved_backend,
+                batch, rounds, rngs=generators, recording=recording
             )
         replica_results = [
             self.run(state, rounds, rng=generator)

@@ -32,26 +32,6 @@ from repro.model.speeds import uniform_speeds
 from repro.model.state import UniformState, WeightedState
 
 
-def pytest_collection_modifyitems(
-    config: pytest.Config, items: list[pytest.Item]
-) -> None:
-    """Skip backend-marked tests whose optional dependency is missing.
-
-    ``requires_numba`` tests skip (never fail) when the ``jit`` extra is
-    not installed, so the conformance suite runs green on a minimal
-    checkout and picks the backend up automatically once the extra
-    appears.
-    """
-    import importlib.util
-
-    if importlib.util.find_spec("numba") is not None:
-        return
-    skip = pytest.mark.skip(reason="numba is not installed (install the jit extra)")
-    for item in items:
-        if "requires_numba" in item.keywords:
-            item.add_marker(skip)
-
-
 def pytest_addoption(parser: pytest.Parser) -> None:
     parser.addoption(
         "--rng-policy",

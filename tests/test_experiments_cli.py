@@ -50,7 +50,6 @@ def stub_cli(monkeypatch):
         target_ci=None,
         trace=None,
         workload=None,
-        backend="numpy",
     ):
         from repro.experiments.registry import run_experiment
 
@@ -65,7 +64,6 @@ def stub_cli(monkeypatch):
                 target_ci=target_ci,
                 trace=trace,
                 workload=workload,
-                backend=backend,
             )
         return results[experiment_id]
 

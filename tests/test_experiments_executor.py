@@ -16,6 +16,7 @@ from repro.experiments.executor import (
     MEASUREMENT_KINDS,
     CellSpec,
     execute_cells,
+    execute_cells_report,
     group_by_family,
     run_cell,
     sweep_specs,
@@ -141,6 +142,60 @@ class TestExecuteCells:
         bad = CellSpec("bogus", "ring", 8, 1.0, 1, 1)
         with pytest.raises(ValidationError, match="unknown measurement kind"):
             execute_cells([bad], workers=4)
+
+
+class TestFailures:
+    def test_pooled_failure_cancels_queued_cells_and_names_the_cell(self):
+        bad = CellSpec("weighted", "no-such-family", 16, 4.0, 200, 7)
+        good = [CellSpec("weighted", "ring", 16, 4.0, 200, 7 + k) for k in range(6)]
+        with pytest.raises(ValidationError, match="unknown graph family") as info:
+            execute_cells_report([bad, *good], workers=2)
+        assert info.value.__notes__ == [
+            "in cell (weighted, no-such-family, 16), replicas [0, 200)"
+        ]
+
+    @pytest.mark.parametrize(
+        "malformed, message",
+        [
+            (CellSpec("weighted", "ring", 8, 4.0, 2, -3), "seed must be >= 0"),
+            (
+                CellSpec("approx", "ring", 8, float("nan"), 2, 1),
+                "m_factor must be a non-negative finite number",
+            ),
+            (
+                CellSpec("weighted", "ring", 8, 4.0, 2, 1, params=(("bogus", 1),)),
+                r"does not take params \['bogus'\]",
+            ),
+            (
+                CellSpec("approx", "ring", 8, 4.0, 2, 1, params=(("seed", 2),)),
+                r"does not take params \['seed'\]",
+            ),
+            (
+                CellSpec(
+                    "weighted", "ring", 8, 4.0, 2, 1, params=(("replica_count", 1),)
+                ),
+                r"does not take params \['replica_count'\]",
+            ),
+        ],
+        ids=[
+            "negative-seed",
+            "nan-m-factor",
+            "unknown-param",
+            "spec-field-param",
+            "window-param",
+        ],
+    )
+    def test_malformed_spec_rejected_before_any_cell_runs(
+        self, monkeypatch, malformed, message
+    ):
+        from repro.experiments import executor
+
+        ran = []
+        monkeypatch.setattr(executor, "_run_task", lambda *task: ran.append(task))
+        good = CellSpec("weighted", "ring", 8, 4.0, 2, 1)
+        with pytest.raises(ValidationError, match=message):
+            execute_cells_report([good, malformed], workers=1)
+        assert ran == []
 
 
 class TestGroupByFamily:

@@ -12,6 +12,17 @@ silently mixed up.
 ``TestPolicyMatrix`` runs the measurement pipeline under whichever
 policy the pytest invocation selects (``--rng-policy``, default
 spawned); CI runs the fast tier once per policy.
+
+Three pins close the module:
+
+* **one reference fill** — :func:`repro.utils.rng.philox_uniforms`
+  (raw Philox words, converted in numpy's own way) equals
+  ``Generator(Philox(key)).random`` bit for bit at any start word;
+* **counter goldens** — counter-policy measurements at fixed seeds;
+* **sparse-row regression** — ``CounterStreams.site_uniforms`` with
+  retired (non-contiguous) rows returns exactly what the full-span
+  gather returns, and builds a second generator only across a gap
+  that costs more to draw than to skip.
 """
 
 from __future__ import annotations
@@ -27,7 +38,11 @@ from repro.core.protocols import (
 )
 from repro.core.stopping import NashStop, PotentialThresholdStop
 from repro.errors import ValidationError
-from repro.experiments._common import measure_weighted_threshold_time
+from repro.experiments._common import (
+    measure_psi_threshold_time,
+    measure_variant_threshold_time,
+    measure_weighted_threshold_time,
+)
 from repro.experiments.scenario_cells import measure_scenario_recovery
 from repro.graphs.generators import cycle_graph, star_graph, torus_graph
 from repro.model.batch import BatchUniformState, BatchWeightedState
@@ -37,7 +52,12 @@ from repro.model.state import UniformState, WeightedState
 from repro.model.tasks import two_class_weights
 from repro.spectral.eigen import algebraic_connectivity
 from repro.theory.constants import psi_critical
-from repro.utils.rng import CounterStreams, spawn_rngs
+from repro.utils.rng import (
+    _SPLIT_GAP_WORDS,
+    CounterStreams,
+    philox_uniforms,
+    spawn_rngs,
+)
 
 from tests.equivalence import (
     assert_batch_conserves,
@@ -405,3 +425,231 @@ class TestPolicyMatrix:
         )
         assert cell.engine == "batch"
         assert cell.num_recovered == cell.num_replicas
+
+
+def _reference_block(key: np.ndarray, start_word: int, count: int) -> np.ndarray:
+    """``count`` uniforms at absolute word ``start_word`` through numpy's
+    ``Generator.random``: whole 4-word counter blocks are skipped with
+    ``advance``, the sub-block remainder is drawn and dropped."""
+    bit_generator = np.random.Philox(key=key)
+    bit_generator.advance(start_word // 4)
+    generator = np.random.Generator(bit_generator)
+    generator.random(start_word % 4)
+    return generator.random(count)
+
+
+class TestReferenceFill:
+    """The counter layout's one Philox fill, pinned bit for bit against
+    ``np.random.Generator(np.random.Philox(key=key)).random``."""
+
+    KEY = np.array([0x9E3779B97F4A7C15, 0x0123456789ABCDEF], dtype=np.uint64)
+
+    @pytest.mark.parametrize("start_word", [0, 1, 2, 3, 4, 9, 22, 31])
+    @pytest.mark.parametrize("count", [0, 1, 37, 4097])
+    def test_matches_generator_from_stream_start(self, start_word, count):
+        # Independent of advance(): draw from word 0 and slice.
+        expected = np.random.Generator(np.random.Philox(key=self.KEY)).random(
+            start_word + count
+        )[start_word:]
+        got = philox_uniforms(self.KEY, start_word, count)
+        assert got.dtype == np.float64 and got.shape == (count,)
+        np.testing.assert_array_equal(got, expected)
+
+    @pytest.mark.parametrize("start_word", [2**32 + r for r in range(4)])
+    @pytest.mark.parametrize("count", [0, 1, 1001])
+    def test_matches_generator_beyond_2_pow_32(self, start_word, count):
+        np.testing.assert_array_equal(
+            philox_uniforms(self.KEY, start_word, count),
+            _reference_block(self.KEY, start_word, count),
+        )
+
+    def test_long_fill_matches_generator(self):
+        # Longer than one raw-conversion chunk, odd, unaligned start.
+        count = 2 * 32768 + 5
+        np.testing.assert_array_equal(
+            philox_uniforms(self.KEY, 7, count),
+            _reference_block(self.KEY, 7, count),
+        )
+
+
+class TestCounterGoldens:
+    """Counter-policy measurements pinned bit for bit.
+
+    The golden tuples were captured from the measurement pipeline at
+    these seeds under the counter layout; any change to a kernel's draw
+    order or arithmetic shows here first.
+    """
+
+    WEIGHTED_GOLDEN = (37.0, 58.0, 37.0, 38.0, 30.0, 52.0)
+    UNIFORM_GOLDEN = (15.0, 15.0, 13.0, 12.0)
+    PERTASK_GOLDEN = (41.0, 70.0, 46.0, 89.0)
+
+    def test_weighted_counter_measurement(self):
+        measurement = measure_weighted_threshold_time(
+            "ring", 8, 8.0, repetitions=6, seed=123, rng_policy="counter"
+        )
+        assert tuple(measurement.repetition_rounds) == self.WEIGHTED_GOLDEN
+
+    def test_uniform_counter_measurement(self):
+        measurement = measure_psi_threshold_time(
+            "ring", 8, 2.0, repetitions=4, seed=77, rng_policy="counter"
+        )
+        assert tuple(measurement.repetition_rounds) == self.UNIFORM_GOLDEN
+
+    def test_pertask_variant_counter_measurement(self):
+        measurement = measure_variant_threshold_time(
+            "ring",
+            12,
+            0.0,
+            repetitions=4,
+            seed=9,
+            rng_policy="counter",
+            variant="per-task",
+            m=60,
+            max_rounds=5000,
+            churn_window=10,
+        )
+        assert tuple(measurement.repetition_rounds) == self.PERTASK_GOLDEN
+        assert measurement.churn_per_round == pytest.approx(0.7)
+
+
+def _count_philox_builds(monkeypatch) -> list:
+    """Wrap ``np.random.Philox`` so each generator built is recorded."""
+    built: list = []
+    real = np.random.Philox
+
+    def counting(*args, **kwargs):
+        built.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counting)
+    return built
+
+
+def _full_span_gather(seed, num_replicas, round_index, label, rows, width):
+    """The reference for any row set: one dense fill of the covering
+    span from a fresh layout, gathered at ``rows``."""
+    streams = CounterStreams(seed, num_replicas)
+    streams.begin_round(round_index)
+    low, high = int(rows.min()), int(rows.max())
+    dense = streams.site_uniforms(label, np.arange(low, high + 1), width)
+    return dense[rows - low]
+
+
+class TestSparseRowFill:
+    """Regression pins for sparse ``site_uniforms`` row sets.
+
+    Retired replicas leave gaps in the active-row set. The fill draws
+    the whole covering span with one Philox generator and gathers the
+    requested rows, so the words of a gap are drawn and discarded; only
+    a gap whose skipped words cost more than building and positioning a
+    second generator (``_SPLIT_GAP_WORDS``) splits the span. Words are
+    addressed absolutely per row, so either way every returned bit is
+    identical to the full-span gather.
+    """
+
+    SPARSE_SUM = 11.735004296001582
+    SPARSE_COLUMN = (
+        0.892313776356578,
+        0.17343290593792093,
+        0.49751473435806737,
+        0.20769237074300784,
+        0.391304185325254,
+    )
+    WINDOWED_SUM = 5.363869821983516
+    WINDOWED_HEAD = (
+        0.0982179468029648,
+        0.5750730201607134,
+        0.13388089831970584,
+        0.5273813589649956,
+    )
+
+    def test_sparse_rows_pinned(self):
+        streams = CounterStreams(4242, 10)
+        streams.begin_round(3)
+        block = streams.site_uniforms(
+            "weighted-migrate", np.array([0, 1, 4, 7, 8]), 5
+        )
+        assert block.shape == (5, 5)
+        assert float(block.sum()) == self.SPARSE_SUM
+        np.testing.assert_array_equal(block[:, 0], np.array(self.SPARSE_COLUMN))
+
+    def test_windowed_sparse_rows_pinned(self):
+        streams = CounterStreams(4242, 6, replica_offset=4, total_replicas=12)
+        streams.begin_round(0)
+        block = streams.site_uniforms("site-x", np.array([0, 2, 3, 5]), 3)
+        assert float(block.sum()) == self.WINDOWED_SUM
+        np.testing.assert_array_equal(
+            block.ravel()[:4], np.array(self.WINDOWED_HEAD)
+        )
+
+    def test_sparse_equals_full_span_gather(self):
+        """Run splitting is invisible: gathering from the dense block
+        of the covering span gives the identical bits, for sorted,
+        unsorted and duplicated row sets."""
+        width = 7
+        for rows in (
+            np.array([2, 3, 9, 10, 11, 30]),
+            np.array([5]),
+            np.array([11, 2, 2, 30, 9]),
+        ):
+            streams = CounterStreams(99, 32)
+            streams.begin_round(4)
+            sparse = streams.site_uniforms("site-a", rows, width)
+            dense_streams = CounterStreams(99, 32)
+            dense_streams.begin_round(4)
+            low, high = int(rows.min()), int(rows.max())
+            dense = dense_streams.site_uniforms(
+                "site-a", np.arange(low, high + 1), width
+            )
+            np.testing.assert_array_equal(sparse, dense[rows - low])
+
+    @pytest.mark.parametrize("offset, generators", [(-1, 1), (1, 2)])
+    def test_split_threshold(self, monkeypatch, offset, generators):
+        """A gap one row below the threshold is drawn through; one row
+        above it gets a second generator. Both give the same bits."""
+        width = 512
+        gap = _SPLIT_GAP_WORDS // width + offset
+        rows = np.array([0, 1, 2 + gap, 3 + gap])
+        expected = _full_span_gather(31, 16, 2, "site-g", rows, width)
+        built = _count_philox_builds(monkeypatch)
+        streams = CounterStreams(31, 16)
+        streams.begin_round(2)
+        block = streams.site_uniforms("site-g", rows, width)
+        assert len(built) == generators
+        np.testing.assert_array_equal(block, expected)
+
+    def test_windowed_layout_with_retired_holes(self, monkeypatch):
+        """A shard with retired holes returns the monolithic layout's
+        rows for its global indices, from one generator."""
+        offset, rows = 30, np.array([0, 2, 3, 7, 8, 19])
+        expected = _full_span_gather(88, 64, 6, "weighted-migrate", rows + offset, 40)
+        built = _count_philox_builds(monkeypatch)
+        window = CounterStreams(88, 20, replica_offset=offset, total_replicas=64)
+        window.begin_round(6)
+        block = window.site_uniforms("weighted-migrate", rows, 40)
+        assert len(built) == 1
+        np.testing.assert_array_equal(block, expected)
+
+    def test_retirement_shaped_rows_build_at_most_two_generators(
+        self, monkeypatch
+    ):
+        """40 of 64 replicas still active in 15 runs at width 512: the
+        shape a convergence run leaves behind. Run-by-run filling built
+        15 generators here."""
+        runs = (3, 2, 4, 3, 2, 3, 2, 3, 3, 2, 3, 2, 3, 3, 2)
+        gaps = (2, 1, 2, 1, 2, 2, 1, 2, 2, 1, 2, 2, 1, 2)
+        rows, start = [], 1
+        for length, gap in zip(runs, gaps + (0,)):
+            rows.extend(range(start, start + length))
+            start += length + gap
+        rows = np.array(rows)
+        assert rows.size == 40 and rows.max() < 64
+        assert np.count_nonzero(np.diff(rows) > 1) + 1 == 15
+        expected = _full_span_gather(5, 64, 11, "weighted-migrate", rows, 512)
+        built = _count_philox_builds(monkeypatch)
+        streams = CounterStreams(5, 64)
+        streams.begin_round(11)
+        block = streams.site_uniforms("weighted-migrate", rows, 512)
+        assert len(built) <= 2
+        np.testing.assert_array_equal(block, expected)
