@@ -173,9 +173,14 @@ class BatchStateBase:
             raise ModelError(f"node {node} out of range")
         if not factor > 0:
             raise SpeedError(f"speed factor must be positive, got {factor}")
+        speed = float(self._speeds[node]) * factor
+        if not np.isfinite(speed):
+            raise SpeedError(
+                f"rescaling node {node} by {factor} gives a non-finite speed"
+            )
         speeds = self._speeds.copy()
         speeds.setflags(write=True)
-        speeds[node] *= factor
+        speeds[node] = speed
         speeds.setflags(write=False)
         self._speeds = speeds
 

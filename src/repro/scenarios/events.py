@@ -16,32 +16,31 @@ Randomness contract
 -------------------
 Events are stateless and picklable; all randomness comes from the
 generator(s) — or the :class:`~repro.utils.rng.StreamLayout` — passed at
-application time, and the behaviour is layout-policy dependent:
+application time. A batched application draws only through the layout's
+sampling primitives (:meth:`~repro.utils.rng.StreamLayout.integers`,
+``random``, ``poisson``, ``binomial``, ``removal_counts`` and
+``subset``), one call per draw site and in the scalar application's
+site order, and then mutates the stack once per step with
+:meth:`~repro.model.batch.BatchUniformState.adjust_counts` /
+:meth:`~repro.model.batch.BatchWeightedState.add_tasks` /
+``remove_tasks`` / ``apply_moves``. Each event has one batched body;
+the policy shows only in what the primitives draw:
 
 * **spawned** (a generator sequence or
-  :class:`~repro.utils.rng.SpawnedStreams`): the batched application
-  draws replica ``r``'s randomness from ``rngs[r]`` with *exactly the
-  calls* the scalar application makes against a single state — so for
-  weighted states, where the protocol kernels are already pathwise
-  identical across engines, scenario runs stay bit-identical per
-  replica, and for uniform states batch and scalar scenario runs sample
-  the same law (the uniform protocol kernels themselves are only
-  law-equivalent).
-* **counter** (:class:`~repro.utils.rng.CounterStreams`): each event
-  application draws whole-stack blocks from per-site keyed Philox
-  streams — one vectorized call per draw step instead of a per-replica
-  Python loop (the heavy-churn speedup pinned in
+  :class:`~repro.utils.rng.SpawnedStreams`): each primitive makes, for
+  every replica ``r``, exactly the call the scalar application makes
+  against ``rngs[r]``. Drawing site by site across the rows keeps every
+  replica's own call sequence, so weighted scenario runs — where the
+  protocol kernels are pathwise identical across engines — stay
+  bit-identical per replica, and uniform batch and scalar runs sample
+  the same law (the uniform kernels themselves are only law-equivalent).
+* **counter** (:class:`~repro.utils.rng.CounterStreams`): each primitive
+  draws one whole-stack block from one keyed Philox site — no
+  per-replica Python loop (the heavy-churn speedup pinned in
   ``benchmarks/test_scenarios.py``). Per-replica marginals keep the
-  scalar law exactly (placements, uniform-subset departures via the
-  multivariate-hypergeometric chain rule / random-key selection,
-  binomial shocks); runs are same-seed deterministic but not pathwise
-  comparable to spawned runs.
-
-Application is vectorized across replicas wherever the mutation allows:
-draws fill one deltas/slots buffer and the stack is mutated with a
-single :meth:`~repro.model.batch.BatchUniformState.adjust_counts`
-/ :meth:`~repro.model.batch.BatchWeightedState.add_tasks` /
-``remove_tasks`` / ``apply_moves`` call.
+  scalar law exactly (placements, multivariate-hypergeometric and
+  random-key departures, binomial shocks); runs are same-seed
+  deterministic but not pathwise comparable to spawned runs.
 """
 
 from __future__ import annotations
@@ -119,6 +118,12 @@ class BatchEventOutcome:
         )
 
 
+#: numpy's largest Poisson mean; ``Generator.poisson`` refuses larger ones.
+_POISSON_LAM_MAX = float(
+    np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10
+)
+
+
 def _check_node(node: int, state: LoadStateBase | BatchStateBase) -> None:
     if not 0 <= node < state.num_nodes:
         raise ModelError(f"node {node} out of range [0, {state.num_nodes - 1}]")
@@ -155,169 +160,93 @@ def _require_all_replicas(
         )
 
 
-def _scatter_targets(
-    rows_size: int, num_nodes: int, targets: IntArray, live: np.ndarray | None
+def _node_counts(
+    positions: IntArray, nodes: IntArray, num_rows: int, num_nodes: int
 ) -> IntArray:
-    """Per-row node counts from a ``(rows, K)`` target block.
+    """``(num_rows, num_nodes)`` counts of tasks ``k`` of row
+    ``positions[k]`` on node ``nodes[k]``, in one ``bincount``."""
+    return np.bincount(
+        positions * num_nodes + nodes, minlength=num_rows * num_nodes
+    ).reshape(num_rows, num_nodes)
 
-    ``live`` masks the ragged per-row prefix actually drawn (``None`` for
-    rectangular blocks). One ``bincount`` replaces per-replica
-    ``np.add.at`` scatters.
-    """
-    flat = (
-        np.arange(rows_size, dtype=np.int64)[:, None] * num_nodes + targets
+
+def _row_sums(values: FloatArray, sizes: IntArray) -> FloatArray:
+    """Sums of consecutive runs of ``sizes[p]`` values, each taken with
+    ``.sum()`` in draw order as the scalar path sums it (``bincount``
+    and ``np.add.reduceat`` differ from it in the last bit from 8
+    values on)."""
+    ends = np.cumsum(sizes).tolist()
+    return np.array(
+        [
+            float(values[end - size : end].sum()) if size else 0.0
+            for end, size in zip(ends, sizes.tolist())
+        ]
     )
-    if live is not None:
-        flat = flat[live]
-    return (
-        np.bincount(flat.ravel(), minlength=rows_size * num_nodes)
-        .reshape(rows_size, num_nodes)
-        .astype(np.int64)
-    )
 
 
-def _hypergeometric_removal(
-    gen: np.random.Generator, counts: IntArray, k: IntArray
-) -> IntArray:
-    """Vectorized uniform-without-replacement removal across replicas.
-
-    Row ``r`` removes ``k[r]`` tasks uniformly among its ``counts[r]``
-    (requires ``k[r] <= counts[r].sum()``). The law is the multivariate
-    hypergeometric the scalar path draws per replica, sampled by binary
-    splitting: the removals falling in the left half of a node segment
-    are hypergeometric in (left-half tasks, right-half tasks, segment
-    removals), and the recursion bottoms out at single nodes. Segments
-    at one depth share a single vectorized ``hypergeometric`` call over
-    ``(R, segments)``, so the whole draw costs ``ceil(log2 n)`` numpy
-    calls instead of ``R`` per-replica (or ``n`` chain-rule) ones.
-    """
-    num_rows, num_nodes = counts.shape
-    prefix = np.zeros((num_rows, num_nodes + 1), dtype=np.int64)
-    np.cumsum(counts, axis=1, out=prefix[:, 1:])
-    removal = np.zeros((num_rows, num_nodes), dtype=np.int64)
-    starts = np.array([0], dtype=np.int64)
-    ends = np.array([num_nodes], dtype=np.int64)
-    k_segments = np.asarray(k, dtype=np.int64)[:, None]
-    while True:
-        leaves = ends - starts == 1
-        if np.any(leaves):
-            removal[:, starts[leaves]] = k_segments[:, leaves]
-        if np.all(leaves):
-            return removal
-        starts = starts[~leaves]
-        ends = ends[~leaves]
-        k_segments = k_segments[:, ~leaves]
-        mids = (starts + ends) // 2
-        left_total = prefix[:, mids] - prefix[:, starts]
-        right_total = prefix[:, ends] - prefix[:, mids]
-        left_draw = gen.hypergeometric(left_total, right_total, k_segments)
-        starts = np.column_stack([starts, mids]).reshape(-1)
-        ends = np.column_stack([mids, ends]).reshape(-1)
-        k_segments = np.stack(
-            [left_draw, k_segments - left_draw], axis=2
-        ).reshape(num_rows, -1)
-
-
-def _random_subset_slots(
-    gen: np.random.Generator, mask: np.ndarray, k: IntArray
-) -> tuple[IntArray, IntArray]:
-    """Uniform random ``k[r]``-subsets of each row's live slots.
-
-    Random-key selection: i.i.d. uniform keys on the live slots, the
-    ``k[r]`` smallest win — a uniformly random subset, vectorized across
-    the stack. Returns aligned (row position, slot) index arrays.
-    """
-    keys = gen.random(mask.shape)
-    keys[~mask] = np.inf  # dead slots never selected
-    order = np.argsort(keys, axis=1)
-    chosen = np.arange(mask.shape[1]) < np.asarray(k, dtype=np.int64)[:, None]
-    positions, ranks = np.nonzero(chosen)
-    return positions, order[positions, ranks]
-
-
-def _remove_uniform_block(
+def _add_arrivals(
     batch: BatchStateBase,
     streams: StreamLayout,
     rows: IntArray,
-    requested: IntArray,
+    arrivals: IntArray,
+    node: int | None,
+    weight: float,
     outcome: BatchEventOutcome,
 ) -> None:
-    """Counter-path uniform task removal across the stack.
+    """``arrivals[p]`` tasks of weight ``weight`` join replica ``rows[p]``
+    at ``node`` or at uniform-random nodes, in one stack mutation.
 
-    Removes ``min(requested[r], present)`` uniformly random tasks from
-    each row — the multivariate-hypergeometric chain for uniform stacks,
-    random-key subset selection for weighted stacks. Shared by
-    :class:`TaskDeparture` and the departure half of
+    Shared by :class:`TaskArrival` and :class:`PoissonChurnEvent`.
+    """
+    if node is None:
+        need = np.arange(arrivals.max(initial=0)) < arrivals[:, None]
+        targets = streams.integers("arrival", rows, need, batch.num_nodes)
+    else:
+        targets = np.full(int(arrivals.sum()), node, dtype=np.int64)
+    positions = np.repeat(np.arange(rows.size), arrivals)
+    if isinstance(batch, BatchUniformState):
+        batch.adjust_counts(
+            rows, _node_counts(positions, targets, rows.size, batch.num_nodes)
+        )
+        weight = 1.0
+    elif isinstance(batch, BatchWeightedState):
+        batch.add_tasks(rows[positions], targets, np.full(targets.size, weight))
+    else:
+        raise ModelError(f"unsupported batch type {type(batch).__name__}")
+    outcome.tasks_added[rows] = arrivals
+    outcome.weight_added[rows] = arrivals * weight
+
+
+def _remove_uniform(
+    batch: BatchStateBase,
+    streams: StreamLayout,
+    rows: IntArray,
+    requested: int | IntArray,
+    outcome: BatchEventOutcome,
+) -> None:
+    """Replica ``rows[p]`` loses ``min(requested[p], present)`` tasks
+    chosen uniformly, in one stack mutation.
+
+    Shared by :class:`TaskDeparture` and the departure half of
     :class:`PoissonChurnEvent`.
     """
     if isinstance(batch, BatchUniformState):
         counts = batch.counts[rows]
         k = np.minimum(requested, counts.sum(axis=1))
-        if np.any(k):
-            removed = _hypergeometric_removal(
-                streams.site("departure"), counts, k
-            )
-            batch.adjust_counts(rows, -removed)
-        outcome.tasks_removed[rows] = k
-        outcome.weight_removed[rows] = k.astype(np.float64)
-        return
-    if isinstance(batch, BatchWeightedState):
+        removal = streams.removal_counts("departure", rows, counts, k)
+        batch.adjust_counts(rows, -removal)
+        outcome.weight_removed[rows] = k
+    elif isinstance(batch, BatchWeightedState):
         mask = batch.task_mask[rows]
-        k = np.minimum(requested, mask.sum(axis=1))
-        if np.any(k):
-            positions, slots = _random_subset_slots(
-                streams.site("departure"), mask, k
-            )
-            outcome.weight_removed[rows] = np.bincount(
-                positions,
-                weights=batch.task_weights[rows[positions], slots],
-                minlength=rows.size,
-            )
-            batch.remove_tasks(rows[positions], slots)
-        outcome.tasks_removed[rows] = k
-        return
-    raise ModelError(f"unsupported batch type {type(batch).__name__}")
-
-
-def _remove_weighted_spawned(
-    batch: BatchWeightedState,
-    streams: StreamLayout,
-    rows: IntArray,
-    requested: IntArray,
-    outcome: BatchEventOutcome,
-) -> None:
-    """Spawned-path uniform task removal from a weighted stack.
-
-    Replica ``rows[p]`` draws the scalar call ``choice(m_r, k,
-    replace=False)`` with ``k = min(requested[p], m_r)``: ranks among
-    its live slots. One ``flatnonzero`` of the mask plus per-row
-    offsets maps all ranks to slots for a single ``remove_tasks``.
-    Removed weights are summed per replica in draw order, as the scalar
-    path sums them. Shared by :class:`TaskDeparture` and
-    :class:`PoissonChurnEvent`.
-    """
-    mask = batch.task_mask[rows]
-    live_counts = np.count_nonzero(mask, axis=1)
-    k = np.minimum(requested, live_counts)
+        k = np.minimum(requested, np.count_nonzero(mask, axis=1))
+        positions, slots = streams.subset("departure", rows, mask, k)
+        outcome.weight_removed[rows] = _row_sums(
+            batch.task_weights[rows[positions], slots], k
+        )
+        batch.remove_tasks(rows[positions], slots)
+    else:
+        raise ModelError(f"unsupported batch type {type(batch).__name__}")
     outcome.tasks_removed[rows] = k
-    drawn = np.flatnonzero(k)
-    if drawn.size == 0:
-        return
-    ranks = np.concatenate(
-        [
-            streams[rows[p]].choice(live_counts[p], size=k[p], replace=False)
-            for p in drawn.tolist()
-        ]
-    )
-    positions = np.repeat(drawn, k[drawn])
-    row_starts = np.cumsum(live_counts) - live_counts
-    flat = np.flatnonzero(mask)[row_starts[positions] + ranks]
-    slots = flat - positions * batch.max_tasks
-    weights = batch.task_weights[rows[positions], slots]
-    outcome.weight_removed[rows[drawn]] = [
-        float(chunk.sum()) for chunk in np.split(weights, np.cumsum(k[drawn])[:-1])
-    ]
-    batch.remove_tasks(rows[positions], slots)
 
 
 class Event:
@@ -452,85 +381,9 @@ class TaskArrival(Event):
         rows = _rows(batch, replicas)
         if self.count == 0 or rows.size == 0:
             return outcome
-        n = batch.num_nodes
-        if streams.policy == "counter":
-            targets = self._target_block(streams, rows.size, n)
-            self._add_target_block(batch, rows, targets, None, outcome)
-            return outcome
-        if isinstance(batch, BatchUniformState):
-            deltas = np.zeros((rows.size, n), dtype=np.int64)
-            for position, replica in enumerate(rows):
-                targets = self._targets(streams[replica], n)
-                np.add.at(deltas[position], targets, 1)
-            batch.adjust_counts(rows, deltas)
-            outcome.tasks_added[rows] = self.count
-            outcome.weight_added[rows] = float(self.count)
-            return outcome
-        if isinstance(batch, BatchWeightedState):
-            all_targets = np.concatenate(
-                [self._targets(streams[replica], n) for replica in rows]
-            )
-            task_rows = np.repeat(rows, self.count)
-            batch.add_tasks(
-                task_rows, all_targets, np.full(task_rows.shape[0], self.weight)
-            )
-            outcome.tasks_added[rows] = self.count
-            outcome.weight_added[rows] = self.count * self.weight
-            return outcome
-        raise ModelError(f"unsupported batch type {type(batch).__name__}")
-
-    def _target_block(
-        self, streams: StreamLayout, rows_size: int, num_nodes: int
-    ) -> IntArray:
-        """``(rows, count)`` arrival targets in one block draw."""
-        if self.node is not None:
-            return np.full((rows_size, self.count), self.node, dtype=np.int64)
-        return streams.site("arrival").integers(
-            0, num_nodes, size=(rows_size, self.count)
-        )
-
-    def _add_target_block(
-        self,
-        batch: BatchStateBase,
-        rows: IntArray,
-        targets: IntArray,
-        live: np.ndarray | None,
-        outcome: BatchEventOutcome,
-        counts: IntArray | None = None,
-    ) -> None:
-        """Apply a (possibly ragged) arrival target block to the stack.
-
-        ``live`` masks each row's drawn prefix (``None`` = rectangular,
-        ``counts`` then defaults to the block width). Shared by the
-        counter paths of :class:`TaskArrival` and
-        :class:`PoissonChurnEvent`.
-        """
-        if counts is None:
-            counts = np.full(rows.size, targets.shape[1], dtype=np.int64)
-        if isinstance(batch, BatchUniformState):
-            batch.adjust_counts(
-                rows, _scatter_targets(rows.size, batch.num_nodes, targets, live)
-            )
-            outcome.tasks_added[rows] = counts
-            outcome.weight_added[rows] = counts.astype(np.float64)
-            return
-        if isinstance(batch, BatchWeightedState):
-            if live is None:
-                task_rows = np.repeat(rows, targets.shape[1])
-                flat_targets = targets.ravel()
-            else:
-                positions, columns = np.nonzero(live)
-                task_rows = rows[positions]
-                flat_targets = targets[positions, columns]
-            batch.add_tasks(
-                task_rows,
-                flat_targets,
-                np.full(task_rows.shape[0], self.weight),
-            )
-            outcome.tasks_added[rows] = counts
-            outcome.weight_added[rows] = counts * self.weight
-            return
-        raise ModelError(f"unsupported batch type {type(batch).__name__}")
+        arrivals = np.full(rows.size, self.count, dtype=np.int64)
+        _add_arrivals(batch, streams, rows, arrivals, self.node, self.weight, outcome)
+        return outcome
 
     def describe(self) -> str:
         where = "uniform-random nodes" if self.node is None else f"node {self.node}"
@@ -593,30 +446,8 @@ class TaskDeparture(Event):
         rows = _rows(batch, replicas)
         if self.count == 0 or rows.size == 0:
             return outcome
-        if streams.policy == "counter":
-            per_row = np.full(rows.size, self.count, dtype=np.int64)
-            _remove_uniform_block(batch, streams, rows, per_row, outcome)
-            return outcome
-        if isinstance(batch, BatchUniformState):
-            counts = batch.counts
-            deltas = np.zeros((rows.size, batch.num_nodes), dtype=np.int64)
-            for position, replica in enumerate(rows):
-                removed = self._uniform_removal(
-                    streams[replica], counts[replica], self.count
-                )
-                if removed is None:
-                    continue
-                deltas[position] -= removed
-                gone = int(removed.sum())
-                outcome.tasks_removed[replica] = gone
-                outcome.weight_removed[replica] = float(gone)
-            batch.adjust_counts(rows, deltas)
-            return outcome
-        if isinstance(batch, BatchWeightedState):
-            per_row = np.full(rows.size, self.count, dtype=np.int64)
-            _remove_weighted_spawned(batch, streams, rows, per_row, outcome)
-            return outcome
-        raise ModelError(f"unsupported batch type {type(batch).__name__}")
+        _remove_uniform(batch, streams, rows, self.count, outcome)
+        return outcome
 
     def describe(self) -> str:
         return f"departure({self.count} uniform-random tasks)"
@@ -639,8 +470,11 @@ class PoissonChurnEvent(Event):
     name: str = field(default="poisson-churn", init=False, repr=False)
 
     def __post_init__(self):
-        if not self.rate >= 0.0:
-            raise ValidationError(f"rate must be >= 0, got {self.rate}")
+        if not 0.0 <= self.rate <= _POISSON_LAM_MAX:
+            raise ValidationError(
+                f"rate must be finite, >= 0 and at most numpy's Poisson "
+                f"limit {_POISSON_LAM_MAX:.6g}, got {self.rate}"
+            )
         if not 0.0 < self.weight <= 1.0:
             raise ValidationError(
                 f"arrival weight must lie in (0, 1], got {self.weight}"
@@ -669,96 +503,12 @@ class PoissonChurnEvent(Event):
         outcome = BatchEventOutcome.zeros(batch.num_replicas)
         if rows.size == 0:
             return outcome
-        if streams.policy == "counter":
-            return self._apply_batch_counter(batch, streams, rows, outcome)
-        is_uniform = isinstance(batch, BatchUniformState)
-        if not (is_uniform or isinstance(batch, BatchWeightedState)):
-            raise ModelError(f"unsupported batch type {type(batch).__name__}")
-        # Per-replica draw order matches the scalar path exactly:
-        # poisson(arrivals), poisson(departures), then arrival placement,
-        # then departure selection (which sees the post-arrival state).
-        # Across replicas the arrivals land in one stack mutation and the
-        # departures in another.
-        n = batch.num_nodes
-        arrivals = np.empty(rows.size, dtype=np.int64)
-        departures = np.empty(rows.size, dtype=np.int64)
-        placed: list[IntArray] = []
-        for position, replica in enumerate(rows.tolist()):
-            rng = streams[replica]
-            arrivals[position] = count = rng.poisson(self.rate)
-            departures[position] = rng.poisson(self.rate)
-            if count and self.node is None:
-                placed.append(rng.integers(0, n, size=count))
-
-        # --- arrivals -------------------------------------------------
-        if self.node is not None:
-            targets = np.full(int(arrivals.sum()), self.node, dtype=np.int64)
-        else:
-            targets = np.concatenate(placed) if placed else np.zeros(0, np.int64)
-        if is_uniform:
-            task_positions = np.repeat(np.arange(rows.size), arrivals)
-            deltas = np.bincount(
-                task_positions * n + targets, minlength=rows.size * n
-            ).reshape(rows.size, n)
-            batch.adjust_counts(rows, deltas.astype(np.int64))
-            outcome.weight_added[rows] = arrivals.astype(np.float64)
-        else:
-            if targets.size:
-                batch.add_tasks(
-                    np.repeat(rows, arrivals),
-                    targets,
-                    np.full(targets.size, self.weight),
-                )
-            outcome.weight_added[rows] = arrivals * self.weight
-        outcome.tasks_added[rows] = arrivals
-
-        # --- departures (seeing the post-arrival state) ---------------
-        if is_uniform:
-            counts = batch.counts
-            deltas = np.zeros((rows.size, n), dtype=np.int64)
-            for position, replica in enumerate(rows):
-                removed = TaskDeparture._uniform_removal(
-                    streams[replica], counts[replica], int(departures[position])
-                )
-                if removed is None:
-                    continue
-                deltas[position] -= removed
-                gone = int(removed.sum())
-                outcome.tasks_removed[replica] = gone
-                outcome.weight_removed[replica] = float(gone)
-            batch.adjust_counts(rows, deltas)
-        else:
-            _remove_weighted_spawned(batch, streams, rows, departures, outcome)
-        return outcome
-
-    def _apply_batch_counter(
-        self,
-        batch: BatchStateBase,
-        streams: StreamLayout,
-        rows: IntArray,
-        outcome: BatchEventOutcome,
-    ) -> BatchEventOutcome:
-        """Counter path: whole-stack block draws, three mutations total.
-
-        Arrival and departure magnitudes come from one Poisson block
-        each; placements fill a padded ``(rows, max arrivals)`` target
-        block whose ragged prefixes land in a single ``adjust_counts`` /
-        ``add_tasks``; departures (seeing the post-arrival state) reuse
-        the shared uniform-removal block. Per-replica marginals match
-        the scalar path's law exactly.
-        """
-        gen = streams.site("poisson-churn")
-        arrivals = gen.poisson(self.rate, size=rows.size).astype(np.int64)
-        departures = gen.poisson(self.rate, size=rows.size).astype(np.int64)
-        widest = int(arrivals.max(initial=0))
-        if widest:
-            arrival = TaskArrival(widest, node=self.node, weight=self.weight)
-            targets = arrival._target_block(streams, rows.size, batch.num_nodes)
-            live = np.arange(widest) < arrivals[:, None]
-            arrival._add_target_block(
-                batch, rows, targets, live, outcome, counts=arrivals
-            )
-        _remove_uniform_block(batch, streams, rows, departures, outcome)
+        # Each replica draws in the scalar order: both magnitudes, then
+        # the placements, then the departures, which see the
+        # post-arrival state.
+        arrivals, departures = streams.poisson("poisson-churn", rows, self.rate, 2)
+        _add_arrivals(batch, streams, rows, arrivals, self.node, self.weight, outcome)
+        _remove_uniform(batch, streams, rows, departures, outcome)
         return outcome
 
     def describe(self) -> str:
@@ -823,60 +573,9 @@ class LoadShock(Event):
         rows = _rows(batch, replicas)
         if rows.size == 0:
             return outcome
-        if streams.policy == "counter":
-            return self._apply_batch_counter(batch, streams, rows, outcome)
         if isinstance(batch, BatchUniformState):
-            counts = batch.counts
-            deltas = np.zeros((rows.size, batch.num_nodes), dtype=np.int64)
-            for position, replica in enumerate(rows):
-                delta, moved = self._uniform_delta(streams[replica], counts[replica])
-                deltas[position] = delta
-                outcome.tasks_relocated[replica] = moved
-            batch.adjust_counts(rows, deltas)
-            return outcome
-        if isinstance(batch, BatchWeightedState):
-            mask = batch.task_mask
-            nodes = batch.task_nodes
-            move_rows: list[np.ndarray] = []
-            move_slots: list[np.ndarray] = []
-            for replica in rows:
-                live = np.flatnonzero(mask[replica])
-                if live.size == 0:
-                    continue
-                uniforms = streams[replica].random(live.size)
-                moving = live[
-                    (uniforms < self.fraction)
-                    & (nodes[replica, live] != self.node)
-                ]
-                if moving.size:
-                    move_rows.append(np.full(moving.size, replica, dtype=np.int64))
-                    move_slots.append(moving)
-                outcome.tasks_relocated[replica] = int(moving.size)
-            if move_rows:
-                all_rows = np.concatenate(move_rows)
-                all_slots = np.concatenate(move_slots)
-                batch.apply_moves(
-                    all_rows,
-                    all_slots,
-                    np.full(all_rows.shape[0], self.node, dtype=np.int64),
-                )
-            return outcome
-        raise ModelError(f"unsupported batch type {type(batch).__name__}")
-
-    def _apply_batch_counter(
-        self,
-        batch: BatchStateBase,
-        streams: StreamLayout,
-        rows: IntArray,
-        outcome: BatchEventOutcome,
-    ) -> BatchEventOutcome:
-        """Counter path: one binomial / uniform block for the stack."""
-        if isinstance(batch, BatchUniformState):
-            counts = batch.counts[rows]
-            grabbed = (
-                streams.site("shock")
-                .binomial(counts, self.fraction)
-                .astype(np.int64)
+            grabbed = streams.binomial(
+                "shock", rows, batch.counts[rows], self.fraction
             )
             grabbed[:, self.node] = 0
             moved = grabbed.sum(axis=1)
@@ -887,17 +586,16 @@ class LoadShock(Event):
             return outcome
         if isinstance(batch, BatchWeightedState):
             mask = batch.task_mask[rows]
-            nodes = batch.task_nodes[rows]
-            uniforms = streams.site("shock").random(mask.shape)
-            moving = mask & (uniforms < self.fraction) & (nodes != self.node)
-            positions, slots = np.nonzero(moving)
-            if positions.size:
-                batch.apply_moves(
-                    rows[positions],
-                    slots,
-                    np.full(positions.size, self.node, dtype=np.int64),
-                )
-            outcome.tasks_relocated[rows] = moving.sum(axis=1)
+            uniforms = streams.random("shock", rows, mask)
+            positions, slots = np.nonzero(mask)
+            move = (uniforms < self.fraction) & (
+                batch.task_nodes[rows[positions], slots] != self.node
+            )
+            positions, slots = positions[move], slots[move]
+            batch.apply_moves(
+                rows[positions], slots, np.full(slots.size, self.node, dtype=np.int64)
+            )
+            outcome.tasks_relocated[rows] = np.bincount(positions, minlength=rows.size)
             return outcome
         raise ModelError(f"unsupported batch type {type(batch).__name__}")
 
@@ -922,8 +620,10 @@ class SpeedChange(Event):
     def __post_init__(self):
         if not isinstance(self.node, (int, np.integer)) or self.node < 0:
             raise ValidationError(f"node must be a non-negative int, got {self.node}")
-        if not self.factor > 0.0:
-            raise ValidationError(f"factor must be positive, got {self.factor}")
+        if not 0.0 < self.factor < np.inf:
+            raise ValidationError(
+                f"factor must be positive and finite, got {self.factor}"
+            )
 
     def apply(self, state, graph, rng) -> EventOutcome:
         state.rescale_speed(self.node, self.factor)
@@ -992,85 +692,24 @@ class NodeDrain(Event):
         neighbours = graph.neighbors(self.node)
         if rows.size == 0 or neighbours.size == 0:
             return outcome
-        if streams.policy == "counter":
-            return self._apply_batch_counter(
-                batch, streams, rows, neighbours, outcome
-            )
-        if isinstance(batch, BatchUniformState):
-            counts = batch.counts
-            deltas = np.zeros((rows.size, batch.num_nodes), dtype=np.int64)
-            for position, replica in enumerate(rows):
-                count = int(counts[replica, self.node])
-                if count == 0:
-                    continue
-                choice = streams[replica].integers(0, neighbours.size, size=count)
-                deltas[position, self.node] = -count
-                np.add.at(deltas[position], neighbours[choice], 1)
-                outcome.tasks_relocated[replica] = count
-            batch.adjust_counts(rows, deltas)
-            return outcome
-        if isinstance(batch, BatchWeightedState):
-            mask = batch.task_mask
-            nodes = batch.task_nodes
-            move_rows: list[np.ndarray] = []
-            move_slots: list[np.ndarray] = []
-            move_dst: list[np.ndarray] = []
-            for replica in rows:
-                slots = np.flatnonzero(mask[replica] & (nodes[replica] == self.node))
-                if slots.size == 0:
-                    continue
-                choice = streams[replica].integers(
-                    0, neighbours.size, size=slots.size
-                )
-                move_rows.append(np.full(slots.size, replica, dtype=np.int64))
-                move_slots.append(slots)
-                move_dst.append(neighbours[choice])
-                outcome.tasks_relocated[replica] = int(slots.size)
-            if move_rows:
-                batch.apply_moves(
-                    np.concatenate(move_rows),
-                    np.concatenate(move_slots),
-                    np.concatenate(move_dst),
-                )
-            return outcome
-        raise ModelError(f"unsupported batch type {type(batch).__name__}")
-
-    def _apply_batch_counter(
-        self,
-        batch: BatchStateBase,
-        streams: StreamLayout,
-        rows: IntArray,
-        neighbours: IntArray,
-        outcome: BatchEventOutcome,
-    ) -> BatchEventOutcome:
-        """Counter path: one neighbour-choice block for the stack."""
         if isinstance(batch, BatchUniformState):
             evicted = batch.counts[rows, self.node]
-            widest = int(evicted.max(initial=0))
-            if widest == 0:
-                return outcome
-            choice = streams.site("drain").integers(
-                0, neighbours.size, size=(rows.size, widest)
-            )
-            live = np.arange(widest) < evicted[:, None]
-            deltas = _scatter_targets(
-                rows.size, batch.num_nodes, neighbours[choice], live
+            need = np.arange(evicted.max(initial=0)) < evicted[:, None]
+            choice = streams.integers("drain", rows, need, neighbours.size)
+            positions = np.repeat(np.arange(rows.size), evicted)
+            deltas = _node_counts(
+                positions, neighbours[choice], rows.size, batch.num_nodes
             )
             deltas[:, self.node] -= evicted
             batch.adjust_counts(rows, deltas)
             outcome.tasks_relocated[rows] = evicted
             return outcome
         if isinstance(batch, BatchWeightedState):
-            mask = batch.task_mask[rows]
-            nodes = batch.task_nodes[rows]
-            on_node = mask & (nodes == self.node)
+            on_node = batch.task_mask[rows] & (batch.task_nodes[rows] == self.node)
+            choice = streams.integers("drain", rows, on_node, neighbours.size)
             positions, slots = np.nonzero(on_node)
-            if positions.size:
-                choice = streams.site("drain").integers(
-                    0, neighbours.size, size=positions.size
-                )
-                batch.apply_moves(rows[positions], slots, neighbours[choice])
-            outcome.tasks_relocated[rows] = on_node.sum(axis=1)
+            batch.apply_moves(rows[positions], slots, neighbours[choice])
+            outcome.tasks_relocated[rows] = np.count_nonzero(on_node, axis=1)
             return outcome
         raise ModelError(f"unsupported batch type {type(batch).__name__}")
 
@@ -1567,7 +1206,12 @@ class TraceRelocation(Event):
             # Sentinel group n collects dead slots so live per-node
             # groups stay contiguous under the stable sort below.
             groups = np.where(mask, batch.task_nodes[rows], n)
-            counts = _scatter_targets(rows.size, n + 1, groups, None)
+            counts = _node_counts(
+                np.repeat(np.arange(rows.size), groups.shape[1]),
+                groups.ravel(),
+                rows.size,
+                n + 1,
+            )
             quota = self._quota(counts, self.fraction)
             quota[:, self.node] = 0
             quota[:, n] = 0

@@ -51,7 +51,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ValidationError
-from repro.types import SeedLike
+from repro.types import FloatArray, IntArray, SeedLike
 
 __all__ = [
     "make_rng",
@@ -245,9 +245,31 @@ class StreamLayout:
     The layout owns *all* randomness a replica stack consumes over its
     rounds — protocol kernels and scenario events alike draw through it.
     Two policies exist (see the module docstring): :class:`SpawnedStreams`
-    exposes per-replica generators for the legacy sequential consumption,
-    :class:`CounterStreams` exposes per-(round, site) keyed generators for
-    vectorized block draws. Consumers dispatch on :attr:`policy`.
+    holds one generator per replica, :class:`CounterStreams` one keyed
+    Philox generator per (round, draw site).
+
+    Scenario events draw through six sampling primitives, each one draw
+    site for the rows of a stack it is handed (``rows`` are replica
+    indices, row ``p`` of every block belongs to replica ``rows[p]``):
+
+    * :meth:`integers` / :meth:`random` — values at the true cells of a
+      ``(len(rows), W)`` need-mask, row-major;
+    * :meth:`poisson` — a ``(draws, len(rows))`` block;
+    * :meth:`binomial` — one draw per cell of a ``(len(rows), n)`` count
+      block;
+    * :meth:`removal_counts` — per-node counts of ``k[p]`` tasks removed
+      uniformly without replacement from each row's node counts;
+    * :meth:`subset` — uniform ``k[p]``-subsets of each row's live slots.
+
+    The spawned implementations make, replica by replica, exactly the
+    calls the scalar events make against one state, so a batched event
+    that calls the primitives in its scalar draw order stays pathwise
+    identical to the scalar reference. The counter implementations draw
+    one block from one :meth:`site` per call. :meth:`integers`,
+    :meth:`random`, :meth:`removal_counts` and :meth:`subset` take no
+    site when they have nothing to draw. Only the protocol kernels,
+    which lay their rounds out differently per policy, dispatch on
+    :attr:`policy`.
 
     ``len(layout)`` is the replica count, so layouts satisfy the same
     one-generator-per-replica arity checks as a raw generator list.
@@ -307,6 +329,51 @@ class StreamLayout:
             "sites; dispatch on StreamLayout.policy"
         )
 
+    def integers(
+        self, label: str, rows: IntArray, need: np.ndarray, high: int
+    ) -> IntArray:
+        """Uniform integers in ``[0, high)`` at the true cells of
+        ``need``, row-major (scalar call: ``integers(0, high, size)``)."""
+        raise NotImplementedError
+
+    def random(self, label: str, rows: IntArray, need: np.ndarray) -> FloatArray:
+        """Uniform(0, 1) floats at the true cells of ``need``, row-major
+        (scalar call: ``random(size)``)."""
+        raise NotImplementedError
+
+    def poisson(self, label: str, rows: IntArray, lam: float, draws: int) -> IntArray:
+        """``(draws, len(rows))`` Poisson(``lam``) block; column ``p`` is
+        replica ``rows[p]``'s ``draws`` scalar draws in order."""
+        raise NotImplementedError
+
+    def binomial(self, label: str, rows: IntArray, counts: IntArray, p: float) -> IntArray:
+        """Binomial(``counts``, ``p``) draws of a ``(len(rows), n)``
+        count block (scalar call: ``binomial(counts_row, p)``)."""
+        raise NotImplementedError
+
+    def removal_counts(
+        self, label: str, rows: IntArray, counts: IntArray, k: IntArray
+    ) -> IntArray:
+        """Per-node counts of ``k[p] <= counts[p].sum()`` tasks removed
+        uniformly without replacement from row ``p``'s node counts.
+
+        The law is the multivariate hypergeometric; rows removing
+        nothing or everything draw nothing.
+        """
+        raise NotImplementedError
+
+    def subset(
+        self, label: str, rows: IntArray, mask: np.ndarray, k: IntArray
+    ) -> tuple[IntArray, IntArray]:
+        """Uniform ``k[p]``-subsets of the true slots of each ``mask``
+        row (``k[p]`` at most the row's count).
+
+        Returns aligned ``(positions, slots)``: ``positions`` indexes
+        ``rows`` and is non-decreasing, and each row's slots come in
+        draw order.
+        """
+        raise NotImplementedError
+
 
 class SpawnedStreams(StreamLayout):
     """The legacy layout: one spawned child generator per replica.
@@ -351,6 +418,74 @@ class SpawnedStreams(StreamLayout):
     def generators(self) -> list[np.random.Generator]:
         """The per-replica generators, replica-indexed."""
         return self._generators
+
+    def _row_draws(self, rows: IntArray, sizes: IntArray, draw, dtype) -> np.ndarray:
+        """``draw(generator, size)`` per row with a positive size,
+        concatenated in row order."""
+        drawn = [
+            draw(self._generators[replica], size)
+            for replica, size in zip(rows.tolist(), sizes.tolist())
+            if size
+        ]
+        return np.concatenate(drawn) if drawn else np.zeros(0, dtype=dtype)
+
+    def integers(self, label, rows, need, high):
+        return self._row_draws(
+            rows,
+            np.count_nonzero(need, axis=1),
+            lambda generator, size: generator.integers(0, high, size=size),
+            np.int64,
+        )
+
+    def random(self, label, rows, need):
+        return self._row_draws(
+            rows,
+            np.count_nonzero(need, axis=1),
+            lambda generator, size: generator.random(size),
+            np.float64,
+        )
+
+    def poisson(self, label, rows, lam, draws):
+        per_row = [
+            [self._generators[replica].poisson(lam) for _ in range(draws)]
+            for replica in rows.tolist()
+        ]
+        return np.array(per_row, dtype=np.int64).reshape(rows.size, draws).T
+
+    def binomial(self, label, rows, counts, p):
+        block = np.empty(counts.shape, dtype=np.int64)
+        for position, replica in enumerate(rows.tolist()):
+            block[position] = self._generators[replica].binomial(counts[position], p)
+        return block
+
+    def removal_counts(self, label, rows, counts, k):
+        removal = np.zeros(counts.shape, dtype=np.int64)
+        for position in np.flatnonzero(k).tolist():
+            if k[position] >= counts[position].sum():
+                removal[position] = counts[position]
+            else:
+                removal[position] = self._generators[
+                    rows[position]
+                ].multivariate_hypergeometric(counts[position], k[position])
+        return removal
+
+    def subset(self, label, rows, mask, k):
+        # Replica rows[p] draws choice(m_p, k_p, replace=False): ranks
+        # among its live slots, mapped to slots through one flatnonzero
+        # of the mask plus per-row offsets.
+        live_counts = np.count_nonzero(mask, axis=1)
+        drawn = np.flatnonzero(k)
+        ranks = [
+            self._generators[replica].choice(live, size=size, replace=False)
+            for replica, live, size in zip(
+                rows[drawn].tolist(), live_counts[drawn].tolist(), k[drawn].tolist()
+            )
+        ]
+        ranks = np.concatenate(ranks) if ranks else np.zeros(0, dtype=np.int64)
+        positions = np.repeat(drawn, k[drawn])
+        row_starts = np.cumsum(live_counts) - live_counts
+        flat = np.flatnonzero(mask)[row_starts[positions] + ranks]
+        return positions, flat - positions * mask.shape[1]
 
 
 class CounterStreams(StreamLayout):
@@ -561,6 +696,69 @@ class CounterStreams(StreamLayout):
         return philox_uniforms(key, first_row * width, count * width).reshape(
             count, width
         )
+
+    def integers(self, label, rows, need, high):
+        if not need.any():
+            return np.zeros(0, dtype=np.int64)
+        return self.site(label).integers(0, high, size=need.shape)[need]
+
+    def random(self, label, rows, need):
+        if not need.any():
+            return np.zeros(0, dtype=np.float64)
+        return self.site(label).random(need.shape)[need]
+
+    def poisson(self, label, rows, lam, draws):
+        return self.site(label).poisson(lam, size=(draws, rows.size)).astype(np.int64)
+
+    def binomial(self, label, rows, counts, p):
+        return self.site(label).binomial(counts, p).astype(np.int64)
+
+    def removal_counts(self, label, rows, counts, k):
+        """Binary splitting: the removals falling in the left half of a
+        node segment are hypergeometric in (left-half tasks, right-half
+        tasks, segment removals), down to single nodes. Segments at one
+        depth share one ``hypergeometric`` call over ``(rows,
+        segments)``, so the draw costs ``ceil(log2 n)`` calls."""
+        num_rows, num_nodes = counts.shape
+        removal = np.zeros((num_rows, num_nodes), dtype=np.int64)
+        if not np.any(k):
+            return removal
+        gen = self.site(label)
+        prefix = np.zeros((num_rows, num_nodes + 1), dtype=np.int64)
+        np.cumsum(counts, axis=1, out=prefix[:, 1:])
+        starts = np.array([0], dtype=np.int64)
+        ends = np.array([num_nodes], dtype=np.int64)
+        k_segments = np.asarray(k, dtype=np.int64)[:, None]
+        while True:
+            leaves = ends - starts == 1
+            if np.any(leaves):
+                removal[:, starts[leaves]] = k_segments[:, leaves]
+            if np.all(leaves):
+                return removal
+            starts = starts[~leaves]
+            ends = ends[~leaves]
+            k_segments = k_segments[:, ~leaves]
+            mids = (starts + ends) // 2
+            left_total = prefix[:, mids] - prefix[:, starts]
+            right_total = prefix[:, ends] - prefix[:, mids]
+            left_draw = gen.hypergeometric(left_total, right_total, k_segments)
+            starts = np.column_stack([starts, mids]).reshape(-1)
+            ends = np.column_stack([mids, ends]).reshape(-1)
+            k_segments = np.stack(
+                [left_draw, k_segments - left_draw], axis=2
+            ).reshape(num_rows, -1)
+
+    def subset(self, label, rows, mask, k):
+        """Random-key selection: i.i.d. uniform keys on the true slots,
+        the ``k[p]`` smallest of each row win, in key order."""
+        if not np.any(k):
+            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+        keys = self.site(label).random(mask.shape)
+        keys[~mask] = np.inf  # dead slots never selected
+        order = np.argsort(keys, axis=1)
+        chosen = np.arange(mask.shape[1]) < np.asarray(k, dtype=np.int64)[:, None]
+        positions, ranks = np.nonzero(chosen)
+        return positions, order[positions, ranks]
 
 
 def make_streams(policy: str, seed: SeedLike, num_replicas: int) -> StreamLayout:

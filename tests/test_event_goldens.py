@@ -178,8 +178,8 @@ GOLDEN: dict[str, list[list]] = {
         ["e50415d9bc377ae6", "1bedb0567da090ac", None],
     ],
     "departure/weighted/counter": [
-        ["c942788e99fb60f8", "f1e7278f584e8ef4", 1],
-        ["97d5e131c6672929", "502cad04281270a4", 1],
+        ["c942788e99fb60f8", "ae400eb17e652932", 1],
+        ["97d5e131c6672929", "99d9f38a14ac2c58", 1],
         ["3a39a6e1500cdab2", "4672fdd0a5c8304f", 1],
     ],
     "churn/uniform/spawned": [
@@ -198,8 +198,8 @@ GOLDEN: dict[str, list[list]] = {
         ["265f4b9ad3b6bb17", "b2fce40698e1671a", None],
     ],
     "churn/weighted/counter": [
-        ["3bf83ee4bd84844a", "bf7d9f1456849e1c", 3],
-        ["96518c094803898a", "3c4adaadcb7cd8e4", 3],
+        ["3bf83ee4bd84844a", "2793ad5190730c1e", 3],
+        ["96518c094803898a", "1fe35c89ca92ec3e", 3],
         ["9578c0b735ccccc2", "1894d047e99c46b4", 3],
     ],
     "churn-targeted/uniform/spawned": [
@@ -218,9 +218,9 @@ GOLDEN: dict[str, list[list]] = {
         ["fa585168bf27f10e", "82eb71200d65012a", None],
     ],
     "churn-targeted/weighted/counter": [
-        ["4782373b468e7198", "7e9be988390dcf24", 2],
+        ["4782373b468e7198", "e85786e082a57038", 2],
         ["8dea18975fd46e06", "000a9dbced2bdc6b", 2],
-        ["b8f06a53073612b8", "40bffedfff1f4a36", 2],
+        ["b8f06a53073612b8", "a8fe4ce196d84602", 2],
     ],
     "shock/uniform/spawned": [
         ["598b7d27e27a0cde", "30d351028691e402", None],
@@ -258,9 +258,9 @@ GOLDEN: dict[str, list[list]] = {
         ["d53a0096988003c7", "46f52f643ea801da", None],
     ],
     "drain/weighted/counter": [
-        ["ad9f8a6960b19b2e", "2351f7469a850ac3", 1],
-        ["ad9f8a6960b19b2e", "46f52f643ea801da", 0],
-        ["ad9f8a6960b19b2e", "46f52f643ea801da", 0],
+        ["a52b684d85a07352", "2351f7469a850ac3", 1],
+        ["a52b684d85a07352", "46f52f643ea801da", 0],
+        ["a52b684d85a07352", "46f52f643ea801da", 0],
     ],
     "outage/uniform/spawned": [
         ["5c4ccfad6d272b80", "b8dcc1d16536ade8", None],
@@ -278,9 +278,9 @@ GOLDEN: dict[str, list[list]] = {
         ["de1a3079e889837b", "46f52f643ea801da", None],
     ],
     "outage/weighted/counter": [
-        ["fd503a45144a82e4", "1adac50d9064c294", 1],
-        ["7aa8ddde352061f6", "46f52f643ea801da", 0],
-        ["858369249e5a3f38", "46f52f643ea801da", 0],
+        ["79ea9335ef74aff9", "1adac50d9064c294", 1],
+        ["aaa38287b0c2b154", "46f52f643ea801da", 0],
+        ["f9038236fdc4c4a0", "46f52f643ea801da", 0],
     ],
 }
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.potentials import psi0_potential, psi1_potential
-from repro.errors import ModelError
+from repro.errors import ModelError, SpeedError
 from repro.model.batch import BatchUniformState, BatchWeightedState
 from repro.model.state import UniformState, WeightedState
 
@@ -423,3 +423,15 @@ class TestScenarioMutationApis:
         assert batch.speeds[0] == 2.0
         with pytest.raises(Exception):
             batch.rescale_speed(0, -1.0)
+
+    @pytest.mark.parametrize("factor", [float("inf"), 1e308])
+    def test_rescale_speed_to_non_finite_rejected(self, factor):
+        for batch in (
+            BatchUniformState(np.array([[5, 0], [1, 1]]), [10.0, 1.0]),
+            BatchWeightedState.from_states(
+                [WeightedState([0, 1], [0.5, 0.5], [10.0, 1.0])]
+            ),
+        ):
+            with pytest.raises(SpeedError, match="non-finite"):
+                batch.rescale_speed(0, factor)
+            assert batch.speeds[0] == 10.0

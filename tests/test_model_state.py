@@ -49,6 +49,16 @@ class TestUniformState:
         with pytest.raises(Exception):
             UniformState([1, 2], [1.0])
 
+    @pytest.mark.parametrize("factor", [float("inf"), 1e308])
+    def test_rescale_speed_to_non_finite_rejected(self, factor):
+        for state in (
+            UniformState([1, 2], [10.0, 1.0]),
+            WeightedState([0, 1], [0.5, 0.5], [10.0, 1.0]),
+        ):
+            with pytest.raises(SpeedError, match="non-finite"):
+                state.rescale_speed(0, factor)
+            assert state.speeds[0] == 10.0
+
     def test_empty_rejected(self):
         with pytest.raises(ModelError):
             UniformState([], [])

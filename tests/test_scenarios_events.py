@@ -185,6 +185,11 @@ class TestSpeedChange:
         with pytest.raises(ValidationError):
             SpeedChange(0, 0.0)
 
+    @pytest.mark.parametrize("factor", [float("inf"), float("nan")])
+    def test_non_finite_factor_rejected(self, factor):
+        with pytest.raises(ValidationError, match="finite"):
+            SpeedChange(0, factor)
+
 
 class TestNodeDrain:
     def test_drains_to_neighbours(self, rng):
@@ -251,6 +256,16 @@ class TestPoissonChurn:
     def test_rate_validated(self):
         with pytest.raises(ValidationError):
             PoissonChurnEvent(-1.0)
+
+    @pytest.mark.parametrize("rate", [float("inf"), float("nan"), 1e30, 9.3e18])
+    def test_rate_beyond_poisson_limit_rejected(self, rate):
+        """Rates numpy's Poisson sampler refuses fail at construction,
+        not with a bare ``lam value too large`` mid-run."""
+        with pytest.raises(ValidationError, match="finite"):
+            PoissonChurnEvent(rate)
+
+    def test_rate_at_poisson_limit_accepted(self):
+        assert PoissonChurnEvent(9.2e18).rate == 9.2e18
 
 
 class TestBatchScalarPathwise:
