@@ -239,6 +239,11 @@ def philox_uniforms(key: np.ndarray, start_word: int, count: int) -> np.ndarray:
     return out
 
 
+def _concat(parts: list[np.ndarray], dtype) -> np.ndarray:
+    """``np.concatenate(parts)``, or an empty ``dtype`` array."""
+    return np.concatenate(parts) if parts else np.zeros(0, dtype=dtype)
+
+
 class StreamLayout:
     """Per-replica randomness layout for one batched ensemble run.
 
@@ -248,28 +253,18 @@ class StreamLayout:
     holds one generator per replica, :class:`CounterStreams` one keyed
     Philox generator per (round, draw site).
 
-    Scenario events draw through six sampling primitives, each one draw
-    site for the rows of a stack it is handed (``rows`` are replica
-    indices, row ``p`` of every block belongs to replica ``rows[p]``):
-
-    * :meth:`integers` / :meth:`random` — values at the true cells of a
-      ``(len(rows), W)`` need-mask, row-major;
-    * :meth:`poisson` — a ``(draws, len(rows))`` block;
-    * :meth:`binomial` — one draw per cell of a ``(len(rows), n)`` count
-      block;
-    * :meth:`removal_counts` — per-node counts of ``k[p]`` tasks removed
-      uniformly without replacement from each row's node counts;
-    * :meth:`subset` — uniform ``k[p]``-subsets of each row's live slots.
-
-    The spawned implementations make, replica by replica, exactly the
-    calls the scalar events make against one state, so a batched event
-    that calls the primitives in its scalar draw order stays pathwise
-    identical to the scalar reference. The counter implementations draw
-    one block from one :meth:`site` per call. :meth:`integers`,
-    :meth:`random`, :meth:`removal_counts` and :meth:`subset` take no
-    site when they have nothing to draw. Only the protocol kernels,
-    which lay their rounds out differently per policy, dispatch on
-    :attr:`policy`.
+    Scenario events draw through six sampling primitives —
+    :meth:`integers`, :meth:`random`, :meth:`poisson`, :meth:`binomial`,
+    :meth:`removal_counts` and :meth:`subset` — each one draw site over a
+    block of stack rows (row ``p`` belongs to replica ``rows[p]``). The
+    spawned implementations make, replica by replica, exactly the calls
+    the scalar events make against one state, so a batched event that
+    calls them in its scalar draw order stays pathwise identical to the
+    scalar reference. The counter implementations draw one block from
+    one :meth:`site` per call; :meth:`integers`, :meth:`random`,
+    :meth:`removal_counts` and :meth:`subset` take no site when they have
+    nothing to draw. Only the protocol kernels, which lay their rounds
+    out differently per policy, dispatch on :attr:`policy`.
 
     ``len(layout)`` is the replica count, so layouts satisfy the same
     one-generator-per-replica arity checks as a raw generator list.
@@ -346,7 +341,9 @@ class StreamLayout:
         replica ``rows[p]``'s ``draws`` scalar draws in order."""
         raise NotImplementedError
 
-    def binomial(self, label: str, rows: IntArray, counts: IntArray, p: float) -> IntArray:
+    def binomial(
+        self, label: str, rows: IntArray, counts: IntArray, p: float
+    ) -> IntArray:
         """Binomial(``counts``, ``p``) draws of a ``(len(rows), n)``
         count block (scalar call: ``binomial(counts_row, p)``)."""
         raise NotImplementedError
@@ -419,31 +416,25 @@ class SpawnedStreams(StreamLayout):
         """The per-replica generators, replica-indexed."""
         return self._generators
 
-    def _row_draws(self, rows: IntArray, sizes: IntArray, draw, dtype) -> np.ndarray:
-        """``draw(generator, size)`` per row with a positive size,
-        concatenated in row order."""
-        drawn = [
-            draw(self._generators[replica], size)
-            for replica, size in zip(rows.tolist(), sizes.tolist())
+    def _row_calls(self, rows: IntArray, need: np.ndarray):
+        """``(generator, size)`` of each row with a true ``need`` cell."""
+        sizes = np.count_nonzero(need, axis=1).tolist()
+        generators = self._generators
+        return [
+            (generators[replica], size)
+            for replica, size in zip(rows.tolist(), sizes)
             if size
         ]
-        return np.concatenate(drawn) if drawn else np.zeros(0, dtype=dtype)
 
     def integers(self, label, rows, need, high):
-        return self._row_draws(
-            rows,
-            np.count_nonzero(need, axis=1),
-            lambda generator, size: generator.integers(0, high, size=size),
-            np.int64,
+        calls = self._row_calls(rows, need)
+        return _concat(
+            [gen.integers(0, high, size=size) for gen, size in calls], np.int64
         )
 
     def random(self, label, rows, need):
-        return self._row_draws(
-            rows,
-            np.count_nonzero(need, axis=1),
-            lambda generator, size: generator.random(size),
-            np.float64,
-        )
+        calls = self._row_calls(rows, need)
+        return _concat([gen.random(size) for gen, size in calls], np.float64)
 
     def poisson(self, label, rows, lam, draws):
         per_row = [
@@ -475,13 +466,15 @@ class SpawnedStreams(StreamLayout):
         # of the mask plus per-row offsets.
         live_counts = np.count_nonzero(mask, axis=1)
         drawn = np.flatnonzero(k)
-        ranks = [
-            self._generators[replica].choice(live, size=size, replace=False)
-            for replica, live, size in zip(
-                rows[drawn].tolist(), live_counts[drawn].tolist(), k[drawn].tolist()
-            )
-        ]
-        ranks = np.concatenate(ranks) if ranks else np.zeros(0, dtype=np.int64)
+        ranks = _concat(
+            [
+                self._generators[replica].choice(live, size=size, replace=False)
+                for replica, live, size in zip(
+                    rows[drawn].tolist(), live_counts[drawn].tolist(), k[drawn].tolist()
+                )
+            ],
+            np.int64,
+        )
         positions = np.repeat(drawn, k[drawn])
         row_starts = np.cumsum(live_counts) - live_counts
         flat = np.flatnonzero(mask)[row_starts[positions] + ranks]

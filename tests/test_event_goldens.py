@@ -7,11 +7,12 @@ streams, the number of draw sites the application consumed. A swapped
 draw site, a reordered draw or a changed summation order moves a
 digest, where the invariant checks of ``test_scenarios_events.py`` pass.
 
-Regenerate the table after a deliberate change with::
+After a deliberate change, print the new table with::
 
     PYTHONPATH=src python tests/test_event_goldens.py
 
-and say in CHANGES.md which entries moved and why.
+paste it over ``GOLDEN`` and say in CHANGES.md which entries moved and
+why.
 """
 
 from __future__ import annotations
@@ -67,7 +68,9 @@ def _stack(kind: str):
     """
     rngs = spawn_rngs(11, NUM_REPLICAS)
     if kind == "uniform":
-        counts = np.stack([np.bincount(r.integers(0, 4, 40), minlength=4) for r in rngs])
+        counts = np.stack(
+            [np.bincount(r.integers(0, 4, 40), minlength=4) for r in rngs]
+        )
         counts[3] = 0
         return BatchUniformState(counts, np.ones(4))
     states = [

@@ -356,3 +356,89 @@ class TestCounterStreamWindows:
             CounterStreams(9, 3, replica_offset=-1)
         with pytest.raises(ValidationError):
             CounterStreams(9, 5, replica_offset=4, total_replicas=8)
+
+
+class TestSamplingPrimitives:
+    """The six event primitives: spawned makes each replica's scalar
+    calls, counter draws one block per call from one site."""
+
+    ROWS = np.array([0, 2, 3])
+    NEED = np.array(
+        [[True, True, False], [False, False, False], [True, True, True]]
+    )
+
+    @staticmethod
+    def _counter(round_index=0):
+        streams = CounterStreams(5, 4)
+        streams.begin_round(round_index)
+        return streams
+
+    def test_spawned_integers_and_random_are_the_scalar_calls(self):
+        streams = SpawnedStreams(seed=3, num_replicas=4)
+        reference = spawn_rngs(3, 4)
+        np.testing.assert_array_equal(
+            streams.integers("arrival", self.ROWS, self.NEED, 7),
+            np.concatenate(
+                [
+                    reference[0].integers(0, 7, size=2),
+                    reference[3].integers(0, 7, size=3),
+                ]
+            ),
+        )
+        np.testing.assert_array_equal(
+            streams.random("shock", self.ROWS, self.NEED),
+            np.concatenate([reference[0].random(2), reference[3].random(3)]),
+        )
+
+    def test_spawned_poisson_columns_are_each_replicas_draws(self):
+        streams = SpawnedStreams(seed=3, num_replicas=4)
+        block = streams.poisson("churn", self.ROWS, 4.0, 2)
+        reference = spawn_rngs(3, 4)
+        expected = [[reference[r].poisson(4.0) for _ in range(2)] for r in self.ROWS]
+        np.testing.assert_array_equal(block, np.array(expected).T)
+
+    def test_spawned_removal_counts_skip_the_draw_when_clearing(self):
+        streams = SpawnedStreams(seed=3, num_replicas=4)
+        counts = np.array([[2, 1, 0], [0, 0, 0], [4, 4, 4]])
+        k = np.array([3, 0, 5])
+        removal = streams.removal_counts("departure", self.ROWS, counts, k)
+        np.testing.assert_array_equal(removal[:2], [[2, 1, 0], [0, 0, 0]])
+        assert removal[2].sum() == 5
+        # Rows 0 and 2 drew nothing: their generators are untouched.
+        fresh = spawn_rngs(3, 4)
+        assert streams[0].random() == fresh[0].random()
+        assert streams[2].random() == fresh[2].random()
+
+    def test_subset_returns_distinct_live_slots_in_row_order(self):
+        mask = np.array([[True, False, True, True], [False, True, True, False]])
+        k = np.array([2, 1])
+        for streams in (SpawnedStreams(seed=3, num_replicas=4), self._counter()):
+            positions, slots = streams.subset("departure", np.array([1, 3]), mask, k)
+            np.testing.assert_array_equal(positions, [0, 0, 1])
+            assert mask[positions, slots].all()
+            assert len(set(zip(positions.tolist(), slots.tolist()))) == 3
+
+    def test_counter_integers_mask_a_rectangular_block(self):
+        values = self._counter().integers("arrival", self.ROWS, self.NEED, 7)
+        block = self._counter().site("arrival").integers(0, 7, size=self.NEED.shape)
+        np.testing.assert_array_equal(values, block[self.NEED])
+
+    def test_counter_poisson_block_is_sequential_draws_of_one_site(self):
+        block = self._counter().poisson("churn", self.ROWS, 4.0, 2)
+        generator = self._counter().site("churn")
+        np.testing.assert_array_equal(
+            block, [generator.poisson(4.0, size=3), generator.poisson(4.0, size=3)]
+        )
+
+    def test_counter_takes_no_site_when_nothing_is_drawn(self):
+        streams = self._counter()
+        nothing = np.zeros((3, 4), dtype=bool)
+        zero = np.zeros(3, dtype=np.int64)
+        assert streams.integers("arrival", self.ROWS, nothing, 7).size == 0
+        assert streams.random("shock", self.ROWS, nothing).size == 0
+        ones = np.ones((3, 4), dtype=np.int64)
+        assert not streams.removal_counts("departure", self.ROWS, ones, zero).any()
+        assert streams.subset("departure", self.ROWS, ~nothing, zero)[0].size == 0
+        assert streams._site_sequence == 0
+        streams.binomial("shock", self.ROWS, ones, 0.5)
+        assert streams._site_sequence == 1
