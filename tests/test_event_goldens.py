@@ -6,6 +6,8 @@ state arrays, a digest of the five outcome arrays and, for counter
 streams, the number of draw sites the application consumed. A swapped
 draw site, a reordered draw or a changed summation order moves a
 digest, where the invariant checks of ``test_scenarios_events.py`` pass.
+The compiled trace events draw nothing, so their counter cases pin zero
+sites; they are also pinned applied to a proper subset of the rows.
 
 After a deliberate change, print the new table with::
 
@@ -26,12 +28,16 @@ from repro.graphs.generators import cycle_graph
 from repro.model.batch import BatchUniformState, BatchWeightedState
 from repro.model.state import WeightedState
 from repro.scenarios import (
+    AdversarialArrival,
     LoadShock,
     NodeDrain,
     NodeOutage,
     PoissonChurnEvent,
     TaskArrival,
     TaskDeparture,
+    TraceArrival,
+    TraceDeparture,
+    TraceRelocation,
 )
 from repro.utils.rng import CounterStreams, spawn_rngs
 
@@ -44,7 +50,15 @@ EVENTS = {
     "shock": LoadShock(0.5, node=0),
     "drain": NodeDrain(2),
     "outage": NodeOutage(1, residual_factor=0.5),
+    "trace-arrival": TraceArrival((2, 0, 2, 1), weight=0.5),
+    "trace-departure": TraceDeparture(9, start_node=2),
+    "trace-relocation": TraceRelocation(1, 0.3),
+    "adversarial": AdversarialArrival(4, weight=0.5),
 }
+#: Events that may apply to a subset of the rows and are pinned so too.
+TRACE_EVENTS = ("trace-arrival", "trace-departure", "trace-relocation", "adversarial")
+#: A proper, unsorted subset of the rows that includes the emptied replica.
+SUBSET = (4, 0, 3)
 STACKS = ("uniform", "weighted")
 POLICIES = ("spawned", "counter")
 APPLICATIONS = 3
@@ -95,7 +109,9 @@ def _state_arrays(batch) -> tuple:
     )
 
 
-def sample_path(event: str, stack: str, policy: str) -> list[list]:
+def sample_path(
+    event: str, stack: str, policy: str, replicas: tuple | None = None
+) -> list[list]:
     """``[state digest, outcome digest, sites]`` per application."""
     graph = cycle_graph(4)
     batch = _stack(stack)
@@ -107,7 +123,7 @@ def sample_path(event: str, stack: str, policy: str) -> list[list]:
     for round_index in range(APPLICATIONS):
         if policy == "counter":
             streams.begin_round(round_index)
-        outcome = EVENTS[event].apply_batch(batch, graph, streams)
+        outcome = EVENTS[event].apply_batch(batch, graph, streams, replicas)
         path.append(
             [
                 _digest(*_state_arrays(batch)),
@@ -285,6 +301,166 @@ GOLDEN: dict[str, list[list]] = {
         ["aaa38287b0c2b154", "46f52f643ea801da", 0],
         ["f9038236fdc4c4a0", "46f52f643ea801da", 0],
     ],
+    "trace-arrival/uniform/spawned": [
+        ["5f012b964e927e5c", "3e83c56c8fc0add7", None],
+        ["30556f739d5e84e2", "3e83c56c8fc0add7", None],
+        ["0b6ac657309b968c", "3e83c56c8fc0add7", None],
+    ],
+    "trace-arrival/uniform/spawned/subset": [
+        ["6401a10ebfaebe23", "968e3858508e6d70", None],
+        ["8c04d3c08d14d74d", "968e3858508e6d70", None],
+        ["596d3f0c451a5f5c", "968e3858508e6d70", None],
+    ],
+    "trace-arrival/uniform/counter": [
+        ["5f012b964e927e5c", "3e83c56c8fc0add7", 0],
+        ["30556f739d5e84e2", "3e83c56c8fc0add7", 0],
+        ["0b6ac657309b968c", "3e83c56c8fc0add7", 0],
+    ],
+    "trace-arrival/uniform/counter/subset": [
+        ["6401a10ebfaebe23", "968e3858508e6d70", 0],
+        ["8c04d3c08d14d74d", "968e3858508e6d70", 0],
+        ["596d3f0c451a5f5c", "968e3858508e6d70", 0],
+    ],
+    "trace-arrival/weighted/spawned": [
+        ["6685408fc9005b56", "7ff9a11eec816e1c", None],
+        ["ee3270619efdb530", "7ff9a11eec816e1c", None],
+        ["700c3a58281cec0a", "7ff9a11eec816e1c", None],
+    ],
+    "trace-arrival/weighted/spawned/subset": [
+        ["9ef3b932962ac6be", "780beb409187fa78", None],
+        ["bce13605b820fe30", "780beb409187fa78", None],
+        ["c7e9621b54447547", "780beb409187fa78", None],
+    ],
+    "trace-arrival/weighted/counter": [
+        ["6685408fc9005b56", "7ff9a11eec816e1c", 0],
+        ["ee3270619efdb530", "7ff9a11eec816e1c", 0],
+        ["700c3a58281cec0a", "7ff9a11eec816e1c", 0],
+    ],
+    "trace-arrival/weighted/counter/subset": [
+        ["9ef3b932962ac6be", "780beb409187fa78", 0],
+        ["bce13605b820fe30", "780beb409187fa78", 0],
+        ["c7e9621b54447547", "780beb409187fa78", 0],
+    ],
+    "trace-departure/uniform/spawned": [
+        ["ac3c83a2536e470e", "dd0b8425ccc134e8", None],
+        ["689998e15361e149", "dd0b8425ccc134e8", None],
+        ["f7ad12069a963a89", "dd0b8425ccc134e8", None],
+    ],
+    "trace-departure/uniform/spawned/subset": [
+        ["9365bb66182c9caa", "5afe9f9f28853beb", None],
+        ["9e47cebff989e3ca", "5afe9f9f28853beb", None],
+        ["99fa444390b8b731", "5afe9f9f28853beb", None],
+    ],
+    "trace-departure/uniform/counter": [
+        ["ac3c83a2536e470e", "dd0b8425ccc134e8", 0],
+        ["689998e15361e149", "dd0b8425ccc134e8", 0],
+        ["f7ad12069a963a89", "dd0b8425ccc134e8", 0],
+    ],
+    "trace-departure/uniform/counter/subset": [
+        ["9365bb66182c9caa", "5afe9f9f28853beb", 0],
+        ["9e47cebff989e3ca", "5afe9f9f28853beb", 0],
+        ["99fa444390b8b731", "5afe9f9f28853beb", 0],
+    ],
+    "trace-departure/weighted/spawned": [
+        ["e3b5a8cf88cac4dc", "f46ea6fc96cbcba8", None],
+        ["fe7a14483df2f127", "8b06f2098052b2d0", None],
+        ["d4ba4073a6a5217f", "82a001ec7f6ee51a", None],
+    ],
+    "trace-departure/weighted/spawned/subset": [
+        ["e9c66a4f54cae09f", "4feae0a24ee234ee", None],
+        ["2595c4f971db947f", "53fab1c707a4b8e4", None],
+        ["0056586cb7a005d5", "3286d373abcf2db9", None],
+    ],
+    "trace-departure/weighted/counter": [
+        ["e3b5a8cf88cac4dc", "f46ea6fc96cbcba8", 0],
+        ["fe7a14483df2f127", "8b06f2098052b2d0", 0],
+        ["d4ba4073a6a5217f", "82a001ec7f6ee51a", 0],
+    ],
+    "trace-departure/weighted/counter/subset": [
+        ["e9c66a4f54cae09f", "4feae0a24ee234ee", 0],
+        ["2595c4f971db947f", "53fab1c707a4b8e4", 0],
+        ["0056586cb7a005d5", "3286d373abcf2db9", 0],
+    ],
+    "trace-relocation/uniform/spawned": [
+        ["d258a0f1ba294c74", "72ac340a265dc48d", None],
+        ["ea7924dbff4fa78f", "b8dec8febffa4d50", None],
+        ["abd972df24f9d914", "608f63db228245d2", None],
+    ],
+    "trace-relocation/uniform/spawned/subset": [
+        ["0e2fb66dbb6ed59a", "eb865eb9b3f8bc2e", None],
+        ["7b106ee8ee34f948", "60b2d5bae9db4279", None],
+        ["9bc7a3c18649ed24", "319e753426576418", None],
+    ],
+    "trace-relocation/uniform/counter": [
+        ["d258a0f1ba294c74", "72ac340a265dc48d", 0],
+        ["ea7924dbff4fa78f", "b8dec8febffa4d50", 0],
+        ["abd972df24f9d914", "608f63db228245d2", 0],
+    ],
+    "trace-relocation/uniform/counter/subset": [
+        ["0e2fb66dbb6ed59a", "eb865eb9b3f8bc2e", 0],
+        ["7b106ee8ee34f948", "60b2d5bae9db4279", 0],
+        ["9bc7a3c18649ed24", "319e753426576418", 0],
+    ],
+    "trace-relocation/weighted/spawned": [
+        ["a3cadda32e300181", "b70d3474918ee407", None],
+        ["47a84ce5a70a7ab9", "b0f78d3d8ef96d54", None],
+        ["5deabbe7fd1be57a", "551c11c9e773cb95", None],
+    ],
+    "trace-relocation/weighted/spawned/subset": [
+        ["b1f3227b37ec2437", "eb865eb9b3f8bc2e", None],
+        ["28ec0882fb8f2681", "60b2d5bae9db4279", None],
+        ["4dcdc7dfc2d73c04", "319e753426576418", None],
+    ],
+    "trace-relocation/weighted/counter": [
+        ["a3cadda32e300181", "b70d3474918ee407", 0],
+        ["47a84ce5a70a7ab9", "b0f78d3d8ef96d54", 0],
+        ["5deabbe7fd1be57a", "551c11c9e773cb95", 0],
+    ],
+    "trace-relocation/weighted/counter/subset": [
+        ["b1f3227b37ec2437", "eb865eb9b3f8bc2e", 0],
+        ["28ec0882fb8f2681", "60b2d5bae9db4279", 0],
+        ["4dcdc7dfc2d73c04", "319e753426576418", 0],
+    ],
+    "adversarial/uniform/spawned": [
+        ["e73bc757a22f8830", "3e83c56c8fc0add7", None],
+        ["8234bb0e53044bae", "3e83c56c8fc0add7", None],
+        ["eeae23c49e9545a5", "3e83c56c8fc0add7", None],
+    ],
+    "adversarial/uniform/spawned/subset": [
+        ["2c40cc42ab89a741", "968e3858508e6d70", None],
+        ["38b166b5e359363b", "968e3858508e6d70", None],
+        ["6f06280156ab4453", "968e3858508e6d70", None],
+    ],
+    "adversarial/uniform/counter": [
+        ["e73bc757a22f8830", "3e83c56c8fc0add7", 0],
+        ["8234bb0e53044bae", "3e83c56c8fc0add7", 0],
+        ["eeae23c49e9545a5", "3e83c56c8fc0add7", 0],
+    ],
+    "adversarial/uniform/counter/subset": [
+        ["2c40cc42ab89a741", "968e3858508e6d70", 0],
+        ["38b166b5e359363b", "968e3858508e6d70", 0],
+        ["6f06280156ab4453", "968e3858508e6d70", 0],
+    ],
+    "adversarial/weighted/spawned": [
+        ["13643ecf91bc00d2", "7ff9a11eec816e1c", None],
+        ["ea2c5ae9e7b561aa", "7ff9a11eec816e1c", None],
+        ["98432d5fc21d99be", "7ff9a11eec816e1c", None],
+    ],
+    "adversarial/weighted/spawned/subset": [
+        ["d47cf00a610ad320", "780beb409187fa78", None],
+        ["50b254b39e750163", "780beb409187fa78", None],
+        ["02f18f3591c208a4", "780beb409187fa78", None],
+    ],
+    "adversarial/weighted/counter": [
+        ["13643ecf91bc00d2", "7ff9a11eec816e1c", 0],
+        ["ea2c5ae9e7b561aa", "7ff9a11eec816e1c", 0],
+        ["98432d5fc21d99be", "7ff9a11eec816e1c", 0],
+    ],
+    "adversarial/weighted/counter/subset": [
+        ["d47cf00a610ad320", "780beb409187fa78", 0],
+        ["50b254b39e750163", "780beb409187fa78", 0],
+        ["02f18f3591c208a4", "780beb409187fa78", 0],
+    ],
 }
 
 
@@ -293,6 +469,16 @@ GOLDEN: dict[str, list[list]] = {
 @pytest.mark.parametrize("event", EVENTS)
 def test_event_sample_path_is_pinned(event, stack, policy):
     assert sample_path(event, stack, policy) == GOLDEN[f"{event}/{stack}/{policy}"]
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("stack", STACKS)
+@pytest.mark.parametrize("event", TRACE_EVENTS)
+def test_trace_event_subset_sample_path_is_pinned(event, stack, policy):
+    assert (
+        sample_path(event, stack, policy, SUBSET)
+        == GOLDEN[f"{event}/{stack}/{policy}/subset"]
+    )
 
 
 def test_weighted_departures_reach_eight_per_row():
@@ -312,4 +498,9 @@ if __name__ == "__main__":
                 for application in sample_path(event, stack, policy):
                     print(f"        {application!r},".replace("'", '"'))
                 print("    ],")
+                if event in TRACE_EVENTS:
+                    print(f'    "{event}/{stack}/{policy}/subset": [')
+                    for application in sample_path(event, stack, policy, SUBSET):
+                        print(f"        {application!r},".replace("'", '"'))
+                    print("    ],")
     print("}")
