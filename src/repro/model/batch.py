@@ -389,10 +389,11 @@ class BatchUniformState(BatchStateBase):
     def adjust_counts(self, replicas: object, deltas: object) -> None:
         """Add signed per-node count deltas to the given replica rows.
 
-        The sanctioned mutation path for workload events
-        (:mod:`repro.scenarios` arrivals, departures, shocks): unlike
+        The checked public entry for count mutations: unlike
         :meth:`apply_flows` the row totals may change, but counts must
-        stay non-negative. The batched counterpart of
+        stay non-negative. It proves the delta shape, the replica range
+        and row uniqueness, then writes through :meth:`_shift_counts`.
+        The batched counterpart of
         :meth:`repro.model.state.UniformState.replace_counts`.
         """
         rows = np.asarray(replicas, dtype=np.int64)
@@ -408,12 +409,25 @@ class BatchUniformState(BatchStateBase):
             # Fancy-index assignment would keep only the last duplicate's
             # delta, silently dropping the others.
             raise ModelError("duplicate replica index in adjust_counts")
-        updated = self._counts[rows] + delta_array
-        if np.any(updated < 0):
+        self._shift_counts(rows, delta_array)
+
+    def _shift_counts(self, rows: IntArray, deltas: IntArray) -> None:
+        """Trusted in-place write: add ``deltas`` to the leading
+        ``deltas.shape[-1]`` node columns of ``rows``.
+
+        ``deltas`` is ``(rows.size, k)`` or one ``(k,)`` delta for every
+        row, with ``k <= n``. The caller has proved that ``rows`` are
+        unique and in range (the compiled trace events do it in
+        ``repro.scenarios.events._rows``); only the non-negativity of
+        the result is checked here, before anything is written.
+        """
+        width = deltas.shape[-1]
+        updated = self._counts[rows, :width] + deltas
+        if (updated < 0).any():
             raise ModelError(
                 "count deltas drove a node's task count negative"
             )
-        self._counts[rows] = updated
+        self._counts[rows, :width] = updated
 
     def __repr__(self) -> str:
         return (

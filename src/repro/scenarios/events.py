@@ -23,8 +23,17 @@ sampling primitives (:meth:`~repro.utils.rng.StreamLayout.integers`,
 site order, and then mutates the stack once per step with
 :meth:`~repro.model.batch.BatchUniformState.adjust_counts` /
 :meth:`~repro.model.batch.BatchWeightedState.add_tasks` /
-``remove_tasks`` / ``apply_moves``. Each event has one batched body;
-the policy shows only in what the primitives draw:
+``remove_tasks`` / ``apply_moves``. The compiled trace events
+(:class:`TraceArrival`, :class:`TraceDeparture`,
+:class:`TraceRelocation`, :class:`AdversarialArrival`) draw nothing and
+write a uniform stack through the trusted
+:meth:`~repro.model.batch.BatchUniformState._shift_counts` instead,
+which checks only that no count goes negative: ``_rows`` has proved the
+rows unique and in range, and each delta is bounded by construction (a
+bincount of range-checked targets, a scan that takes at most what a
+node holds, a floor quota, a fixed count at the argmax node). Each
+event has one batched body; the policy shows only in what the
+primitives draw:
 
 * **spawned** (a generator sequence or
   :class:`~repro.utils.rng.SpawnedStreams`): each primitive makes, for
@@ -46,6 +55,7 @@ the policy shows only in what the primitives draw:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -130,11 +140,16 @@ def _check_node(node: int, state: LoadStateBase | BatchStateBase) -> None:
 
 
 def _rows(batch: BatchStateBase, replicas: object | None) -> IntArray:
+    """The replica rows an application touches: all of them for
+    ``None``, else ``replicas`` proved in range and free of duplicates
+    (a duplicate would apply the event twice to one replica)."""
     if replicas is None:
         return np.arange(batch.num_replicas, dtype=np.int64)
     rows = np.asarray(replicas, dtype=np.int64)
     if rows.size and (rows.min() < 0 or rows.max() >= batch.num_replicas):
         raise ModelError("replica index out of range")
+    if np.unique(rows).shape[0] != rows.shape[0]:
+        raise ModelError("duplicate replica index")
     return rows
 
 
@@ -150,10 +165,7 @@ def _require_all_replicas(
     batch: BatchStateBase, replicas: object | None, event_name: str
 ) -> None:
     """Reject subset application for events touching shared stack state."""
-    rows = _rows(batch, replicas)
-    if rows.shape[0] != batch.num_replicas or np.unique(rows).shape[0] != (
-        batch.num_replicas
-    ):
+    if _rows(batch, replicas).shape[0] != batch.num_replicas:
         raise ModelError(
             f"{event_name} mutates the stack's shared speed vector and "
             "cannot apply to a subset of replicas; pass replicas=None"
@@ -905,27 +917,26 @@ class NetworkPartition(_TopologyEvent):
         return f"partition({len(self.nodes)} nodes isolated)"
 
 
-def _scan_removal(
-    counts: IntArray, count: int | IntArray, start_node: int
-) -> IntArray:
+def _scan_removal(counts: IntArray, count: int, start_node: int) -> IntArray:
     """Deterministic sweep removal over node counts.
 
     Scans nodes in index order starting at ``start_node`` (wrapping) and
     takes up to each node's available tasks until ``count`` are removed
     (or the system empties). Works on a scalar ``(n,)`` count vector or
-    a stacked ``(R, n)`` block with per-row ``count``; returns per-node
-    removal counts of the same shape. Pure function of the counts — no
+    each row of a stacked ``(R, n)`` block; returns ``(rows, n)``
+    per-node removal counts. Pure function of the counts — no
     randomness — so every replica under every RNG policy removes exactly
     the same number of tasks from the same nodes.
     """
     counts = np.atleast_2d(np.asarray(counts, dtype=np.int64))
-    num_rows, num_nodes = counts.shape
+    num_nodes = counts.shape[1]
     order = (np.arange(num_nodes) + start_node) % num_nodes
     available = counts[:, order]
-    cumulative = np.cumsum(available, axis=1)
-    wanted = np.atleast_1d(np.asarray(count, dtype=np.int64))[:, None]
-    take = np.clip(wanted - (cumulative - available), 0, available)
-    removal = np.zeros_like(counts)
+    cumulative = available.cumsum(axis=1)
+    # np.minimum(np.maximum(...)) is np.clip without its Python wrapper.
+    take = np.minimum(np.maximum(count - (cumulative - available), 0), available)
+    # ``order`` is a permutation, so every column is written.
+    removal = np.empty_like(counts)
     removal[:, order] = take
     return removal
 
@@ -960,29 +971,52 @@ class TraceArrival(Event):
     def count(self) -> int:
         return len(self.targets)
 
-    def _target_array(self, num_nodes: int) -> IntArray:
+    # The per-node delta and the target array are built once per event,
+    # each on first use; ``cached_property`` stores them in the instance
+    # ``__dict__``, beside the frozen fields, so equality and hashing
+    # still see only the fields. Uniform bodies use only the delta, so a
+    # uniform replay never holds a trace's target arrays.
+    @cached_property
+    def _additions(self) -> IntArray:
+        """Arrivals per node ``0..max(targets)``."""
+        additions = np.bincount(np.asarray(self.targets, dtype=np.int64))
+        additions.flags.writeable = False
+        return additions
+
+    @cached_property
+    def _targets(self) -> IntArray:
         targets = np.asarray(self.targets, dtype=np.int64)
-        if targets.size and int(targets.max()) >= num_nodes:
-            raise ModelError(
-                f"trace-arrival target {int(targets.max())} out of range "
-                f"[0, {num_nodes - 1}]"
-            )
+        targets.flags.writeable = False
         return targets
 
+    def __getstate__(self) -> dict:
+        # Pickle the fields only; a copy rebuilds the caches on first use.
+        return {
+            key: value
+            for key, value in self.__dict__.items()
+            if key not in ("_additions", "_targets")
+        }
+
+    def _check_targets(self, num_nodes: int) -> None:
+        if self._additions.size > num_nodes:
+            raise ModelError(
+                f"trace-arrival target {self._additions.size - 1} out of range "
+                f"[0, {num_nodes - 1}]"
+            )
+
     def apply(self, state, graph, rng) -> EventOutcome:
-        targets = self._target_array(state.num_nodes)
-        if targets.size == 0:
+        self._check_targets(state.num_nodes)
+        if self.count == 0:
             return EventOutcome()
         if isinstance(state, UniformState):
-            additions = np.bincount(targets, minlength=state.num_nodes).astype(
-                np.int64
-            )
-            state.replace_counts(state.counts + additions)
+            counts = state.counts.copy()
+            counts[: self._additions.size] += self._additions
+            state.replace_counts(counts)
             return EventOutcome(
                 tasks_added=self.count, weight_added=float(self.count)
             )
         if isinstance(state, WeightedState):
-            state.add_tasks(targets, np.full(targets.size, self.weight))
+            state.add_tasks(self._targets, np.full(self.count, self.weight))
             return EventOutcome(
                 tasks_added=self.count, weight_added=self.count * self.weight
             )
@@ -991,22 +1025,19 @@ class TraceArrival(Event):
     def apply_batch(self, batch, graph, rngs, replicas=None) -> BatchEventOutcome:
         outcome = BatchEventOutcome.zeros(batch.num_replicas)
         rows = _rows(batch, replicas)
-        targets = self._target_array(batch.num_nodes)
-        if targets.size == 0 or rows.size == 0:
+        self._check_targets(batch.num_nodes)
+        if self.count == 0 or rows.size == 0:
             return outcome
         if isinstance(batch, BatchUniformState):
-            additions = np.bincount(targets, minlength=batch.num_nodes).astype(
-                np.int64
-            )
-            batch.adjust_counts(rows, np.repeat(additions[None, :], rows.size, 0))
+            batch._shift_counts(rows, self._additions)
             outcome.tasks_added[rows] = self.count
             outcome.weight_added[rows] = float(self.count)
             return outcome
         if isinstance(batch, BatchWeightedState):
-            task_rows = np.repeat(rows, targets.size)
+            task_rows = np.repeat(rows, self.count)
             batch.add_tasks(
                 task_rows,
-                np.tile(targets, rows.size),
+                np.tile(self._targets, rows.size),
                 np.full(task_rows.shape[0], self.weight),
             )
             outcome.tasks_added[rows] = self.count
@@ -1082,7 +1113,7 @@ class TraceDeparture(Event):
             counts = batch.counts[rows]
             removal = _scan_removal(counts, self.count, self.start_node)
             gone = removal.sum(axis=1)
-            batch.adjust_counts(rows, -removal)
+            batch._shift_counts(rows, -removal)
             outcome.tasks_removed[rows] = gone
             outcome.weight_removed[rows] = gone.astype(np.float64)
             return outcome
@@ -1097,10 +1128,8 @@ class TraceDeparture(Event):
                 chosen = np.arange(mask.shape[1]) < k[:, None]
                 positions, ranks = np.nonzero(chosen)
                 slots = order[positions, ranks]
-                outcome.weight_removed[rows] = np.bincount(
-                    positions,
-                    weights=batch.task_weights[rows[positions], slots],
-                    minlength=rows.size,
+                outcome.weight_removed[rows] = _row_sums(
+                    batch.task_weights[rows[positions], slots], k
                 )
                 batch.remove_tasks(rows[positions], slots)
                 # Repack to dense prefix slots: the counter kernel
@@ -1197,7 +1226,7 @@ class TraceRelocation(Event):
             moved = grabbed.sum(axis=1)
             deltas = -grabbed
             deltas[:, self.node] += moved
-            batch.adjust_counts(rows, deltas)
+            batch._shift_counts(rows, deltas)
             outcome.tasks_relocated[rows] = moved
             return outcome
         if isinstance(batch, BatchWeightedState):
@@ -1301,7 +1330,7 @@ class AdversarialArrival(Event):
         if isinstance(batch, BatchUniformState):
             deltas = np.zeros((rows.size, batch.num_nodes), dtype=np.int64)
             deltas[np.arange(rows.size), targets] = self.count
-            batch.adjust_counts(rows, deltas)
+            batch._shift_counts(rows, deltas)
             outcome.tasks_added[rows] = self.count
             outcome.weight_added[rows] = float(self.count)
             return outcome

@@ -12,10 +12,12 @@ replica-stream randomness, so a replay is byte-identical across
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
-from repro.errors import ValidationError
+from repro.errors import ModelError, ValidationError
 from repro.graphs import complete_graph, torus_graph
 from repro.model import (
     BatchUniformState,
@@ -307,3 +309,78 @@ class TestDeterministicEventSemantics:
             batch.loads[0], batch.loads[1]
         )
         np.testing.assert_array_equal(scalar.loads, batch.loads[0])
+
+
+TRACE_EVENTS = [
+    TraceArrival(targets=(4, 0, 4, 2)),
+    TraceDeparture(count=9, start_node=3),
+    TraceRelocation(node=1, fraction=0.3),
+    AdversarialArrival(count=3),
+]
+TRACE_EVENT_IDS = ["arrival", "departure", "relocation", "adversarial"]
+
+
+class TestTrustedWrite:
+    """Compiled trace events write a uniform stack through the trusted
+    ``_shift_counts``; the rows and deltas it trusts are proved first."""
+
+    graph = complete_graph(5)
+
+    def test_out_of_range_target_raises_after_cache_filled_on_larger_graph(self):
+        event = TraceArrival(targets=(0, 5, 5))
+        event.apply_batch(BatchUniformState(np.ones((2, 8)), np.ones(8)), None, None)
+        small = BatchUniformState(np.ones((2, 4)), np.ones(4))
+        with pytest.raises(ModelError, match="out of range"):
+            event.apply_batch(small, None, None)
+        np.testing.assert_array_equal(small.counts, np.ones((2, 4)))
+        with pytest.raises(ModelError, match="out of range"):
+            event.apply(UniformState(np.ones(4, dtype=np.int64), np.ones(4)), None, None)
+        _, weighted = weighted_pair([0, 1, 2, 3], num_nodes=4)
+        with pytest.raises(ModelError, match="out of range"):
+            event.apply_batch(weighted, None, None)
+
+    @pytest.mark.parametrize("event", TRACE_EVENTS, ids=TRACE_EVENT_IDS)
+    def test_subset_application_equals_public_adjust_counts(self, event):
+        counts = np.random.default_rng(5).integers(0, 6, (4, 5))
+        trusted = BatchUniformState(counts, np.ones(5))
+        checked = trusted.copy()
+        rows = [3, 1]
+        event.apply_batch(trusted, self.graph, None, rows)
+        deltas = []
+        for row in rows:
+            state = checked.replica(row)
+            event.apply(state, self.graph, None)
+            deltas.append(state.counts - counts[row])
+        checked.adjust_counts(rows, np.array(deltas))
+        np.testing.assert_array_equal(trusted.counts, checked.counts)
+        np.testing.assert_array_equal(trusted.counts[[0, 2]], counts[[0, 2]])
+
+    def test_trusted_write_keeps_the_non_negativity_check(self):
+        batch = BatchUniformState(np.array([[1, 2, 3], [4, 5, 6]]), np.ones(3))
+        with pytest.raises(ModelError, match="negative"):
+            batch._shift_counts(np.array([1, 0]), np.array([-2, 0]))
+        np.testing.assert_array_equal(batch.counts, [[1, 2, 3], [4, 5, 6]])
+        batch._shift_counts(np.array([1]), np.array([-4, 1]))
+        np.testing.assert_array_equal(batch.counts, [[1, 2, 3], [0, 6, 6]])
+
+    @pytest.mark.parametrize("kind", ["uniform", "weighted"])
+    @pytest.mark.parametrize("event", TRACE_EVENTS, ids=TRACE_EVENT_IDS)
+    def test_duplicate_replicas_are_refused(self, event, kind):
+        if kind == "uniform":
+            batch = BatchUniformState(np.full((3, 5), 4), np.ones(5))
+        else:
+            batch = BatchWeightedState.from_states(
+                [WeightedState(np.arange(10) % 5, np.full(10, 0.5), np.ones(5))] * 3
+            )
+        before = batch.copy()
+        with pytest.raises(ModelError, match="duplicate replica"):
+            event.apply_batch(batch, self.graph, None, replicas=[0, 2, 0])
+        np.testing.assert_array_equal(batch.loads, before.loads)
+
+    def test_cached_arrays_do_not_reach_pickles_or_equality(self):
+        event = TraceArrival(targets=(2, 0, 2))
+        fresh = pickle.dumps(event)
+        event.apply_batch(BatchUniformState(np.ones((2, 3)), np.ones(3)), None, None)
+        assert pickle.dumps(event) == fresh
+        assert pickle.loads(fresh) == event
+        assert hash(pickle.loads(fresh)) == hash(event)
