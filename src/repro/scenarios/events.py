@@ -55,7 +55,6 @@ primitives draw:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -971,52 +970,29 @@ class TraceArrival(Event):
     def count(self) -> int:
         return len(self.targets)
 
-    # The per-node delta and the target array are built once per event,
-    # each on first use; ``cached_property`` stores them in the instance
-    # ``__dict__``, beside the frozen fields, so equality and hashing
-    # still see only the fields. Uniform bodies use only the delta, so a
-    # uniform replay never holds a trace's target arrays.
-    @cached_property
-    def _additions(self) -> IntArray:
-        """Arrivals per node ``0..max(targets)``."""
-        additions = np.bincount(np.asarray(self.targets, dtype=np.int64))
-        additions.flags.writeable = False
-        return additions
-
-    @cached_property
-    def _targets(self) -> IntArray:
+    def _target_array(self, num_nodes: int) -> IntArray:
         targets = np.asarray(self.targets, dtype=np.int64)
-        targets.flags.writeable = False
-        return targets
-
-    def __getstate__(self) -> dict:
-        # Pickle the fields only; a copy rebuilds the caches on first use.
-        return {
-            key: value
-            for key, value in self.__dict__.items()
-            if key not in ("_additions", "_targets")
-        }
-
-    def _check_targets(self, num_nodes: int) -> None:
-        if self._additions.size > num_nodes:
+        if targets.size and int(targets.max()) >= num_nodes:
             raise ModelError(
-                f"trace-arrival target {self._additions.size - 1} out of range "
+                f"trace-arrival target {int(targets.max())} out of range "
                 f"[0, {num_nodes - 1}]"
             )
+        return targets
 
     def apply(self, state, graph, rng) -> EventOutcome:
-        self._check_targets(state.num_nodes)
-        if self.count == 0:
+        targets = self._target_array(state.num_nodes)
+        if targets.size == 0:
             return EventOutcome()
         if isinstance(state, UniformState):
-            counts = state.counts.copy()
-            counts[: self._additions.size] += self._additions
-            state.replace_counts(counts)
+            additions = np.bincount(targets, minlength=state.num_nodes).astype(
+                np.int64
+            )
+            state.replace_counts(state.counts + additions)
             return EventOutcome(
                 tasks_added=self.count, weight_added=float(self.count)
             )
         if isinstance(state, WeightedState):
-            state.add_tasks(self._targets, np.full(self.count, self.weight))
+            state.add_tasks(targets, np.full(targets.size, self.weight))
             return EventOutcome(
                 tasks_added=self.count, weight_added=self.count * self.weight
             )
@@ -1025,19 +1001,20 @@ class TraceArrival(Event):
     def apply_batch(self, batch, graph, rngs, replicas=None) -> BatchEventOutcome:
         outcome = BatchEventOutcome.zeros(batch.num_replicas)
         rows = _rows(batch, replicas)
-        self._check_targets(batch.num_nodes)
-        if self.count == 0 or rows.size == 0:
+        targets = self._target_array(batch.num_nodes)
+        if targets.size == 0 or rows.size == 0:
             return outcome
         if isinstance(batch, BatchUniformState):
-            batch._shift_counts(rows, self._additions)
+            # Arrivals per node 0..max(targets): one delta for every row.
+            batch._shift_counts(rows, np.bincount(targets))
             outcome.tasks_added[rows] = self.count
             outcome.weight_added[rows] = float(self.count)
             return outcome
         if isinstance(batch, BatchWeightedState):
-            task_rows = np.repeat(rows, self.count)
+            task_rows = np.repeat(rows, targets.size)
             batch.add_tasks(
                 task_rows,
-                np.tile(self._targets, rows.size),
+                np.tile(targets, rows.size),
                 np.full(task_rows.shape[0], self.weight),
             )
             outcome.tasks_added[rows] = self.count
