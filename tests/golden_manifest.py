@@ -6,7 +6,17 @@
   registered experiment ``<id>`` under ``--rng <rng>`` (both policies),
   ``run_meta`` dropped (:func:`quick_json.digest`);
 * ``perfbench/<workload>/seed<seed>`` — the output digest of each
-  ``perfbench`` workload at its full size and seeds 1 and 7919.
+  ``perfbench`` workload at its full size and seeds 1 and 7919;
+* ``scenario/<tasks>/<run>`` — the sha256 of every field of one small
+  :class:`~repro.scenarios.ScenarioResult` or
+  :class:`~repro.scenarios.StreamingScenarioResult` (arrays with their
+  dtypes, the event log with ``psi0_after``, the spectral trace, the
+  streaming summaries and counters) for ``<tasks>`` in {uniform,
+  weighted} and ``<run>`` one of :data:`SCENARIO_RUNS`: the scalar
+  ``run``, spawned and counter batch ensembles, each fully recorded and
+  streamed, plus one spawned replica window. The schedule churns every
+  round and fires a shock, a speed change, an edge failure and an edge
+  recovery.
 
 ``tests/test_golden_manifest.py`` recomputes every entry in-process and
 lists the entries that moved. A change that moves an entry on purpose
@@ -19,14 +29,35 @@ and says in CHANGES.md which entries moved and why.
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import json
 import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import quick_json
 
+from repro.core.protocols import SelfishUniformProtocol, SelfishWeightedProtocol
+from repro.core.stopping import PotentialThresholdStop
 from repro.experiments.registry import available_experiments, run_experiment
+from repro.graphs.families import get_family
+from repro.model.placement import place_weighted_random, random_placement
+from repro.model.state import UniformState, WeightedState
+from repro.model.tasks import two_class_weights
+from repro.scenarios import (
+    EdgeFailure,
+    EdgeRecovery,
+    LoadShock,
+    PoissonChurnEvent,
+    ScenarioRunner,
+    Schedule,
+    SpeedChange,
+    StreamingRecording,
+    at,
+    every,
+)
 from repro.utils.serialization import to_json
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -36,6 +67,19 @@ from suite import WORKLOADS  # noqa: E402
 MANIFEST = Path(__file__).resolve().parent / "golden" / "manifest.json"
 RNG_POLICIES = ("spawned", "counter")
 PERFBENCH_SEEDS = (1, 7919)
+SCENARIO_TASKS = ("uniform", "weighted")
+SCENARIO_RUNS = (
+    "scalar-full",
+    "scalar-streaming",
+    "spawned-full",
+    "spawned-streaming",
+    "counter-full",
+    "counter-streaming",
+    "window-full",
+)
+SCENARIO_SEED = 2024
+SCENARIO_REPLICAS = 4
+SCENARIO_ROUNDS = 24
 
 
 def experiment_digest(experiment_id: str, rng_policy: str) -> str:
@@ -55,6 +99,104 @@ def perfbench_digest(workload: str, seed: int) -> str:
     return instance.digest(instance.call(*instance.fresh()))
 
 
+def _scenario_runner(tasks: str):
+    """A 4x4 torus under churn, a shock, a speed change and a link outage."""
+    graph = get_family("torus").make(16)
+    n = graph.num_vertices
+    speeds = np.where(np.arange(n) % 3 == 0, 2.0, 1.0)
+    if tasks == "uniform":
+        protocol = SelfishUniformProtocol()
+        target = PotentialThresholdStop(400.0)
+        churn = PoissonChurnEvent(2.0)
+
+        def factory(rng):
+            return UniformState(random_placement(n, 10 * n, rng), speeds)
+
+    else:
+        protocol = SelfishWeightedProtocol()
+        target = PotentialThresholdStop(15.0)
+        churn = PoissonChurnEvent(1.0, weight=0.5)
+        weights = two_class_weights(4 * n, heavy_fraction=0.25)
+
+        def factory(rng):
+            return WeightedState(place_weighted_random(4 * n, n, rng), weights, speeds)
+
+    schedule = Schedule(
+        [
+            every(1, churn),
+            at(5, LoadShock(0.5, node=0)),
+            at(8, SpeedChange(node=3, factor=2.0)),
+            at(10, EdgeFailure(fraction=0.25, seed=3)),
+            at(15, EdgeRecovery()),
+        ]
+    )
+    return ScenarioRunner(graph, protocol, schedule, target=target), factory
+
+
+def _fold(sha, value) -> None:
+    """Feed ``value`` (arrays with dtype and shape) into ``sha``."""
+    if dataclasses.is_dataclass(value):
+        for field in dataclasses.fields(value):
+            sha.update(field.name.encode())
+            _fold(sha, getattr(value, field.name))
+    elif isinstance(value, dict):
+        for key in sorted(value):
+            sha.update(str(key).encode())
+            _fold(sha, value[key])
+    elif isinstance(value, (list, tuple)):
+        sha.update(f"[{len(value)}]".encode())
+        for item in value:
+            _fold(sha, item)
+    elif isinstance(value, np.ndarray):
+        array = np.ascontiguousarray(value)
+        sha.update(f"{array.dtype.str}{array.shape}".encode())
+        sha.update(array.tobytes())
+    else:
+        sha.update(f"{type(value).__name__}:{value!r}".encode())
+
+
+def scenario_digest(tasks: str, run: str) -> str:
+    """Digest of every field of one scenario result (see module docstring)."""
+    runner, factory = _scenario_runner(tasks)
+    engine, mode = run.split("-")
+    recording = (
+        StreamingRecording(thin_every=3, chunk_rounds=4) if mode == "streaming" else None
+    )
+    if engine == "scalar":
+        state = factory(np.random.default_rng(SCENARIO_SEED))
+        result = runner.run(state, SCENARIO_ROUNDS, rng=SCENARIO_SEED, recording=recording)
+    elif engine == "window":
+        result = runner.run_ensemble(
+            factory,
+            SCENARIO_REPLICAS,
+            SCENARIO_ROUNDS,
+            seed=SCENARIO_SEED,
+            engine="batch",
+            replica_offset=1,
+            replica_count=2,
+        )
+    else:
+        result = runner.run_ensemble(
+            factory,
+            SCENARIO_REPLICAS,
+            SCENARIO_ROUNDS,
+            seed=SCENARIO_SEED,
+            engine="batch",
+            rng_policy=engine,
+            recording=recording,
+        )
+    fields = {
+        field.name: getattr(result, field.name)
+        for field in dataclasses.fields(result)
+        if field.name != "final_state"
+    }
+    final = result.final_state
+    fields["final_state"] = (type(final).__name__, np.asarray(final.loads), final.num_tasks)
+    sha = hashlib.sha256()
+    _fold(sha, fields)
+    return sha.hexdigest()[:16]
+
+
 def entry_names() -> list[str]:
     from_experiments = [
         f"experiment/{experiment_id}/{rng}"
@@ -66,7 +208,10 @@ def entry_names() -> list[str]:
         for workload in WORKLOADS
         for seed in PERFBENCH_SEEDS
     ]
-    return from_experiments + from_perfbench
+    from_scenarios = [
+        f"scenario/{tasks}/{run}" for tasks in SCENARIO_TASKS for run in SCENARIO_RUNS
+    ]
+    return from_experiments + from_perfbench + from_scenarios
 
 
 def compute(name: str) -> str:
@@ -74,6 +219,8 @@ def compute(name: str) -> str:
     kind, label, variant = name.split("/")
     if kind == "experiment":
         return experiment_digest(label, variant)
+    if kind == "scenario":
+        return scenario_digest(label, variant)
     return perfbench_digest(label, int(variant.removeprefix("seed")))
 
 
