@@ -279,45 +279,59 @@ def _event_record(event: TraceEvent) -> dict:
     return record
 
 
-def _event_from_record(record: dict, position: int) -> TraceEvent:
-    try:
-        kind = record["kind"]
-        round_index = int(record["round"])
-    except (KeyError, TypeError, ValueError) as error:
+def _json_number(value: object, what: str, integer: bool = False) -> int | float:
+    """``value`` as a JSON number; ``integer`` fields must be integral.
+
+    Strings, nulls, booleans and lists are refused, and so is ``2.7``
+    for a round or a count rather than being truncated.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"{what} must be a number, got {value!r}")
+    if not integer:
+        return float(value)
+    if isinstance(value, float) and not value.is_integer():
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+#: The record keys each event kind reads (absent keys take the
+#: :class:`TraceEvent` defaults).
+_KIND_FIELDS = {
+    "arrival": ("targets", "weight"),
+    "departure": ("count", "node"),
+    "relocation": ("node", "fraction"),
+    "adversarial": ("count", "weight"),
+}
+
+
+def _event_from_record(record: object, position: int) -> TraceEvent:
+    where = f"trace line {position}"
+    if not isinstance(record, dict) or "kind" not in record or "round" not in record:
         raise ValidationError(
-            f"trace line {position}: malformed event record ({error})"
-        ) from None
-    if kind == "arrival":
-        return TraceEvent(
-            round_index,
-            "arrival",
-            targets=tuple(int(t) for t in record.get("targets", ())),
-            weight=float(record.get("weight", 1.0)),
+            f"{where}: malformed event record (needs 'kind' and 'round')"
         )
-    if kind == "departure":
-        return TraceEvent(
-            round_index,
-            "departure",
-            count=int(record.get("count", 0)),
-            node=int(record.get("node", 0)),
-        )
-    if kind == "relocation":
-        return TraceEvent(
-            round_index,
-            "relocation",
-            node=int(record.get("node", 0)),
-            fraction=float(record.get("fraction", 0.0)),
-        )
-    if kind == "adversarial":
-        return TraceEvent(
-            round_index,
-            "adversarial",
-            count=int(record.get("count", 0)),
-            weight=float(record.get("weight", 1.0)),
-        )
-    raise ValidationError(
-        f"trace line {position}: unknown event kind {kind!r}"
-    )
+    kind = record["kind"]
+    if kind not in _KIND_FIELDS:
+        raise ValidationError(f"{where}: unknown event kind {kind!r}")
+    fields: dict = {}
+    for key in _KIND_FIELDS[kind]:
+        if key not in record:
+            continue
+        value = record[key]
+        if key == "targets":
+            if not isinstance(value, list):
+                raise ValidationError(
+                    f"{where}: 'targets' must be a list, got {value!r}"
+                )
+            value = tuple(_json_number(t, f"{where}: target", True) for t in value)
+        else:
+            value = _json_number(value, f"{where}: {key!r}", key in ("count", "node"))
+        fields[key] = value
+    round_index = _json_number(record["round"], f"{where}: 'round'", True)
+    try:
+        return TraceEvent(round_index, kind, **fields)
+    except ValidationError as error:
+        raise ValidationError(f"{where}: {error}") from None
 
 
 def save_trace(trace: WorkloadTrace, path: str | Path) -> Path:
@@ -364,15 +378,10 @@ def load_trace(path: str | Path) -> WorkloadTrace:
             f"trace file {path}: unsupported version {version!r} "
             f"(this reader handles version {TRACE_VERSION})"
         )
-    try:
-        num_nodes = int(header["num_nodes"])
-        horizon = int(header["horizon"])
-        seed = int(header["seed"])
-        initial_tasks = int(header["initial_tasks"])
-    except (KeyError, TypeError, ValueError) as error:
-        raise ValidationError(
-            f"trace file {path}: malformed header ({error})"
-        ) from None
+    num_nodes, horizon, seed, initial_tasks = (
+        _json_number(header.get(key), f"trace file {path}: header {key!r}", True)
+        for key in ("num_nodes", "horizon", "seed", "initial_tasks")
+    )
     events = []
     for position, line in enumerate(lines[1:], start=1):
         try:
@@ -383,7 +392,9 @@ def load_trace(path: str | Path) -> WorkloadTrace:
             ) from None
         events.append(_event_from_record(record, position))
     declared = header.get("num_events")
-    if declared is not None and int(declared) != len(events):
+    if declared is not None and len(events) != _json_number(
+        declared, f"trace file {path}: header 'num_events'", True
+    ):
         raise ValidationError(
             f"trace file {path}: header declares {declared} events, "
             f"found {len(events)}"

@@ -256,3 +256,58 @@ class TestFileFormat:
         path.write_text("\n".join(lines[:-1]) + "\n")
         with pytest.raises(ValidationError):
             load_trace(path)
+
+
+def _write_trace(path, event: dict, **header) -> None:
+    head = {
+        "format": TRACE_FORMAT,
+        "version": TRACE_VERSION,
+        "num_nodes": 4,
+        "horizon": 10,
+        "seed": 0,
+        "initial_tasks": 5,
+        **header,
+    }
+    path.write_text(json.dumps(head) + "\n" + json.dumps(event) + "\n")
+
+
+class TestMalformedFields:
+    @pytest.mark.parametrize(
+        "event, header",
+        [
+            ({"round": 1, "kind": "departure", "count": "abc"}, {}),
+            ({"round": 1, "kind": "arrival", "targets": [0], "weight": None}, {}),
+            ({"round": 1, "kind": "arrival", "targets": 5}, {}),
+            ({"round": 1, "kind": "arrival", "targets": ["x"]}, {}),
+            ({"round": 1, "kind": "relocation", "node": 0, "fraction": "x"}, {}),
+            ({"round": 2.7, "kind": "departure", "count": 1}, {}),
+            ({"round": 1, "kind": "departure", "count": 1.9}, {}),
+            ({"round": 1, "kind": "departure", "count": -1}, {}),
+            ({"round": 1, "kind": "departure", "count": 1}, {"num_events": "x"}),
+            ({"round": 1, "kind": "departure", "count": 1}, {"horizon": 10.5}),
+        ],
+        ids=[
+            "count-abc",
+            "weight-null",
+            "targets-int",
+            "targets-str",
+            "fraction-str",
+            "round-float",
+            "count-float",
+            "count-negative",
+            "num-events-str",
+            "horizon-float",
+        ],
+    )
+    def test_refused_with_validation_error(self, tmp_path, event, header):
+        path = tmp_path / "bad.jsonl"
+        _write_trace(path, event, **header)
+        with pytest.raises(ValidationError, match="trace"):
+            load_trace(path)
+
+    def test_integral_floats_load_as_ints(self, tmp_path):
+        path = tmp_path / "ok.jsonl"
+        _write_trace(path, {"round": 2.0, "kind": "departure", "count": 1.0})
+        (event,) = load_trace(path).events
+        assert (event.round_index, event.count) == (2, 1)
+        assert isinstance(event.round_index, int) and isinstance(event.count, int)
