@@ -47,21 +47,15 @@ from typing import Callable
 import numpy as np
 
 from repro.analysis.statistics import SampleSummary, summarize
-from repro.core.batch import BatchSimulator
-from repro.core.flows import default_alpha
+from repro.core.batch import BatchSimulator, _plan_ensemble
 from repro.core.protocols import Protocol
 from repro.core.simulator import Simulator
 from repro.core.stopping import StoppingRule
-from repro.errors import ValidationError
 from repro.graphs.graph import Graph
 from repro.model.state import LoadStateBase
 from repro.types import SeedLike
-from repro.utils.rng import CounterStreams, check_rng_policy, spawn_rngs
 
 __all__ = ["ConvergenceMeasurement", "measure_convergence_rounds"]
-
-_ENGINES = ("auto", "batch", "scalar")
-
 
 @dataclass(frozen=True)
 class ConvergenceMeasurement:
@@ -114,33 +108,6 @@ class ConvergenceMeasurement:
         if self.summary is None:
             return float("nan")
         return self.summary.mean
-
-
-def _batch_state_class(protocol: Protocol) -> type | None:
-    """The replica-stack type the protocol's batched kernel advances."""
-    getter = getattr(protocol, "batch_state_class", None)
-    return getter() if getter is not None else None
-
-
-def _batch_stackable(protocol: Protocol, states: list[LoadStateBase]) -> bool:
-    """Whether the repetitions can be stacked through the batch engine."""
-    if not getattr(protocol, "supports_batch", False):
-        return False
-    batch_cls = _batch_state_class(protocol)
-    return batch_cls is not None and bool(batch_cls.can_stack(states))
-
-
-def _same_law_as_scalar(protocol: Protocol, states: list[LoadStateBase]) -> bool:
-    """Whether batched and scalar kernels sample the identical law.
-
-    With ``alpha >= 4 s_max`` no probability clipping can occur and the
-    kernels are distribution-identical. Below that (ablation alphas) the
-    scalar kernel truncates the binomial chain slot by slot while the
-    batched kernel rescales the whole per-node distribution, so
-    ``engine="auto"`` stays on the scalar reference there.
-    """
-    s_max = float(states[0].speeds.max())
-    return protocol.resolve_alpha(states[0]) >= default_alpha(s_max) - 1e-12
 
 
 def measure_convergence_rounds(
@@ -212,71 +179,25 @@ def measure_convergence_rounds(
         weighted kernels clip per task exactly as the scalar kernel
         does, so weighted runs batch in every regime.
     """
-    if repetitions < 1:
-        raise ValidationError(f"repetitions must be >= 1, got {repetitions}")
-    if engine not in _ENGINES:
-        raise ValidationError(f"engine must be one of {_ENGINES}, got {engine!r}")
-    check_rng_policy(rng_policy)
-    if rng_policy == "counter" and engine == "scalar":
-        raise ValidationError(
-            "rng_policy='counter' is a batch-engine stream layout; the "
-            "scalar reference always consumes spawned streams"
-        )
-    if replica_offset < 0:
-        raise ValidationError(
-            f"replica_offset must be non-negative, got {replica_offset}"
-        )
-    count = repetitions - replica_offset if replica_count is None else replica_count
-    if count < 1:
-        raise ValidationError(f"replica_count must be >= 1, got {count}")
-    if replica_offset + count > repetitions:
-        raise ValidationError(
-            f"replica window [{replica_offset}, {replica_offset + count}) "
-            f"exceeds repetitions={repetitions}"
-        )
-    generators = spawn_rngs(seed, count, offset=replica_offset)
-    states = [state_factory(rng) for rng in generators]
-
-    stackable = _batch_stackable(protocol, states)
-    if (engine == "batch" or rng_policy == "counter") and not stackable:
-        raise ValidationError(
-            "engine='batch' (and rng_policy='counter') requires a "
-            "batch-capable protocol and states that stack into its "
-            "replica layout (one node count, one shared speed vector); "
-            "use engine='auto' with rng_policy='spawned' to fall back "
-            "automatically"
-        )
-    use_batch = (
-        engine == "batch"
-        or rng_policy == "counter"
-        or (
-            engine == "auto"
-            and stackable
-            and (
-                getattr(protocol, "batch_matches_clipped_law", False)
-                or _same_law_as_scalar(protocol, states)
-            )
-        )
+    generators, states, stack = _plan_ensemble(
+        protocol,
+        state_factory,
+        repetitions,
+        seed,
+        engine,
+        rng_policy,
+        replica_offset,
+        replica_count,
     )
-
-    if use_batch:
-        batch = _batch_state_class(protocol).from_states(states)  # type: ignore[union-attr]
-        simulator = BatchSimulator(graph, protocol)
-        if rng_policy == "counter":
-            rngs: object = CounterStreams(
-                seed,
-                count,
-                replica_offset=replica_offset,
-                total_replicas=repetitions,
-            )
-        else:
-            rngs = generators
-        result = simulator.run(
+    count = len(generators)
+    if stack is not None:
+        batch, streams = stack
+        result = BatchSimulator(graph, protocol).run(
             batch,
             stopping=stopping,
             max_rounds=max_rounds,
             check_every=check_every,
-            rngs=rngs,
+            rngs=streams,
         )
         repetition_rounds = np.where(
             result.converged, result.stop_rounds, np.nan

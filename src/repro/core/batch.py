@@ -49,17 +49,21 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from repro.core.flows import default_alpha
 from repro.core.protocols import Protocol
 from repro.core.stopping import StoppingRule
-from repro.errors import SimulationError
+from repro.errors import SimulationError, ValidationError
 from repro.graphs.graph import Graph
 from repro.model.batch import BatchStateBase
+from repro.model.state import LoadStateBase
 from repro.types import IntArray, SeedLike
 from repro.utils.rng import (
+    CounterStreams,
     StreamLayout,
     as_stream_layout,
     check_rng_policy,
     make_streams,
+    spawn_rngs,
 )
 from repro.utils.validation import check_integer
 
@@ -228,9 +232,9 @@ class BatchSimulator:
             Optional hook ``(round_index, batch)`` invoked immediately
             after each executed batched round's kernel. The stack is
             untouched between ``after_round(t)`` and ``before_round(t +
-            1)``, so an observer recording here sees exactly the stack a
-            row-``t + 1`` scenario record would — the streaming scenario
-            recorder relies on that equivalence.
+            1)``, so an observer here sees exactly the stack round ``t +
+            1``'s events will — the scenario recorder records row ``t +
+            1`` here.
         """
         max_rounds = check_integer(max_rounds, "max_rounds", minimum=0)
         check_every = check_integer(check_every, "check_every", minimum=1)
@@ -296,6 +300,91 @@ class BatchSimulator:
             stop_reason=stop_reason,
             any_saturation=any_saturation,
         )
+
+
+_ENGINES = ("auto", "batch", "scalar")
+
+
+def _plan_ensemble(
+    protocol: Protocol,
+    state_factory: Callable[[np.random.Generator], LoadStateBase],
+    repetitions: int,
+    seed: SeedLike,
+    engine: str,
+    rng_policy: str,
+    replica_offset: int,
+    replica_count: int | None,
+) -> tuple[
+    list[np.random.Generator],
+    list[LoadStateBase],
+    tuple[BatchStateBase, StreamLayout] | None,
+]:
+    """Build an ensemble's initial states and pick the engine they run on.
+
+    The one routing decision behind
+    :func:`repro.analysis.convergence.measure_convergence_rounds` and
+    :meth:`repro.scenarios.ScenarioRunner.run_ensemble`. Repetition
+    ``k`` of the window ``[replica_offset, replica_offset + count)``
+    builds its state from spawned child ``k`` under both policies.
+    Returns ``(generators, states, stack)``: ``stack`` is ``None`` for
+    scalar runs, else the replica stack and its stream layout (the
+    generators themselves, or the counter window of the monolithic
+    layout). ``engine="auto"`` batches when the states stack, except
+    for uniform ablation-``alpha`` runs (``alpha < 4 s_max``): there the
+    scalar kernel truncates the binomial chain slot by slot while the
+    batched kernel rescales the whole per-node distribution, so only
+    protocols with ``batch_matches_clipped_law`` batch.
+    """
+    if repetitions < 1:
+        raise ValidationError(f"repetitions must be >= 1, got {repetitions}")
+    if engine not in _ENGINES:
+        raise ValidationError(f"engine must be one of {_ENGINES}, got {engine!r}")
+    check_rng_policy(rng_policy)
+    counter = rng_policy == "counter"
+    if counter and engine == "scalar":
+        raise ValidationError(
+            "rng_policy='counter' is a batch-engine stream layout; the "
+            "scalar reference always consumes spawned streams"
+        )
+    if replica_offset < 0:
+        raise ValidationError(
+            f"replica_offset must be non-negative, got {replica_offset}"
+        )
+    count = repetitions - replica_offset if replica_count is None else replica_count
+    if count < 1:
+        raise ValidationError(f"replica_count must be >= 1, got {count}")
+    if replica_offset + count > repetitions:
+        raise ValidationError(
+            f"replica window [{replica_offset}, {replica_offset + count}) "
+            f"exceeds repetitions={repetitions}"
+        )
+    generators = spawn_rngs(seed, count, offset=replica_offset)
+    states = [state_factory(generator) for generator in generators]
+
+    batch_cls = protocol.batch_state_class() if protocol.supports_batch else None
+    stackable = batch_cls is not None and bool(batch_cls.can_stack(states))
+    if (engine == "batch" or counter) and not stackable:
+        raise ValidationError(
+            "engine='batch' (and rng_policy='counter') requires a "
+            "batch-capable protocol and states that stack into its "
+            "replica layout (one node count, one shared speed vector); "
+            "use engine='auto' with rng_policy='spawned' to fall back "
+            "automatically"
+        )
+    if engine == "auto" and not counter and stackable:
+        s_max = float(states[0].speeds.max())
+        stackable = protocol.batch_matches_clipped_law or (
+            protocol.resolve_alpha(states[0]) >= default_alpha(s_max) - 1e-12
+        )
+    if engine == "scalar" or not stackable:
+        return generators, states, None
+    if counter:
+        streams: StreamLayout = CounterStreams(
+            seed, count, replica_offset=replica_offset, total_replicas=repetitions
+        )
+    else:
+        streams = as_stream_layout(generators)
+    return generators, states, (batch_cls.from_states(states), streams)
 
 
 def run_protocol_batch(

@@ -144,9 +144,9 @@ class Simulator:
             Optional hook ``(round_index, state)`` invoked immediately
             after each executed round's kernel. Nothing touches the
             state between ``after_round(t)`` and ``before_round(t +
-            1)``, so an observer recording here sees exactly the state
-            a row-``t + 1`` trace record would — the streaming scenario
-            recorder relies on that equivalence.
+            1)``, so an observer here sees exactly the state round ``t +
+            1``'s events will — the scenario recorder records row ``t +
+            1`` here.
 
         Returns
         -------

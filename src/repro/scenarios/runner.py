@@ -3,14 +3,16 @@
 :class:`ScenarioRunner` drives a protocol under a
 :class:`~repro.scenarios.schedule.Schedule` of workload events through
 either engine — the scalar :class:`~repro.core.simulator.Simulator` or
-the batched :class:`~repro.core.batch.BatchSimulator` — via their
-``before_round`` hooks: before each protocol round the runner records
-the observables of the current state, then applies the events due that
-round. Because the load is non-quiescent (events keep perturbing the
-system), nothing *stops* the run; instead the optional ``target``
-stopping rule is evaluated every round and its per-round verdicts are
-recorded, from which :mod:`repro.analysis.dynamics` extracts recovery
-times and steady-state bands.
+the batched :class:`~repro.core.batch.BatchSimulator` — through one
+round loop on their hooks: the runner records row 0 before the first
+round, applies the events due in ``before_round`` and records the next
+row in ``after_round``, right after each protocol round. Because the
+load is non-quiescent (events keep perturbing the system), nothing
+*stops* the run; instead the optional ``target`` stopping rule is
+evaluated every round and its per-round verdicts are recorded, from
+which :mod:`repro.analysis.dynamics` extracts recovery
+times and steady-state bands. A :class:`StreamingRecording` swaps the
+full recorder for a bounded-memory one on the same loop.
 
 Both engines produce one result type: every per-round observable is a
 ``(T + 1, R)`` array (time-major, replica axis second; scalar runs have
@@ -27,20 +29,21 @@ stream in the scalar order) and uniform runs agree in law; under the
 and kernels draw whole-stack Philox blocks per site per round — runs of
 either task system then agree with the scalar reference in law and are
 same-seed deterministic, but not pathwise comparable (see the README's
-reproducibility matrix). ``engine="auto"`` in :meth:`run_ensemble`
-applies the same routing rules as
+reproducibility matrix). :meth:`run_ensemble` routes its engine and
+streams through the same plan as
 :func:`repro.analysis.convergence.measure_convergence_rounds`.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.analysis.streaming import ObservableSummary, RunningMoments
-from repro.core.batch import BatchSimulator
+from repro.core.batch import BatchSimulator, _plan_ensemble
 from repro.core.equilibrium import nash_slack_matrix
 from repro.core.potentials import psi0_potential
 from repro.core.protocols import Protocol
@@ -50,17 +53,16 @@ from repro.errors import SimulationError, ValidationError
 from repro.graphs.graph import Graph
 from repro.model.batch import BatchStateBase, BatchUniformState, BatchWeightedState
 from repro.model.state import LoadStateBase, UniformState, WeightedState
+from repro.scenarios.events import BatchEventOutcome, Event, EventOutcome
 from repro.scenarios.schedule import Schedule
 from repro.spectral.eigen import algebraic_connectivity
 from repro.types import FloatArray, IntArray, SeedLike
 from repro.utils.rng import (
-    CounterStreams,
     StreamLayout,
     as_stream_layout,
     check_rng_policy,
     make_rng,
     make_streams,
-    spawn_rngs,
 )
 from repro.utils.validation import check_integer
 
@@ -150,7 +152,7 @@ class ScenarioResult:
         ``Delta / lambda_2`` (``inf`` through disconnected windows), and
         the connectivity verdict. One row per round — *not* per replica
         — because topology events are replica-stable: every replica
-        sees the same graph. ``None`` on results from older pipelines.
+        sees the same graph.
     """
 
     final_state: LoadStateBase | BatchStateBase
@@ -163,9 +165,9 @@ class ScenarioResult:
     num_tasks: IntArray
     target_satisfied: np.ndarray
     events: list[EventRecord]
-    lambda2: FloatArray | None = None
-    gap_ratio: FloatArray | None = None
-    connected: np.ndarray | None = None
+    lambda2: FloatArray
+    gap_ratio: FloatArray
+    connected: np.ndarray
 
     @property
     def num_replicas(self) -> int:
@@ -177,21 +179,89 @@ class ScenarioResult:
         return [record for record in self.events if record.name == name]
 
 
+#: The per-replica observables of a row, named as the
+#: :class:`ScenarioResult` arrays (the streaming recorder folds
+#: ``target_satisfied`` as 0/1 so its mean is the satisfaction fraction).
+_OBSERVABLES = (
+    "psi0",
+    "max_load_difference",
+    "nash_violation",
+    "total_weight",
+    "num_tasks",
+    "target_satisfied",
+)
+
+
 class _Recorder:
-    """Preallocated (T + 1, R) observable arrays filled row by row."""
+    """Preallocated (T + 1, R) observable arrays filled row by row.
+
+    Shares :class:`_StreamingRecorder`'s interface, so one round loop
+    drives both: every row is due and every event application is logged
+    chronologically with its post-event potential.
+    """
 
     def __init__(self, horizon: int, num_replicas: int):
-        shape = (horizon + 1, num_replicas)
-        self.psi0 = np.zeros(shape)
-        self.max_load_difference = np.zeros(shape)
-        self.nash_violation = np.zeros(shape)
-        self.total_weight = np.zeros(shape)
-        self.num_tasks = np.zeros(shape, dtype=np.int64)
-        self.target_satisfied = np.zeros(shape, dtype=bool)
-        # Topology trace: one row per round, shared across replicas.
-        self.lambda2 = np.zeros(horizon + 1)
-        self.gap_ratio = np.zeros(horizon + 1)
-        self.connected = np.zeros(horizon + 1, dtype=bool)
+        dtypes = {"num_tasks": np.int64, "target_satisfied": bool}
+        self._arrays = {
+            name: np.zeros((horizon + 1, num_replicas), dtype=dtypes.get(name, float))
+            for name in _OBSERVABLES
+        }
+        self._arrays.update(
+            # Topology trace: one row per round, shared across replicas.
+            lambda2=np.zeros(horizon + 1),
+            gap_ratio=np.zeros(horizon + 1),
+            connected=np.zeros(horizon + 1, dtype=bool),
+        )
+        self._events: list[EventRecord] = []
+
+    def due(self, row: int, horizon: int) -> bool:
+        return True
+
+    def log_event(
+        self,
+        round_index: int,
+        event: Event,
+        outcome: BatchEventOutcome,
+        psi0_after: Callable[[], FloatArray],
+    ) -> None:
+        self._events.append(
+            EventRecord(
+                round_index=round_index,
+                name=event.name,
+                description=event.describe(),
+                psi0_after=psi0_after(),
+                **vars(outcome),
+            )
+        )
+
+    def record(
+        self,
+        row: int,
+        values: dict[str, FloatArray],
+        lambda2: float,
+        gap_ratio: float,
+        connected: bool,
+    ) -> None:
+        for name, value in values.items():
+            self._arrays[name][row] = value
+        self._arrays["lambda2"][row] = lambda2
+        self._arrays["gap_ratio"][row] = gap_ratio
+        self._arrays["connected"][row] = connected
+
+    def result(
+        self,
+        final_state: LoadStateBase | BatchStateBase,
+        engine: str,
+        rounds_executed: int,
+        num_replicas: int,
+    ) -> ScenarioResult:
+        return ScenarioResult(
+            final_state=final_state,
+            engine=engine,
+            rounds_executed=rounds_executed,
+            events=self._events,
+            **self._arrays,
+        )
 
 
 def _spectral_entry(
@@ -213,19 +283,6 @@ def _spectral_entry(
         entry = (lambda2, gap, lambda2 > 0.0)
         memo[graph] = entry
     return entry
-
-
-#: Observables the streaming recorder reduces, matching the
-#: :class:`ScenarioResult` array names (``target_satisfied`` is folded
-#: as 0/1 so its mean is the satisfaction fraction).
-_STREAMING_OBSERVABLES = (
-    "psi0",
-    "max_load_difference",
-    "nash_violation",
-    "total_weight",
-    "num_tasks",
-    "target_satisfied",
-)
 
 
 @dataclass(frozen=True)
@@ -332,7 +389,7 @@ class _StreamingRecorder:
     One ``(chunk_rounds, R)`` buffer per observable is allocated once
     and reused: when full it folds into that observable's
     :class:`RunningMoments` and resets, so the number of resident
-    chunks never exceeds ``len(_STREAMING_OBSERVABLES)`` no matter the
+    chunks never exceeds ``len(_OBSERVABLES)`` no matter the
     horizon. Replica-mean series and the (shared) topology trace are
     ``O(rows_recorded)`` scalars.
     """
@@ -341,14 +398,14 @@ class _StreamingRecorder:
         self._options = options
         self._buffers = {
             name: np.zeros((options.chunk_rounds, num_replicas))
-            for name in _STREAMING_OBSERVABLES
+            for name in _OBSERVABLES
         }
         self._moments = {
             name: RunningMoments(num_replicas)
-            for name in _STREAMING_OBSERVABLES
+            for name in _OBSERVABLES
         }
         self._series: dict[str, list[float]] = {
-            name: [] for name in _STREAMING_OBSERVABLES
+            name: [] for name in _OBSERVABLES
         }
         self._fill = 0
         self._rounds: list[int] = []
@@ -358,35 +415,32 @@ class _StreamingRecorder:
         self._event_totals: dict[str, list] = {}
         self._num_replicas = num_replicas
         self.chunks_flushed = 0
-        self.peak_resident_chunks = len(_STREAMING_OBSERVABLES)
+        self.peak_resident_chunks = len(_OBSERVABLES)
 
     def due(self, row: int, horizon: int) -> bool:
         """Whether row ``row`` is recorded (thinning keeps 0 and T)."""
         return row % self._options.thin_every == 0 or row == horizon
 
-    def fold_event(self, name: str, outcome) -> None:
+    def log_event(
+        self,
+        round_index: int,
+        event: Event,
+        outcome: BatchEventOutcome,
+        psi0_after: Callable[[], FloatArray],
+    ) -> None:
         """Accumulate one event application into its name's totals.
 
-        ``outcome`` is a :class:`~repro.scenarios.events.BatchEventOutcome`
-        (arrays over the replica axis), an
-        :class:`~repro.scenarios.events.EventOutcome` (scalar run — its
-        scalars broadcast to the single replica), or ``None`` (topology
-        events: the application counts, the magnitudes are zero).
+        Streaming runs fold event magnitudes into per-name totals
+        instead of the chronological :class:`EventRecord` log, whose
+        ``O(num_events * R)`` growth is what this recorder exists to
+        avoid; so ``psi0_after`` is never evaluated.
         """
-        totals = self._event_totals.get(name)
+        totals = self._event_totals.get(event.name)
         if totals is None:
-            totals = [
-                0,
-                np.zeros(self._num_replicas, dtype=np.int64),
-                np.zeros(self._num_replicas, dtype=np.int64),
-                np.zeros(self._num_replicas, dtype=np.float64),
-                np.zeros(self._num_replicas, dtype=np.float64),
-                np.zeros(self._num_replicas, dtype=np.int64),
-            ]
-            self._event_totals[name] = totals
+            # [applications, then the BatchEventOutcome arrays in order]
+            zeros = BatchEventOutcome.zeros(self._num_replicas)
+            totals = self._event_totals[event.name] = [0, *vars(zeros).values()]
         totals[0] += 1
-        if outcome is None:
-            return
         totals[1] += outcome.tasks_added
         totals[2] += outcome.tasks_removed
         totals[3] += outcome.weight_added
@@ -401,7 +455,7 @@ class _StreamingRecorder:
         gap_ratio: float,
         connected: bool,
     ) -> None:
-        for name in _STREAMING_OBSERVABLES:
+        for name in _OBSERVABLES:
             self._buffers[name][self._fill] = values[name]
             self._series[name].append(float(values[name].mean()))
         self._fill += 1
@@ -415,7 +469,7 @@ class _StreamingRecorder:
     def _flush(self) -> None:
         if self._fill == 0:
             return
-        for name in _STREAMING_OBSERVABLES:
+        for name in _OBSERVABLES:
             self._moments[name].update(self._buffers[name][: self._fill])
         self.chunks_flushed += 1
         self._fill = 0
@@ -441,24 +495,17 @@ class _StreamingRecorder:
             recorded_rounds=np.asarray(self._rounds, dtype=np.int64),
             observables={
                 name: self._moments[name].summary()
-                for name in _STREAMING_OBSERVABLES
+                for name in _OBSERVABLES
             },
             series={
                 name: np.asarray(self._series[name])
-                for name in _STREAMING_OBSERVABLES
+                for name in _OBSERVABLES
             },
             lambda2=np.asarray(self._lambda2),
             gap_ratio=np.asarray(self._gap_ratio),
             connected=np.asarray(self._connected, dtype=bool),
             event_totals={
-                name: EventTotals(
-                    applications=totals[0],
-                    tasks_added=totals[1],
-                    tasks_removed=totals[2],
-                    weight_added=totals[3],
-                    weight_removed=totals[4],
-                    tasks_relocated=totals[5],
-                )
+                name: EventTotals(*totals)
                 for name, totals in self._event_totals.items()
             },
         )
@@ -528,154 +575,40 @@ class ScenarioRunner:
         ``rng`` drives *both* the events and the protocol rounds — it is
         the replica's single trajectory stream, exactly as in the
         batched path. Passing ``recording`` switches to the streaming
-        recorder (identical row semantics — rows are observed between
-        rounds, where full-mode records them — thinned and folded into
-        bounded-memory reducers) and returns a
-        :class:`StreamingScenarioResult`.
+        recorder (the same rows, thinned and folded into bounded-memory
+        reducers) and returns a :class:`StreamingScenarioResult`.
         """
         rounds = check_integer(rounds, "rounds", minimum=0)
         generator = make_rng(rng)
-        recorder = _Recorder(rounds, 1) if recording is None else None
-        events: list[EventRecord] = []
-        # The graph currently in force (topology events swap it); a
-        # one-slot holder so the closures below track the swaps.
-        current_graph: list[Graph] = [self._graph]
-        spectral_memo: dict[Graph, tuple[float, float, bool]] = {}
-        simulator = Simulator(self._graph, self._protocol, generator)
+        target = self._target
 
-        def record(round_index: int, current: LoadStateBase) -> None:
-            graph = current_graph[0]
-            recorder.psi0[round_index, 0] = psi0_potential(current)
-            recorder.max_load_difference[round_index, 0] = (
-                current.max_load_difference
-            )
-            recorder.nash_violation[round_index, 0] = nash_violation_fraction(
-                current.loads[None, :], current.speeds, graph, self._tolerance
-            )[0]
-            recorder.total_weight[round_index, 0] = _exact_total(current)
-            recorder.num_tasks[round_index, 0] = current.num_tasks
-            lambda2, gap_ratio, connected = _spectral_entry(graph, spectral_memo)
-            recorder.lambda2[round_index] = lambda2
-            recorder.gap_ratio[round_index] = gap_ratio
-            recorder.connected[round_index] = connected
-            if self._target is not None:
-                recorder.target_satisfied[round_index, 0] = self._target.satisfied(
-                    current, graph
-                )
-
-        # Streaming runs fold event magnitudes into per-name totals
-        # instead of the chronological EventRecord log: a long trace's
-        # log would grow O(num_events), breaking the flat-memory
-        # guarantee the streaming recorder exists for.
-        stream = None if recording is None else _StreamingRecorder(1, recording)
-
-        def apply_events(round_index: int, current: LoadStateBase) -> None:
-            for event in self._schedule.events_due(round_index):
-                if event.mutates_topology:
-                    new_graph = event.transform_graph(
-                        current_graph[0], self._graph, round_index
-                    )
-                    current_graph[0] = new_graph
-                    simulator.swap_graph(new_graph)
-                    if stream is not None:
-                        stream.fold_event(event.name, None)
-                    else:
-                        events.append(
-                            _topology_event_record(
-                                round_index,
-                                event,
-                                np.array([psi0_potential(current)]),
-                            )
-                        )
-                    continue
-                outcome = event.apply(current, current_graph[0], generator)
-                if stream is not None:
-                    stream.fold_event(event.name, outcome)
-                    continue
-                events.append(
-                    EventRecord(
-                        round_index=round_index,
-                        name=event.name,
-                        description=event.describe(),
-                        tasks_added=np.array([outcome.tasks_added], dtype=np.int64),
-                        tasks_removed=np.array(
-                            [outcome.tasks_removed], dtype=np.int64
-                        ),
-                        weight_added=np.array([outcome.weight_added]),
-                        weight_removed=np.array([outcome.weight_removed]),
-                        tasks_relocated=np.array(
-                            [outcome.tasks_relocated], dtype=np.int64
-                        ),
-                        psi0_after=np.array([psi0_potential(current)]),
-                    )
-                )
-
-        if recording is None:
-
-            def before_round(round_index: int, current: LoadStateBase) -> None:
-                record(round_index, current)
-                apply_events(round_index, current)
-
-            simulator.run(
-                state, stopping=None, max_rounds=rounds, before_round=before_round
-            )
-            record(rounds, state)
-            return ScenarioResult(
-                final_state=state,
-                engine="scalar",
-                rounds_executed=rounds,
-                psi0=recorder.psi0,
-                max_load_difference=recorder.max_load_difference,
-                nash_violation=recorder.nash_violation,
-                total_weight=recorder.total_weight,
-                num_tasks=recorder.num_tasks,
-                target_satisfied=recorder.target_satisfied,
-                events=events,
-                lambda2=recorder.lambda2,
-                gap_ratio=recorder.gap_ratio,
-                connected=recorder.connected,
-            )
-
-        def record_stream(row: int, current: LoadStateBase) -> None:
-            graph = current_graph[0]
-            values = {
+        def observe(current: LoadStateBase, graph: Graph) -> dict[str, FloatArray]:
+            return {
                 "psi0": np.array([psi0_potential(current)]),
-                "max_load_difference": np.array(
-                    [current.max_load_difference]
-                ),
+                "max_load_difference": np.array([current.max_load_difference]),
                 "nash_violation": nash_violation_fraction(
-                    current.loads[None, :],
-                    current.speeds,
-                    graph,
-                    self._tolerance,
+                    current.loads[None, :], current.speeds, graph, self._tolerance
                 ),
                 "total_weight": np.array([_exact_total(current)]),
-                "num_tasks": np.array([float(current.num_tasks)]),
+                "num_tasks": np.array([current.num_tasks]),
                 "target_satisfied": np.array(
-                    [
-                        float(self._target.satisfied(current, graph))
-                        if self._target is not None
-                        else 0.0
-                    ]
+                    [target is not None and bool(target.satisfied(current, graph))]
                 ),
             }
-            lambda2, gap_ratio, connected = _spectral_entry(graph, spectral_memo)
-            stream.record(row, values, lambda2, gap_ratio, connected)
 
-        def after_round(round_index: int, current: LoadStateBase) -> None:
-            row = round_index + 1
-            if stream.due(row, rounds):
-                record_stream(row, current)
+        def apply(event: Event, current: LoadStateBase, graph: Graph):
+            return _lift(event.apply(current, graph, generator))
 
-        record_stream(0, state)
-        simulator.run(
+        return self._run_loop(
+            Simulator(self._graph, self._protocol, generator),
             state,
-            stopping=None,
-            max_rounds=rounds,
-            before_round=apply_events,
-            after_round=after_round,
+            rounds,
+            1,
+            recording,
+            observe,
+            apply,
+            lambda current: np.array([psi0_potential(current)]),
         )
-        return stream.result(state, "scalar", rounds, 1)
 
     # ------------------------------------------------------------------
     # Batched engine
@@ -698,12 +631,10 @@ class ScenarioRunner:
         layout (events and kernels draw whole-stack blocks). When
         omitted, a layout is built from ``seed`` under ``rng_policy``.
 
-        Passing ``recording`` switches to the streaming recorder: rows
-        are observed via the batch simulator's ``after_round`` hook (the
-        stack is untouched between a round's kernel and the next round's
-        events, so a streamed row equals the full-mode row exactly),
-        thinned, and folded into bounded-memory per-replica reducers.
-        Returns a :class:`StreamingScenarioResult` in that mode.
+        Passing ``recording`` switches to the streaming recorder: the
+        same rows, thinned and folded into bounded-memory per-replica
+        reducers. Returns a :class:`StreamingScenarioResult` in that
+        mode.
         """
         rounds = check_integer(rounds, "rounds", minimum=0)
         num_replicas = batch.num_replicas
@@ -713,86 +644,96 @@ class ScenarioRunner:
             )
         else:
             streams = as_stream_layout(rngs)
-        if len(streams) != num_replicas:
-            raise SimulationError(
-                f"need one generator per replica ({num_replicas}), got {len(streams)}"
-            )
-        recorder = _Recorder(rounds, num_replicas) if recording is None else None
-        events: list[EventRecord] = []
+        target = self._target
         all_rows = np.arange(num_replicas, dtype=np.int64)
-        current_graph: list[Graph] = [self._graph]
-        spectral_memo: dict[Graph, tuple[float, float, bool]] = {}
-        simulator = BatchSimulator(self._graph, self._protocol, seed)
+        unsatisfied = np.zeros(num_replicas, dtype=bool)
 
-        def record(round_index: int, current: BatchStateBase) -> None:
-            graph = current_graph[0]
-            recorder.psi0[round_index] = current.psi0_potentials()
-            recorder.max_load_difference[round_index] = (
-                current.max_load_difference
-            )
-            recorder.nash_violation[round_index] = nash_violation_fraction(
-                current.loads, current.speeds, graph, self._tolerance
-            )
-            recorder.total_weight[round_index] = _exact_total_batch(current)
-            recorder.num_tasks[round_index] = current.num_tasks
-            lambda2, gap_ratio, connected = _spectral_entry(graph, spectral_memo)
-            recorder.lambda2[round_index] = lambda2
-            recorder.gap_ratio[round_index] = gap_ratio
-            recorder.connected[round_index] = connected
-            if self._target is not None:
-                recorder.target_satisfied[round_index] = (
-                    self._target.satisfied_batch(current, graph, all_rows)
-                )
+        def observe(current: BatchStateBase, graph: Graph) -> dict[str, FloatArray]:
+            return {
+                "psi0": current.psi0_potentials(),
+                "max_load_difference": current.max_load_difference,
+                "nash_violation": nash_violation_fraction(
+                    current.loads, current.speeds, graph, self._tolerance
+                ),
+                "total_weight": _exact_total_batch(current),
+                "num_tasks": current.num_tasks,
+                "target_satisfied": (
+                    unsatisfied
+                    if target is None
+                    else target.satisfied_batch(current, graph, all_rows)
+                ),
+            }
 
-        # Streaming runs fold event magnitudes into per-name totals —
-        # the chronological EventRecord log holds O(num_events * R)
-        # magnitude arrays, which is exactly the growth the streaming
-        # recorder exists to avoid.
-        stream = (
-            None
-            if recording is None
-            else _StreamingRecorder(num_replicas, recording)
+        def apply(event: Event, current: BatchStateBase, graph: Graph):
+            return event.apply_batch(current, graph, streams, None)
+
+        return self._run_loop(
+            BatchSimulator(self._graph, self._protocol, seed),
+            batch,
+            rounds,
+            num_replicas,
+            recording,
+            observe,
+            apply,
+            lambda current: current.psi0_potentials(),
+            rngs=streams,
         )
 
-        def apply_events(round_index: int, current: BatchStateBase) -> None:
+    def _run_loop(
+        self,
+        simulator: Simulator | BatchSimulator,
+        state: LoadStateBase | BatchStateBase,
+        rounds: int,
+        num_replicas: int,
+        recording: StreamingRecording | None,
+        observe: Callable,
+        apply: Callable,
+        psi0: Callable,
+        **run_options,
+    ) -> ScenarioResult | StreamingScenarioResult:
+        """The round loop both engines share.
+
+        ``observe(state, graph)`` returns one row of observables,
+        ``apply(event, state, graph)`` applies a workload event and
+        returns its :class:`~repro.scenarios.events.BatchEventOutcome`,
+        and ``psi0(state)`` is the post-event potential an event-log
+        entry carries. Row 0 is recorded before the first round and row
+        ``t + 1`` in ``after_round(t)``: nothing touches the state
+        between ``after_round(t)`` and ``before_round(t + 1)``, so that
+        is the state before round ``t + 1``'s events.
+        """
+        if state.num_nodes != self._graph.num_vertices:
+            raise SimulationError(
+                f"state has {state.num_nodes} nodes but graph "
+                f"{self._graph.name} has {self._graph.num_vertices} vertices"
+            )
+        if recording is None:
+            recorder = _Recorder(rounds, num_replicas)
+        else:
+            recorder = _StreamingRecorder(num_replicas, recording)
+        graph = self._graph
+        spectral_memo: dict[Graph, tuple[float, float, bool]] = {}
+
+        def record(row: int, current) -> None:
+            lambda2, gap_ratio, connected = _spectral_entry(graph, spectral_memo)
+            recorder.record(row, observe(current, graph), lambda2, gap_ratio, connected)
+
+        def before_round(round_index: int, current) -> None:
+            nonlocal graph
             for event in self._schedule.events_due(round_index):
                 if event.mutates_topology:
                     # Topology events consume no stream randomness and
                     # swap one graph shared by the whole stack, so they
                     # are replica-stable under both stream layouts (and
                     # invariant across spawned replica-shard windows).
-                    new_graph = event.transform_graph(
-                        current_graph[0], self._graph, round_index
-                    )
-                    current_graph[0] = new_graph
-                    simulator.swap_graph(new_graph)
-                    if stream is not None:
-                        stream.fold_event(event.name, None)
-                    else:
-                        events.append(
-                            _topology_event_record(
-                                round_index, event, current.psi0_potentials()
-                            )
-                        )
-                    continue
-                outcome = event.apply_batch(
-                    current, current_graph[0], streams, None
-                )
-                if stream is not None:
-                    stream.fold_event(event.name, outcome)
-                    continue
-                events.append(
-                    EventRecord(
-                        round_index=round_index,
-                        name=event.name,
-                        description=event.describe(),
-                        tasks_added=outcome.tasks_added,
-                        tasks_removed=outcome.tasks_removed,
-                        weight_added=outcome.weight_added,
-                        weight_removed=outcome.weight_removed,
-                        tasks_relocated=outcome.tasks_relocated,
-                        psi0_after=current.psi0_potentials(),
-                    )
+                    # They move no tasks and no weight.
+                    graph = event.transform_graph(graph, self._graph, round_index)
+                    simulator.swap_graph(graph)
+                    outcome = BatchEventOutcome.zeros(num_replicas)
+                else:
+                    outcome = apply(event, current, graph)
+                recorder.log_event(
+                    round_index, event, outcome, lambda: psi0(current)
                 )
             if isinstance(current, BatchWeightedState):
                 widest = int(current.num_tasks.max(initial=0))
@@ -802,74 +743,21 @@ class ScenarioRunner:
                 ):
                     current.compact()
 
-        if recording is None:
+        def after_round(round_index: int, current) -> None:
+            if recorder.due(round_index + 1, rounds):
+                record(round_index + 1, current)
 
-            def before_round(round_index: int, current: BatchStateBase) -> None:
-                record(round_index, current)
-                apply_events(round_index, current)
-
-            simulator.run(
-                batch,
-                stopping=None,
-                max_rounds=rounds,
-                rngs=streams,
-                before_round=before_round,
-            )
-            record(rounds, batch)
-            return ScenarioResult(
-                final_state=batch,
-                engine="batch",
-                rounds_executed=rounds,
-                psi0=recorder.psi0,
-                max_load_difference=recorder.max_load_difference,
-                nash_violation=recorder.nash_violation,
-                total_weight=recorder.total_weight,
-                num_tasks=recorder.num_tasks,
-                target_satisfied=recorder.target_satisfied,
-                events=events,
-                lambda2=recorder.lambda2,
-                gap_ratio=recorder.gap_ratio,
-                connected=recorder.connected,
-            )
-
-        def record_stream(row: int, current: BatchStateBase) -> None:
-            graph = current_graph[0]
-            if self._target is not None:
-                satisfied = self._target.satisfied_batch(
-                    current, graph, all_rows
-                ).astype(np.float64)
-            else:
-                satisfied = np.zeros(num_replicas)
-            values = {
-                "psi0": current.psi0_potentials(),
-                "max_load_difference": current.max_load_difference,
-                "nash_violation": nash_violation_fraction(
-                    current.loads, current.speeds, graph, self._tolerance
-                ),
-                "total_weight": np.asarray(
-                    _exact_total_batch(current), dtype=np.float64
-                ),
-                "num_tasks": current.num_tasks.astype(np.float64),
-                "target_satisfied": satisfied,
-            }
-            lambda2, gap_ratio, connected = _spectral_entry(graph, spectral_memo)
-            stream.record(row, values, lambda2, gap_ratio, connected)
-
-        def after_round(round_index: int, current: BatchStateBase) -> None:
-            row = round_index + 1
-            if stream.due(row, rounds):
-                record_stream(row, current)
-
-        record_stream(0, batch)
+        record(0, state)
         simulator.run(
-            batch,
+            state,
             stopping=None,
             max_rounds=rounds,
-            rngs=streams,
-            before_round=apply_events,
+            before_round=before_round,
             after_round=after_round,
+            **run_options,
         )
-        return stream.result(batch, "batch", rounds, num_replicas)
+        engine = "batch" if isinstance(simulator, BatchSimulator) else "scalar"
+        return recorder.result(state, engine, rounds, num_replicas)
 
     # ------------------------------------------------------------------
     # Ensemble convenience (mirrors measure_convergence_rounds routing)
@@ -926,41 +814,17 @@ class ScenarioRunner:
         (weighted runs always batch when stackable; uniform runs batch
         unless probability clipping would change the law).
         """
-        from repro.analysis.convergence import (
-            _batch_stackable,
-            _batch_state_class,
-            _same_law_as_scalar,
+        generators, states, stack = _plan_ensemble(
+            self._protocol,
+            state_factory,
+            repetitions,
+            seed,
+            engine,
+            rng_policy,
+            replica_offset,
+            replica_count,
         )
-
-        if repetitions < 1:
-            raise ValidationError(f"repetitions must be >= 1, got {repetitions}")
-        if engine not in ("auto", "batch", "scalar"):
-            raise ValidationError(
-                f"engine must be one of ('auto', 'batch', 'scalar'), got {engine!r}"
-            )
-        check_rng_policy(rng_policy)
-        if rng_policy == "counter" and engine == "scalar":
-            raise ValidationError(
-                "rng_policy='counter' is a batch-engine stream layout; the "
-                "scalar engine always consumes spawned streams"
-            )
-        if replica_offset < 0:
-            raise ValidationError(
-                f"replica_offset must be non-negative, got {replica_offset}"
-            )
-        count = (
-            repetitions - replica_offset
-            if replica_count is None
-            else replica_count
-        )
-        if count < 1:
-            raise ValidationError(f"replica_count must be >= 1, got {count}")
-        if replica_offset + count > repetitions:
-            raise ValidationError(
-                f"replica window [{replica_offset}, {replica_offset + count})"
-                f" exceeds repetitions={repetitions}"
-            )
-        windowed = replica_offset != 0 or count != repetitions
+        windowed = len(generators) != repetitions
         if windowed and rng_policy == "counter":
             if not self._schedule.is_deterministic:
                 raise ValidationError(
@@ -972,7 +836,7 @@ class ScenarioRunner:
                     "workload to deterministic trace events or use "
                     "rng_policy='spawned' for sharded scenario cells"
                 )
-            if not getattr(self._protocol, "counter_shardable", False):
+            if not self._protocol.counter_shardable:
                 raise ValidationError(
                     f"protocol {self._protocol.name!r} cannot shard under "
                     "rng_policy='counter': its batched kernel draws "
@@ -986,88 +850,43 @@ class ScenarioRunner:
                 "streamed reducer summaries have no byte-exact shard "
                 "merge; run the streaming ensemble monolithically"
             )
-        generators = spawn_rngs(seed, count, offset=replica_offset)
-        states = [state_factory(generator) for generator in generators]
-        stackable = _batch_stackable(self._protocol, states)
-        if (engine == "batch" or rng_policy == "counter") and not stackable:
-            raise ValidationError(
-                "engine='batch' (and rng_policy='counter') requires a "
-                "batch-capable protocol and stackable states; use "
-                "engine='auto' with rng_policy='spawned' to fall back"
-            )
-        use_batch = (
-            engine == "batch"
-            or rng_policy == "counter"
-            or (
-                engine == "auto"
-                and stackable
-                and (
-                    getattr(self._protocol, "batch_matches_clipped_law", False)
-                    or _same_law_as_scalar(self._protocol, states)
-                )
-            )
-        )
-        if recording is not None and not use_batch:
+        if recording is not None and stack is None:
             raise ValidationError(
                 "streaming recording requires the batch engine; this "
                 "protocol/state combination falls back to scalar replica "
                 "runs (use ScenarioRunner.run(recording=...) per replica "
                 "instead)"
             )
-        if use_batch:
-            batch = _batch_state_class(self._protocol).from_states(states)
-            if rng_policy == "counter":
-                if windowed:
-                    # A window of the monolithic counter layout: site
-                    # draws are keyed on global replica indices, so the
-                    # window reproduces exactly the monolithic streams
-                    # for its replicas (deterministic events consume
-                    # none, and the kernel is counter-shardable).
-                    window = CounterStreams(
-                        seed,
-                        count,
-                        replica_offset=replica_offset,
-                        total_replicas=repetitions,
-                    )
-                    return self.run_batch(batch, rounds, rngs=window)
-                return self.run_batch(
-                    batch,
-                    rounds,
-                    seed=seed,
-                    rng_policy="counter",
-                    recording=recording,
-                )
-            return self.run_batch(
-                batch, rounds, rngs=generators, recording=recording
-            )
-        replica_results = [
-            self.run(state, rounds, rng=generator)
-            for state, generator in zip(states, generators)
-        ]
-        return merge_replica_results(replica_results)
+        if stack is not None:
+            batch, streams = stack
+            return self.run_batch(batch, rounds, rngs=streams, recording=recording)
+        return merge_replica_results(
+            [
+                self.run(state, rounds, rng=generator)
+                for state, generator in zip(states, generators)
+            ]
+        )
 
 
-def _topology_event_record(
-    round_index: int, event, psi0_after: FloatArray
-) -> EventRecord:
-    """Event-log entry for a graph swap: zero workload magnitudes.
+#: The per-replica arrays of an :class:`EventRecord`.
+_EVENT_ARRAYS = (
+    "tasks_added",
+    "tasks_removed",
+    "weight_added",
+    "weight_removed",
+    "tasks_relocated",
+    "psi0_after",
+)
 
-    Topology events move no tasks and no weight (the network changed
-    under an unchanged task placement), so conservation assertions see
-    zero deltas across the swap.
-    """
-    num_replicas = psi0_after.shape[0]
-    zeros_int = np.zeros(num_replicas, dtype=np.int64)
-    return EventRecord(
-        round_index=round_index,
-        name=event.name,
-        description=event.describe(),
-        tasks_added=zeros_int,
-        tasks_removed=zeros_int,
-        weight_added=np.zeros(num_replicas),
-        weight_removed=np.zeros(num_replicas),
-        tasks_relocated=zeros_int,
-        psi0_after=np.asarray(psi0_after, dtype=np.float64).copy(),
+
+def _lift(outcome: EventOutcome) -> BatchEventOutcome:
+    """A scalar event outcome as the one-replica batched outcome."""
+    return BatchEventOutcome(
+        tasks_added=np.array([outcome.tasks_added], dtype=np.int64),
+        tasks_removed=np.array([outcome.tasks_removed], dtype=np.int64),
+        weight_added=np.array([outcome.weight_added]),
+        weight_removed=np.array([outcome.weight_removed]),
+        tasks_relocated=np.array([outcome.tasks_relocated], dtype=np.int64),
     )
 
 
@@ -1119,43 +938,21 @@ def merge_replica_results(results: list[ScenarioResult]) -> ScenarioResult:
                 "must be deterministic in time"
             )
         merged_events.append(
-            EventRecord(
-                round_index=record.round_index,
-                name=record.name,
-                description=record.description,
-                tasks_added=np.concatenate([s.tasks_added for s in siblings]),
-                tasks_removed=np.concatenate([s.tasks_removed for s in siblings]),
-                weight_added=np.concatenate([s.weight_added for s in siblings]),
-                weight_removed=np.concatenate(
-                    [s.weight_removed for s in siblings]
-                ),
-                tasks_relocated=np.concatenate(
-                    [s.tasks_relocated for s in siblings]
-                ),
-                psi0_after=np.concatenate([s.psi0_after for s in siblings]),
+            dataclasses.replace(
+                record,
+                **{
+                    name: np.concatenate([getattr(s, name) for s in siblings])
+                    for name in _EVENT_ARRAYS
+                },
             )
         )
-    return ScenarioResult(
-        final_state=first.final_state,
-        engine=first.engine,
-        rounds_executed=first.rounds_executed,
-        psi0=np.concatenate([r.psi0 for r in results], axis=1),
-        max_load_difference=np.concatenate(
-            [r.max_load_difference for r in results], axis=1
-        ),
-        nash_violation=np.concatenate(
-            [r.nash_violation for r in results], axis=1
-        ),
-        total_weight=np.concatenate([r.total_weight for r in results], axis=1),
-        num_tasks=np.concatenate([r.num_tasks for r in results], axis=1),
-        target_satisfied=np.concatenate(
-            [r.target_satisfied for r in results], axis=1
-        ),
+    # The topology trace is replica-independent (every replica sees the
+    # same graph swaps), so the first input's trace is the ensemble's.
+    return dataclasses.replace(
+        first,
         events=merged_events,
-        # The topology trace is replica-independent (every replica sees
-        # the same graph swaps), so the first input's trace is the
-        # ensemble's trace.
-        lambda2=first.lambda2,
-        gap_ratio=first.gap_ratio,
-        connected=first.connected,
+        **{
+            name: np.concatenate([getattr(r, name) for r in results], axis=1)
+            for name in _OBSERVABLES
+        },
     )

@@ -7,8 +7,9 @@ import pytest
 
 from repro.core.protocols import SelfishUniformProtocol, SelfishWeightedProtocol
 from repro.core.stopping import NashStop, PotentialThresholdStop
-from repro.errors import ValidationError
+from repro.errors import SimulationError, ValidationError
 from repro.graphs.generators import cycle_graph, torus_graph
+from repro.model.batch import BatchUniformState
 from repro.model.placement import place_weighted_random, random_placement
 from repro.model.state import UniformState, WeightedState
 from repro.model.tasks import two_class_weights
@@ -19,6 +20,7 @@ from repro.scenarios import (
     Schedule,
     ScenarioRunner,
     SpeedChange,
+    StreamingRecording,
     TaskArrival,
     TaskDeparture,
     at,
@@ -127,6 +129,18 @@ class TestScenarioRunnerScalar:
         state = UniformState(np.full(4, 10), np.ones(4))
         result = runner.run(state, rounds=4, rng=1)
         assert result.final_state.speeds[0] == 4.0
+
+    @pytest.mark.parametrize("recording", [None, StreamingRecording()])
+    @pytest.mark.parametrize("engine", ["scalar", "batch"])
+    def test_node_count_mismatch_rejected_upfront(self, engine, recording):
+        runner = ScenarioRunner(cycle_graph(6), SelfishUniformProtocol())
+        state = UniformState(np.full(5, 3), np.ones(5))
+        with pytest.raises(SimulationError, match="vertices"):
+            if engine == "scalar":
+                runner.run(state, rounds=3, rng=1, recording=recording)
+            else:
+                batch = BatchUniformState.from_states([state, state])
+                runner.run_batch(batch, rounds=3, seed=1, recording=recording)
 
 
 class TestScenarioRunnerBatch:
