@@ -311,7 +311,7 @@ def _event_from_record(record: object, position: int) -> TraceEvent:
             f"{where}: malformed event record (needs 'kind' and 'round')"
         )
     kind = record["kind"]
-    if kind not in _KIND_FIELDS:
+    if not isinstance(kind, str) or kind not in _KIND_FIELDS:
         raise ValidationError(f"{where}: unknown event kind {kind!r}")
     fields: dict = {}
     for key in _KIND_FIELDS[kind]:

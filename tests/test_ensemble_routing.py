@@ -75,8 +75,3 @@ def test_router_refuses(entry, case):
     factory, repetitions, options = REFUSALS[case]
     with pytest.raises(ValidationError):
         entry(factory, repetitions, **options)
-
-
-@pytest.mark.parametrize("entry", [_measure, _scenario], ids=["measure", "scenario"])
-def test_auto_falls_back_to_scalar_on_unstackable(entry):
-    assert entry(_own_speeds, 3).engine == "scalar"

@@ -327,23 +327,22 @@ class TestWorkloadFlags:
         assert code == 0
         assert "file" in out  # the loaded-trace cell reports workload=file
 
+    def test_malformed_trace_field_exits_two(self, tmp_path, capsys):
+        from repro.workloads import TRACE_FORMAT, TRACE_VERSION
 
-def test_malformed_trace_field_exits_two_without_traceback(tmp_path, capsys):
-    from repro.workloads import TRACE_FORMAT, TRACE_VERSION
-
-    path = tmp_path / "bad.jsonl"
-    header = {
-        "format": TRACE_FORMAT,
-        "version": TRACE_VERSION,
-        "num_nodes": 4,
-        "horizon": 10,
-        "seed": 0,
-        "initial_tasks": 5,
-    }
-    event = {"round": 1, "kind": "departure", "count": "abc"}
-    path.write_text(json.dumps(header) + "\n" + json.dumps(event) + "\n")
-    code = cli.main(["run", "workloads-traffic", "--trace", str(path)])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err.startswith("error:") and "trace line 1" in err
-    assert "Traceback" not in err
+        path = tmp_path / "bad.jsonl"
+        header = {
+            "format": TRACE_FORMAT,
+            "version": TRACE_VERSION,
+            "num_nodes": 4,
+            "horizon": 10,
+            "seed": 0,
+            "initial_tasks": 5,
+        }
+        event = {"round": 1, "kind": "departure", "count": "abc"}
+        path.write_text(json.dumps(header) + "\n" + json.dumps(event) + "\n")
+        code = cli.main(["run", "workloads-traffic", "--trace", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "trace line 1" in err
+        assert "Traceback" not in err

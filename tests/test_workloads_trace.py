@@ -283,6 +283,7 @@ class TestMalformedFields:
             ({"round": 2.7, "kind": "departure", "count": 1}, {}),
             ({"round": 1, "kind": "departure", "count": 1.9}, {}),
             ({"round": 1, "kind": "departure", "count": -1}, {}),
+            ({"round": 1, "kind": ["departure"]}, {}),
             ({"round": 1, "kind": "departure", "count": 1}, {"num_events": "x"}),
             ({"round": 1, "kind": "departure", "count": 1}, {"horizon": 10.5}),
         ],
@@ -295,6 +296,7 @@ class TestMalformedFields:
             "round-float",
             "count-float",
             "count-negative",
+            "kind-list",
             "num-events-str",
             "horizon-float",
         ],
