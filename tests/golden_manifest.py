@@ -17,6 +17,11 @@
   streamed, plus one spawned replica window. The schedule churns every
   round and fires a shock, a speed change, an edge failure and an edge
   recovery.
+* ``trace/<workload>`` — the sha256 of the ``save_trace`` JSONL bytes
+  and the ``task_timeline`` of every named workload in
+  :func:`~repro.workloads.available_workloads`, built at a small fixed
+  size and seed (:data:`TRACE_ARGS`), so trace generation is pinned
+  byte for byte.
 
 ``tests/test_golden_manifest.py`` recomputes every entry in-process and
 lists the entries that moved. A change that moves an entry on purpose
@@ -33,6 +38,7 @@ import dataclasses
 import hashlib
 import json
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -59,6 +65,7 @@ from repro.scenarios import (
     every,
 )
 from repro.utils.serialization import to_json
+from repro.workloads import available_workloads, build_workload, save_trace, task_timeline
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -80,6 +87,7 @@ SCENARIO_RUNS = (
 SCENARIO_SEED = 2024
 SCENARIO_REPLICAS = 4
 SCENARIO_ROUNDS = 24
+TRACE_ARGS = dict(num_nodes=12, horizon=60, seed=11, initial_tasks=50)
 
 
 def experiment_digest(experiment_id: str, rng_policy: str) -> str:
@@ -197,6 +205,17 @@ def scenario_digest(tasks: str, run: str) -> str:
     return sha.hexdigest()[:16]
 
 
+def trace_digest(workload: str) -> str:
+    """Digest of one workload's saved JSONL bytes and its task timeline."""
+    trace = build_workload(workload, **TRACE_ARGS)
+    with tempfile.TemporaryDirectory() as directory:
+        path = save_trace(trace, Path(directory) / "trace.jsonl")
+        saved = path.read_bytes()
+    sha = hashlib.sha256(saved)
+    _fold(sha, task_timeline(trace))
+    return sha.hexdigest()[:16]
+
+
 def entry_names() -> list[str]:
     from_experiments = [
         f"experiment/{experiment_id}/{rng}"
@@ -211,12 +230,16 @@ def entry_names() -> list[str]:
     from_scenarios = [
         f"scenario/{tasks}/{run}" for tasks in SCENARIO_TASKS for run in SCENARIO_RUNS
     ]
-    return from_experiments + from_perfbench + from_scenarios
+    from_traces = [f"trace/{workload}" for workload in available_workloads()]
+    return from_experiments + from_perfbench + from_scenarios + from_traces
 
 
 def compute(name: str) -> str:
     """Recompute manifest entry ``name``."""
-    kind, label, variant = name.split("/")
+    kind, label, *variant = name.split("/")
+    if kind == "trace":
+        return trace_digest(label)
+    (variant,) = variant
     if kind == "experiment":
         return experiment_digest(label, variant)
     if kind == "scenario":
