@@ -64,6 +64,7 @@ from repro.model.batch import BatchStateBase, BatchUniformState, BatchWeightedSt
 from repro.model.state import LoadStateBase, UniformState, WeightedState
 from repro.types import FloatArray, IntArray
 from repro.utils.rng import StreamLayout, as_stream_layout
+from repro.utils.validation import check_index_array
 
 __all__ = [
     "EventOutcome",
@@ -940,39 +941,52 @@ def _scan_removal(counts: IntArray, count: int, start_node: int) -> IntArray:
     return removal
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TraceArrival(Event):
     """Compiled-trace arrival: tasks land on explicit ``targets``.
 
     The target nodes were resolved at trace-generation time from the
     trace's own seed, so the event is fully deterministic — every
     replica receives the same tasks at the same nodes under both RNG
-    policies, any engine, and any shard window.
+    policies, any engine, and any shard window. ``targets`` takes any
+    sequence of non-negative ints and is stored as a read-only int64
+    array; equality and hashing compare it element by element.
     """
 
-    targets: tuple[int, ...]
+    targets: IntArray
     weight: float = 1.0
     deterministic = True
     name: str = field(default="trace-arrival", init=False, repr=False)
 
     def __post_init__(self):
-        if not all(
-            isinstance(node, (int, np.integer)) and node >= 0
-            for node in self.targets
-        ):
-            raise ValidationError("targets must be non-negative ints")
+        object.__setattr__(self, "targets", check_index_array(self.targets, "targets"))
         if not 0.0 < self.weight <= 1.0:
             raise ValidationError(
                 f"arrival weight must lie in (0, 1], got {self.weight}"
             )
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.weight == other.weight and np.array_equal(
+            self.targets, other.targets
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.weight, self.targets.tobytes()))
+
+    def __setstate__(self, state: dict) -> None:
+        # Unpickling and deep copies rebuild the array writeable.
+        self.__dict__.update(state)
+        self.targets.flags.writeable = False
+
     @property
     def count(self) -> int:
-        return len(self.targets)
+        return self.targets.size
 
     def _target_array(self, num_nodes: int) -> IntArray:
-        targets = np.asarray(self.targets, dtype=np.int64)
-        if targets.size and int(targets.max()) >= num_nodes:
+        targets = self.targets
+        if targets.size and targets.max() >= num_nodes:
             raise ModelError(
                 f"trace-arrival target {int(targets.max())} out of range "
                 f"[0, {num_nodes - 1}]"

@@ -19,6 +19,7 @@ from repro.utils.validation import (
     check_in_range,
     check_integer,
     check_array_1d,
+    check_index_array,
     check_same_length,
 )
 from repro.utils.tables import Table, format_float, format_scientific
@@ -48,6 +49,7 @@ __all__ = [
     "check_in_range",
     "check_integer",
     "check_array_1d",
+    "check_index_array",
     "check_same_length",
     "Table",
     "format_float",

@@ -12,7 +12,7 @@ from typing import Sized
 import numpy as np
 
 from repro.errors import ValidationError
-from repro.types import FloatArray
+from repro.types import FloatArray, IntArray
 
 __all__ = [
     "check_positive",
@@ -21,6 +21,7 @@ __all__ = [
     "check_in_range",
     "check_integer",
     "check_array_1d",
+    "check_index_array",
     "check_same_length",
 ]
 
@@ -97,6 +98,51 @@ def check_array_1d(
         )
     if not np.all(np.isfinite(array)):
         raise ValidationError(f"{name} must contain only finite values")
+    return array
+
+
+def check_index_array(values: object, name: str) -> IntArray:
+    """Coerce ``values`` to a read-only 1-D int64 array of non-negative ints.
+
+    Takes any sequence of Python or NumPy ints, or an integer array, and
+    refuses bools, non-integers, negative values and input that is not
+    one-dimensional. An int64 array that is already read-only and owns
+    its data is returned as it is; every other input is converted or
+    copied once, so no caller keeps a writeable handle on the result.
+    """
+    if isinstance(values, np.ndarray):
+        if values.dtype.kind not in "iu":
+            raise ValidationError(f"{name} must hold ints, got dtype {values.dtype}")
+        array = values
+        shared = values.flags.writeable or values.base is not None
+    else:
+        try:
+            values = list(values)
+        except TypeError:
+            raise ValidationError(
+                f"{name} must be a sequence of ints, got {values!r}"
+            ) from None
+        for kind in set(map(type, values)):
+            if kind is bool or not issubclass(kind, (int, np.integer)):
+                raise ValidationError(
+                    f"{name} must be non-negative ints, got a {kind.__name__}"
+                )
+        try:
+            array = np.array(values, dtype=np.int64)
+        except OverflowError:
+            raise ValidationError(f"{name} must fit in int64") from None
+        shared = False
+    if array.ndim != 1:
+        raise ValidationError(
+            f"{name} must be one-dimensional, got shape {array.shape}"
+        )
+    if array.dtype.kind == "u" and array.size and array.max() > np.iinfo(np.int64).max:
+        raise ValidationError(f"{name} must fit in int64")
+    if array.dtype != np.int64 or shared:
+        array = array.astype(np.int64)
+    if array.size and array.min() < 0:
+        raise ValidationError(f"{name} must be non-negative, got {int(array.min())}")
+    array.flags.writeable = False
     return array
 
 

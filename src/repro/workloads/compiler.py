@@ -43,7 +43,7 @@ def compile_event(event: TraceEvent) -> Event | None:
     zero-fraction relocations) so compiled schedules stay minimal.
     """
     if event.kind == "arrival":
-        if not event.targets:
+        if event.targets.size == 0:
             return None
         return TraceArrival(targets=event.targets, weight=event.weight)
     if event.kind == "departure":

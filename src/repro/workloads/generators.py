@@ -39,7 +39,9 @@ def _round_rng(seed: int, round_index: int, site: str):
 
 
 def _arrival_event(rng, round_index: int, num_nodes: int, count: int, weight: float):
-    targets = tuple(int(t) for t in rng.integers(0, num_nodes, size=count))
+    targets = rng.integers(0, num_nodes, size=count)
+    # Read-only in place, so the event keeps this array without a copy.
+    targets.flags.writeable = False
     return TraceEvent(round_index, "arrival", targets=targets, weight=weight)
 
 

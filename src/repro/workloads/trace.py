@@ -44,11 +44,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from repro.errors import ValidationError
 from repro.types import IntArray
+from repro.utils.validation import check_index_array
 
 __all__ = [
     "TRACE_FORMAT",
@@ -73,24 +75,27 @@ TRACE_VERSION = 1
 TRACE_KINDS = ("arrival", "departure", "relocation", "adversarial")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TraceEvent:
     """One workload perturbation at one round.
 
     Field use per kind:
 
-    * ``arrival`` — ``targets`` (explicit node per task), ``weight``;
+    * ``arrival`` — ``targets`` (explicit node per task, any sequence of
+      non-negative ints, stored as a read-only int64 array), ``weight``;
     * ``departure`` — ``count`` tasks leave, deterministic node sweep
       starting at ``node``;
     * ``relocation`` — ``fraction`` of each node's tasks moves to
       hotspot ``node``;
     * ``adversarial`` — ``count`` tasks land on the most-loaded node
       (resolved per replica at application time), ``weight``.
+
+    Equality and hashing compare ``targets`` element by element.
     """
 
     round_index: int
     kind: str
-    targets: tuple[int, ...] = ()
+    targets: IntArray = ()
     node: int = 0
     count: int = 0
     fraction: float = 0.0
@@ -109,6 +114,7 @@ class TraceEvent:
                 f"unknown trace event kind {self.kind!r}; "
                 f"expected one of {TRACE_KINDS}"
             )
+        object.__setattr__(self, "targets", check_index_array(self.targets, "targets"))
         if not isinstance(self.node, (int, np.integer)) or self.node < 0:
             raise ValidationError(
                 f"node must be a non-negative int, got {self.node}"
@@ -125,6 +131,31 @@ class TraceEvent:
             raise ValidationError(
                 f"weight must lie in (0, 1], got {self.weight}"
             )
+
+    def _scalars(self) -> tuple:
+        return (
+            self.round_index,
+            self.kind,
+            self.node,
+            self.count,
+            self.fraction,
+            self.weight,
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._scalars() == other._scalars() and np.array_equal(
+            self.targets, other.targets
+        )
+
+    def __hash__(self) -> int:
+        return hash((self._scalars(), self.targets.tobytes()))
+
+    def __setstate__(self, state: dict) -> None:
+        # Unpickling and deep copies rebuild the array writeable.
+        self.__dict__.update(state)
+        self.targets.flags.writeable = False
 
     @property
     def task_delta(self) -> int:
@@ -190,6 +221,11 @@ def validate_trace(trace: WorkloadTrace) -> WorkloadTrace:
     (equal to :func:`task_timeline`) on every replica under every
     engine, RNG policy, and shard configuration.
     """
+    return _validate(trace, "event {}".format)
+
+
+def _validate(trace: WorkloadTrace, name: Callable[[int], str]) -> WorkloadTrace:
+    """:func:`validate_trace`, naming the event at ``position`` ``name(position)``."""
     if not isinstance(trace.num_nodes, (int, np.integer)) or trace.num_nodes < 1:
         raise ValidationError(
             f"num_nodes must be a positive int, got {trace.num_nodes}"
@@ -214,30 +250,30 @@ def validate_trace(trace: WorkloadTrace) -> WorkloadTrace:
     for position, event in enumerate(trace.events):
         if event.round_index >= trace.horizon:
             raise ValidationError(
-                f"event {position} fires at round {event.round_index} "
+                f"{name(position)} fires at round {event.round_index} "
                 f">= horizon {trace.horizon}"
             )
         if event.round_index < previous_round:
             raise ValidationError(
-                f"event {position} at round {event.round_index} breaks "
+                f"{name(position)} at round {event.round_index} breaks "
                 "non-decreasing round order"
             )
         previous_round = event.round_index
         if event.kind == "arrival":
-            if event.targets and max(event.targets) >= trace.num_nodes:
+            if event.targets.size and event.targets.max() >= trace.num_nodes:
                 raise ValidationError(
-                    f"event {position}: arrival target {max(event.targets)} "
+                    f"{name(position)}: arrival target {int(event.targets.max())} "
                     f"out of range [0, {trace.num_nodes - 1}]"
                 )
         elif event.node >= trace.num_nodes:
             raise ValidationError(
-                f"event {position}: node {event.node} out of range "
+                f"{name(position)}: node {event.node} out of range "
                 f"[0, {trace.num_nodes - 1}]"
             )
         delta = event.task_delta
         if running + delta < 0:
             raise ValidationError(
-                f"event {position}: departure of {event.count} tasks at "
+                f"{name(position)}: departure of {event.count} tasks at "
                 f"round {event.round_index} exceeds the {running} tasks "
                 "present — the trace is not departure-safe"
             )
@@ -265,7 +301,7 @@ def task_timeline(trace: WorkloadTrace) -> IntArray:
 def _event_record(event: TraceEvent) -> dict:
     record: dict = {"round": int(event.round_index), "kind": event.kind}
     if event.kind == "arrival":
-        record["targets"] = [int(t) for t in event.targets]
+        record["targets"] = event.targets.tolist()
         record["weight"] = float(event.weight)
     elif event.kind == "departure":
         record["count"] = int(event.count)
@@ -283,15 +319,41 @@ def _json_number(value: object, what: str, integer: bool = False) -> int | float
     """``value`` as a JSON number; ``integer`` fields must be integral.
 
     Strings, nulls, booleans and lists are refused, and so is ``2.7``
-    for a round or a count rather than being truncated.
+    for a round or a count rather than being truncated, an integer
+    beyond int64, and a number beyond the float range.
     """
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{what} must be a number, got {value!r}")
     if not integer:
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise ValidationError(f"{what} is beyond the float range") from None
     if isinstance(value, float) and not value.is_integer():
         raise ValidationError(f"{what} must be an integer, got {value!r}")
-    return int(value)
+    value = int(value)
+    if not -(2**63) <= value < 2**63:
+        raise ValidationError(f"{what} is beyond the int64 range")
+    return value
+
+
+def _json_targets(value: object, where: str) -> IntArray:
+    """A record's ``targets`` list as a read-only int64 array.
+
+    An all-int list converts in one call; integral floats load as ints,
+    and bools, strings, nulls, nested lists and ints beyond int64 are
+    refused, as for every other integer field.
+    """
+    if not isinstance(value, list):
+        raise ValidationError(f"{where}: 'targets' must be a list, got {value!r}")
+    if not set(map(type, value)) <= {int}:
+        value = [_json_number(target, f"{where}: target", True) for target in value]
+    try:
+        targets = np.array(value, dtype=np.int64)
+    except OverflowError:
+        raise ValidationError(f"{where}: target is beyond the int64 range") from None
+    targets.flags.writeable = False
+    return targets
 
 
 #: The record keys each event kind reads (absent keys take the
@@ -319,14 +381,11 @@ def _event_from_record(record: object, position: int) -> TraceEvent:
             continue
         value = record[key]
         if key == "targets":
-            if not isinstance(value, list):
-                raise ValidationError(
-                    f"{where}: 'targets' must be a list, got {value!r}"
-                )
-            value = tuple(_json_number(t, f"{where}: target", True) for t in value)
+            fields[key] = _json_targets(value, where)
         else:
-            value = _json_number(value, f"{where}: {key!r}", key in ("count", "node"))
-        fields[key] = value
+            fields[key] = _json_number(
+                value, f"{where}: {key!r}", key in ("count", "node")
+            )
     round_index = _json_number(record["round"], f"{where}: 'round'", True)
     try:
         return TraceEvent(round_index, kind, **fields)
@@ -407,4 +466,4 @@ def load_trace(path: str | Path) -> WorkloadTrace:
         events=tuple(events),
         generator=str(header.get("generator", "custom")),
     )
-    return validate_trace(trace)
+    return _validate(trace, lambda position: f"trace line {position + 1}")

@@ -339,10 +339,14 @@ class TestWorkloadFlags:
             "seed": 0,
             "initial_tasks": 5,
         }
-        event = {"round": 1, "kind": "departure", "count": "abc"}
-        path.write_text(json.dumps(header) + "\n" + json.dumps(event) + "\n")
-        code = cli.main(["run", "workloads-traffic", "--trace", str(path)])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err.startswith("error:") and "trace line 1" in err
-        assert "Traceback" not in err
+        for event in (
+            {"round": 1, "kind": "departure", "count": "abc"},
+            {"round": 1, "kind": "arrival", "targets": [-1, 2]},
+            {"round": 1, "kind": "arrival", "targets": [True, 1]},
+        ):
+            path.write_text(json.dumps(header) + "\n" + json.dumps(event) + "\n")
+            code = cli.main(["run", "workloads-traffic", "--trace", str(path)])
+            err = capsys.readouterr().err
+            assert code == 2
+            assert err.startswith("error: trace line 1: ")
+            assert "Traceback" not in err

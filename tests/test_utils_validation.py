@@ -11,6 +11,7 @@ from repro.errors import ValidationError
 from repro.utils.validation import (
     check_array_1d,
     check_in_range,
+    check_index_array,
     check_integer,
     check_non_negative,
     check_positive,
@@ -111,6 +112,65 @@ class TestCheckArray1d:
     def test_rejects_inf(self):
         with pytest.raises(ValidationError):
             check_array_1d([1.0, math.inf], "v")
+
+
+class TestCheckIndexArray:
+    @pytest.mark.parametrize(
+        "values",
+        [(3, 0, 3), [3, 0, 3], (np.int32(3), 0, np.uint8(3)), np.array([3, 0, 3])],
+        ids=["tuple", "list", "numpy-ints", "array"],
+    )
+    def test_returns_read_only_int64(self, values):
+        result = check_index_array(values, "t")
+        assert result.dtype == np.int64 and not result.flags.writeable
+        np.testing.assert_array_equal(result, [3, 0, 3])
+
+    def test_empty_and_range(self):
+        assert check_index_array((), "t").shape == (0,)
+        np.testing.assert_array_equal(check_index_array(range(3), "t"), [0, 1, 2])
+
+    def test_read_only_owned_array_is_kept(self):
+        array = np.arange(4)
+        array.flags.writeable = False
+        assert check_index_array(array, "t") is array
+
+    def test_writeable_array_is_copied(self):
+        array = np.arange(4)
+        result = check_index_array(array, "t")
+        assert result is not array and array.flags.writeable
+        array[0] = 9
+        assert result[0] == 0
+
+    def test_read_only_view_of_writeable_base_is_copied(self):
+        base = np.arange(4)
+        view = base[:]
+        view.flags.writeable = False
+        result = check_index_array(view, "t")
+        base[0] = 9
+        assert result[0] == 0
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            (True, 1),
+            ("a",),
+            (-1,),
+            (1.5,),
+            (1.0,),
+            (None,),
+            ((1, 2),),
+            (2**63,),
+            np.array([True]),
+            np.array([1.0]),
+            np.array([[1, 2]]),
+            np.array([-1]),
+            np.array([2**63], dtype=np.uint64),
+            5,
+        ],
+    )
+    def test_rejects(self, values):
+        with pytest.raises(ValidationError, match="t must"):
+            check_index_array(values, "t")
 
 
 class TestCheckSameLength:

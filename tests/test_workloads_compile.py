@@ -12,6 +12,8 @@ replica-stream randomness, so a replay is byte-identical across
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -95,6 +97,22 @@ class TestCompiler:
 
     def test_compile_is_reproducible(self, trace):
         assert compile_trace(trace).entries == compile_trace(trace).entries
+
+    def test_arrival_targets_pass_through_uncopied(self, trace):
+        arrivals = [e for e in trace.events if e.kind == "arrival"]
+        assert arrivals
+        for event in arrivals:
+            compiled = compile_event(event)
+            assert compiled.targets is event.targets
+            assert compiled == TraceArrival(tuple(event.targets.tolist()), event.weight)
+
+    def test_compiled_arrival_equality_hash_and_pickle(self):
+        event = TraceArrival(targets=(4, 0, 4), weight=0.5)
+        assert hash(event) == hash(TraceArrival(np.array([4, 0, 4]), 0.5))
+        assert event != TraceArrival(targets=(4, 0, 4), weight=1.0)
+        assert event != TraceArrival(targets=(4, 0), weight=0.5)
+        copy = pickle.loads(pickle.dumps(event))
+        assert copy == event and not copy.targets.flags.writeable
 
     def test_event_kinds_map_to_deterministic_events(self):
         cases = {

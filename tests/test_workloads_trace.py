@@ -3,13 +3,19 @@
 from __future__ import annotations
 
 import json
+import pickle
+from copy import deepcopy
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ValidationError
+from repro.scenarios import TraceArrival
 from repro.workloads import (
     TRACE_FORMAT,
+    TRACE_KINDS,
     TRACE_VERSION,
     TraceEvent,
     WorkloadTrace,
@@ -46,6 +52,27 @@ class TestTraceEvent:
         )
         assert event.task_delta == 0
         assert event.task_events == 0
+
+    def test_targets_are_a_read_only_int64_array(self):
+        event = TraceEvent(round_index=0, kind="arrival", targets=[2, 0])
+        assert event.targets.dtype == np.int64
+        assert not event.targets.flags.writeable
+        np.testing.assert_array_equal(event.targets, [2, 0])
+        assert TraceEvent(round_index=0, kind="departure").targets.shape == (0,)
+
+    def test_equality_and_hash_compare_targets(self):
+        event = TraceEvent(round_index=1, kind="arrival", targets=(2, 0, 2))
+        same = TraceEvent(round_index=1, kind="arrival", targets=np.array([2, 0, 2]))
+        assert event == same and hash(event) == hash(same)
+        assert event != TraceEvent(round_index=1, kind="arrival", targets=(2, 0, 1))
+        assert event != TraceEvent(round_index=2, kind="arrival", targets=(2, 0, 2))
+        assert len({event, same}) == 1
+
+    def test_pickle_and_deepcopy_keep_targets_read_only(self):
+        event = TraceEvent(round_index=1, kind="arrival", targets=(2, 0, 2))
+        for copy in (pickle.loads(pickle.dumps(event)), deepcopy(event)):
+            assert copy == event
+            assert not copy.targets.flags.writeable
 
     def test_rejects_bad_fields(self):
         with pytest.raises(ValidationError):
@@ -158,6 +185,14 @@ class TestGenerators:
         assert names == sorted(names)
         assert {"mmpp", "diurnal", "flash-crowd", "adversarial"} <= set(names)
 
+    def test_generated_targets_are_read_only_int64(self):
+        trace = mmpp_trace(6, 30, 3, initial_tasks=20)
+        arrivals = [e for e in trace.events if e.kind == "arrival"]
+        assert arrivals
+        for event in arrivals:
+            assert event.targets.dtype == np.int64
+            assert not event.targets.flags.writeable
+
     def test_mmpp_produces_arrivals_and_departures(self):
         trace = mmpp_trace(6, 60, 3, initial_tasks=20)
         kinds = {event.kind for event in trace.events}
@@ -258,7 +293,7 @@ class TestFileFormat:
             load_trace(path)
 
 
-def _write_trace(path, event: dict, **header) -> None:
+def _write_trace(path, *events: dict, **header) -> None:
     head = {
         "format": TRACE_FORMAT,
         "version": TRACE_VERSION,
@@ -268,7 +303,7 @@ def _write_trace(path, event: dict, **header) -> None:
         "initial_tasks": 5,
         **header,
     }
-    path.write_text(json.dumps(head) + "\n" + json.dumps(event) + "\n")
+    path.write_text("".join(json.dumps(line) + "\n" for line in (head, *events)))
 
 
 class TestMalformedFields:
@@ -286,6 +321,16 @@ class TestMalformedFields:
             ({"round": 1, "kind": ["departure"]}, {}),
             ({"round": 1, "kind": "departure", "count": 1}, {"num_events": "x"}),
             ({"round": 1, "kind": "departure", "count": 1}, {"horizon": 10.5}),
+            ({"round": 1, "kind": "arrival", "targets": [-1, 2]}, {}),
+            ({"round": 1, "kind": "arrival", "targets": [True, 1]}, {}),
+            ({"round": 1, "kind": "arrival", "targets": [1.5]}, {}),
+            ({"round": 1, "kind": "arrival", "targets": [None]}, {}),
+            ({"round": 1, "kind": "arrival", "targets": [[1], 2]}, {}),
+            ({"round": 1, "kind": "arrival", "targets": [2**63]}, {}),
+            ({"round": 1, "kind": "arrival", "targets": [1e300]}, {}),
+            ({"round": 1, "kind": "arrival", "targets": [4]}, {}),
+            ({"round": 10, "kind": "departure", "count": 1}, {}),
+            ({"round": 1, "kind": "departure", "count": 6}, {}),
         ],
         ids=[
             "count-abc",
@@ -299,6 +344,16 @@ class TestMalformedFields:
             "kind-list",
             "num-events-str",
             "horizon-float",
+            "targets-negative",
+            "targets-bool",
+            "targets-fraction",
+            "targets-null",
+            "targets-nested",
+            "targets-beyond-int64",
+            "targets-huge-float",
+            "targets-out-of-range",
+            "round-beyond-horizon",
+            "departure-unsafe",
         ],
     )
     def test_refused_with_validation_error(self, tmp_path, event, header):
@@ -307,9 +362,107 @@ class TestMalformedFields:
         with pytest.raises(ValidationError, match="trace"):
             load_trace(path)
 
+    @pytest.mark.parametrize(
+        "event",
+        [
+            {"round": 1, "kind": "arrival", "targets": [-1, 2]},
+            {"round": 1, "kind": "arrival", "targets": [4]},
+            {"round": 1, "kind": "departure", "count": 6},
+        ],
+        ids=["parse", "range", "departure-safety"],
+    )
+    def test_record_faults_name_the_line(self, tmp_path, event):
+        path = tmp_path / "bad.jsonl"
+        _write_trace(path, {"round": 0, "kind": "departure", "count": 0}, event)
+        with pytest.raises(ValidationError, match="^trace line 2: "):
+            load_trace(path)
+
+    @pytest.mark.parametrize(
+        "targets", [(True, 1), ("a",), (-1,), (1.5,)], ids=["bool", "str", "neg", "frac"]
+    )
+    def test_python_api_refuses_malformed_targets(self, targets):
+        with pytest.raises(ValidationError, match="targets must"):
+            TraceEvent(round_index=0, kind="arrival", targets=targets)
+        with pytest.raises(ValidationError, match="targets must"):
+            TraceArrival(targets=targets)
+
+    def test_integral_float_targets_load_as_ints(self, tmp_path):
+        path = tmp_path / "ok.jsonl"
+        _write_trace(path, {"round": 1, "kind": "arrival", "targets": [3.0, 0]})
+        (event,) = load_trace(path).events
+        assert event.targets.dtype == np.int64
+        np.testing.assert_array_equal(event.targets, [3, 0])
+
     def test_integral_floats_load_as_ints(self, tmp_path):
         path = tmp_path / "ok.jsonl"
         _write_trace(path, {"round": 2.0, "kind": "departure", "count": 1.0})
         (event,) = load_trace(path).events
         assert (event.round_index, event.count) == (2, 1)
         assert isinstance(event.round_index, int) and isinstance(event.count, int)
+
+
+# Arbitrary JSON values: ints far beyond int64 (and beyond the float
+# range), every float including nan and the infinities, bools, strings,
+# null, and nested or mixed lists and objects.
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2**1100), max_value=2**1100),
+    st.floats(),
+    st.text(max_size=3),
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=8,
+)
+
+
+def _mostly(valid):
+    """``valid`` three draws in four, any JSON value otherwise."""
+    return st.sampled_from((valid, valid, valid, _JSON_VALUES)).flatmap(lambda s: s)
+
+
+_TARGETS = _mostly(st.lists(_mostly(st.integers(-1, 4) | st.integers(-1, 4).map(float))))
+_SCALARS = {
+    "round": st.integers(0, 9),
+    "count": st.integers(0, 5),
+    "node": st.integers(0, 3),
+    "fraction": st.floats(0.0, 1.0),
+    "weight": st.floats(0.0, 1.0),
+}
+
+
+@st.composite
+def _records(draw):
+    record = {"kind": draw(st.sampled_from(TRACE_KINDS + ("arrival",) * 3))}
+    record["round"] = draw(_mostly(_SCALARS["round"]))
+    if draw(st.booleans()):
+        record["targets"] = draw(_TARGETS)
+    for key in ("count", "node", "fraction", "weight"):
+        if draw(st.booleans()):
+            record[key] = draw(_mostly(_SCALARS[key]))
+    return record
+
+
+class TestReaderFuzz:
+    @settings(
+        max_examples=200,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(record=_records())
+    def test_record_loads_exactly_or_is_refused_by_line(self, tmp_path, record):
+        path = tmp_path / "fuzz.jsonl"
+        _write_trace(path, record)
+        try:
+            trace = load_trace(path)
+        except ValidationError as error:
+            assert str(error).startswith(("trace line 1:", "trace line 1 ")), error
+            return
+        (event,) = trace.events
+        if record["kind"] == "arrival" and "targets" in record:
+            assert event.targets.dtype == np.int64
+            assert event.targets.tolist() == [int(t) for t in record["targets"]]
+            assert all(0 <= target < trace.num_nodes for target in event.targets)
