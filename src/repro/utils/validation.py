@@ -101,14 +101,20 @@ def check_array_1d(
     return array
 
 
+#: The one empty index array: read-only, so every empty input shares it.
+_NO_INDICES = np.empty(0, dtype=np.int64)
+_NO_INDICES.flags.writeable = False
+
+
 def check_index_array(values: object, name: str) -> IntArray:
     """Coerce ``values`` to a read-only 1-D int64 array of non-negative ints.
 
     Takes any sequence of Python or NumPy ints, or an integer array, and
     refuses bools, non-integers, negative values and input that is not
     one-dimensional. An int64 array that is already read-only and owns
-    its data is returned as it is; every other input is converted or
-    copied once, so no caller keeps a writeable handle on the result.
+    its data is returned as it is, and every empty sequence gives one
+    shared empty array; every other input is converted or copied once,
+    so no caller keeps a writeable handle on the result.
     """
     if isinstance(values, np.ndarray):
         if values.dtype.kind not in "iu":
@@ -127,6 +133,8 @@ def check_index_array(values: object, name: str) -> IntArray:
                 raise ValidationError(
                     f"{name} must be non-negative ints, got a {kind.__name__}"
                 )
+        if not values:
+            return _NO_INDICES
         try:
             array = np.array(values, dtype=np.int64)
         except OverflowError:
@@ -136,7 +144,7 @@ def check_index_array(values: object, name: str) -> IntArray:
         raise ValidationError(
             f"{name} must be one-dimensional, got shape {array.shape}"
         )
-    if array.dtype.kind == "u" and array.size and array.max() > np.iinfo(np.int64).max:
+    if array.dtype.kind == "u" and array.size and array.max() >= np.uint64(2**63):
         raise ValidationError(f"{name} must fit in int64")
     if array.dtype != np.int64 or shared:
         array = array.astype(np.int64)

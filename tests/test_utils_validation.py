@@ -126,7 +126,9 @@ class TestCheckIndexArray:
         np.testing.assert_array_equal(result, [3, 0, 3])
 
     def test_empty_and_range(self):
-        assert check_index_array((), "t").shape == (0,)
+        empty = check_index_array((), "t")
+        assert empty.shape == (0,) and empty.dtype == np.int64
+        assert not empty.flags.writeable and check_index_array([], "t") is empty
         np.testing.assert_array_equal(check_index_array(range(3), "t"), [0, 1, 2])
 
     def test_read_only_owned_array_is_kept(self):
