@@ -250,12 +250,12 @@ def _validate(trace: WorkloadTrace, name: Callable[[int], str]) -> WorkloadTrace
     for position, event in enumerate(trace.events):
         if event.round_index >= trace.horizon:
             raise ValidationError(
-                f"{name(position)} fires at round {event.round_index} "
+                f"{name(position)}: fires at round {event.round_index} "
                 f">= horizon {trace.horizon}"
             )
         if event.round_index < previous_round:
             raise ValidationError(
-                f"{name(position)} at round {event.round_index} breaks "
+                f"{name(position)}: round {event.round_index} breaks "
                 "non-decreasing round order"
             )
         previous_round = event.round_index
@@ -381,11 +381,10 @@ def _event_from_record(record: object, position: int) -> TraceEvent:
             continue
         value = record[key]
         if key == "targets":
-            fields[key] = _json_targets(value, where)
+            value = _json_targets(value, where)
         else:
-            fields[key] = _json_number(
-                value, f"{where}: {key!r}", key in ("count", "node")
-            )
+            value = _json_number(value, f"{where}: {key!r}", key in ("count", "node"))
+        fields[key] = value
     round_index = _json_number(record["round"], f"{where}: 'round'", True)
     try:
         return TraceEvent(round_index, kind, **fields)

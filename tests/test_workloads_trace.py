@@ -328,9 +328,6 @@ class TestMalformedFields:
             ({"round": 1, "kind": "arrival", "targets": [[1], 2]}, {}),
             ({"round": 1, "kind": "arrival", "targets": [2**63]}, {}),
             ({"round": 1, "kind": "arrival", "targets": [1e300]}, {}),
-            ({"round": 1, "kind": "arrival", "targets": [4]}, {}),
-            ({"round": 10, "kind": "departure", "count": 1}, {}),
-            ({"round": 1, "kind": "departure", "count": 6}, {}),
         ],
         ids=[
             "count-abc",
@@ -351,9 +348,6 @@ class TestMalformedFields:
             "targets-nested",
             "targets-beyond-int64",
             "targets-huge-float",
-            "targets-out-of-range",
-            "round-beyond-horizon",
-            "departure-unsafe",
         ],
     )
     def test_refused_with_validation_error(self, tmp_path, event, header):
@@ -367,9 +361,10 @@ class TestMalformedFields:
         [
             {"round": 1, "kind": "arrival", "targets": [-1, 2]},
             {"round": 1, "kind": "arrival", "targets": [4]},
+            {"round": 10, "kind": "departure", "count": 1},
             {"round": 1, "kind": "departure", "count": 6},
         ],
-        ids=["parse", "range", "departure-safety"],
+        ids=["parse", "range", "horizon", "departure-safety"],
     )
     def test_record_faults_name_the_line(self, tmp_path, event):
         path = tmp_path / "bad.jsonl"
@@ -459,7 +454,7 @@ class TestReaderFuzz:
         try:
             trace = load_trace(path)
         except ValidationError as error:
-            assert str(error).startswith(("trace line 1:", "trace line 1 ")), error
+            assert str(error).startswith("trace line 1: "), error
             return
         (event,) = trace.events
         if record["kind"] == "arrival" and "targets" in record:
