@@ -24,7 +24,7 @@ import pytest
 from benchmarks.conftest import record_bench, run_quick
 from repro.core.protocols import SelfishUniformProtocol, SelfishWeightedProtocol
 from repro.core.stopping import NashStop
-from repro.experiments.scenario_cells import measure_scenario_recovery
+from repro.experiments.executor import CellSpec, run_cell
 from repro.graphs.generators import torus_graph
 from repro.model.batch import BatchUniformState
 from repro.model.placement import place_weighted_random, random_placement
@@ -178,21 +178,23 @@ def test_heavy_churn_counter_per_round_speedup():
 
 def _timed_cell(tasks: str, engine: str) -> tuple[object, float]:
     """Best-of-two wall clock for one 100-repetition scenario cell."""
-    kwargs = dict(
-        repetitions=100,
-        seed=42,
-        tasks=tasks,
-        engine=engine,
-    )
+    params = {"tasks": tasks, "engine": engine}
     if tasks == "uniform":
         cell_args = ("torus", 16, 16.0)
-        kwargs["shock_fraction"] = 0.8
+        params["shock_fraction"] = 0.8
     else:
         cell_args = ("ring", 8, 8.0)
+    spec = CellSpec(
+        "scenario-recovery",
+        *cell_args,
+        repetitions=100,
+        seed=42,
+        params=tuple(sorted(params.items())),
+    )
     best_seconds, measurement = float("inf"), None
     for _ in range(2):
         start = time.perf_counter()
-        measurement = measure_scenario_recovery(*cell_args, **kwargs)
+        measurement = run_cell(spec)
         best_seconds = min(best_seconds, time.perf_counter() - start)
     return measurement, best_seconds
 

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import record_bench, run_quick
-from repro.experiments.scenario_cells import measure_topology_resilience
+from repro.experiments.executor import CellSpec, run_cell
 
 
 def test_topology_experiment(benchmark):
@@ -37,22 +37,27 @@ def test_topology_experiment(benchmark):
 
 def _timed_cell(engine: str) -> tuple[object, float]:
     """Best-of-two wall clock for the failure-heavy fat-tree cell."""
+    params = {
+        "engine": engine,
+        "fail_fraction": 0.25,
+        "fail_round": 20,
+        "partition_round": 45,
+        "recover_round": 70,
+        "horizon": 140,
+    }
+    spec = CellSpec(
+        "topology-resilience",
+        "fat-tree",
+        20,
+        m_factor=8.0,
+        repetitions=100,
+        seed=42,
+        params=tuple(sorted(params.items())),
+    )
     best_seconds, measurement = float("inf"), None
     for _ in range(2):
         start = time.perf_counter()
-        measurement = measure_topology_resilience(
-            "fat-tree",
-            20,
-            m_factor=8.0,
-            repetitions=100,
-            seed=42,
-            engine=engine,
-            fail_fraction=0.25,
-            fail_round=20,
-            partition_round=45,
-            recover_round=70,
-            horizon=140,
-        )
+        measurement = run_cell(spec)
         best_seconds = min(best_seconds, time.perf_counter() - start)
     return measurement, best_seconds
 

@@ -37,28 +37,32 @@ target (NaN rounds from unconverged replicas are excluded — see
 seed are deterministic functions of the spec, so adaptive runs are
 reproducible at any worker count too.
 
-Workers are processes, not threads, so the measurement functions and
-their results must be picklable. Every kind in :data:`MEASUREMENT_KINDS`
-is a module-level function in :mod:`repro.experiments._common` or
-:mod:`repro.experiments.scenario_cells` returning a frozen dataclass of
-plain scalars, which keeps child processes importable regardless of the
-multiprocessing start method.
+Workers are processes, not threads, so cells and their results must
+be picklable. :data:`CELL_KINDS` is the one table of measurement kinds:
+each :class:`CellKind` record names a module-level measurement function
+in :mod:`repro.experiments._common` or a scenario cell builder in
+:mod:`repro.experiments.scenario_cells` /
+:mod:`repro.experiments.workload_cells`, plus the kind's merge, whether
+it sizes adaptively and when it shards under counter streams. Results
+are frozen dataclasses of plain scalars, and a worker process finds the
+table by importing this module to unpickle a :class:`CellSpec`.
 
 Sharding restrictions (enforced per spec, only when a split would
 actually happen): under ``rng_policy="counter"`` only the weighted
-kinds shard — their single draw site is fixed-width and
-replica-addressed — while the uniform kinds' multinomial and the
-scenario events consume data-dependent whole-stack blocks that a window
-cannot reproduce. Under the default spawned policy every kind shards.
+kinds and the weighted-task trace replay kinds shard, as each record's
+``counter_shardable`` says. Under the default spawned policy every kind
+shards.
 """
 
 from __future__ import annotations
 
 import inspect
 import math
+import numbers
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 import numpy as np
@@ -74,31 +78,24 @@ from repro.experiments._common import (
     measure_weighted_threshold_time,
 )
 from repro.experiments.scenario_cells import (
-    measure_churn_band,
-    measure_scenario_recovery,
-    measure_shock_recovery,
-    measure_topology_resilience,
-    run_scenario_window,
-    summarize_scenario_result,
+    _build_churn_cell,
+    _build_recovery_cell,
+    _build_shock_cell,
+    _build_topology_cell,
+    _ScenarioCell,
 )
-
-# Importing the workload cells registers their builders into the
-# scenario cell registry — worker processes import this module to
-# unpickle CellSpec tasks, so the registration is visible pool-wide.
 from repro.experiments.workload_cells import (
-    measure_workload_adversarial,
-    measure_workload_replay,
+    _build_adversarial_cell,
+    _build_workload_cell,
 )
-from repro.scenarios import merge_replica_results
-from repro.utils.rng import derive_seed
+from repro.scenarios import ScenarioResult, merge_replica_results
+from repro.utils.rng import check_rng_policy, derive_seed
 from repro.utils.validation import check_integer, check_non_negative
 
 __all__ = [
     "CellSpec",
-    "MEASUREMENT_KINDS",
-    "ADAPTIVE_KINDS",
-    "COUNTER_SHARDABLE_KINDS",
-    "WORKLOAD_KINDS",
+    "CellKind",
+    "CELL_KINDS",
     "ShardTiming",
     "CellTiming",
     "ExecutionReport",
@@ -112,52 +109,171 @@ __all__ = [
 
 T = TypeVar("T")
 
-#: Measurement kind -> cell function. Each takes ``(family_name,
-#: target_n, m_factor, repetitions, seed)`` plus kind-specific keyword
-#: extras (a spec's ``params``) and derives its own per-cell seed.
-MEASUREMENT_KINDS: dict[str, Callable[..., object]] = {
-    "approx": measure_psi_threshold_time,
-    "exact": measure_exact_nash_time,
-    "weighted": measure_weighted_threshold_time,
-    "weighted-variant": measure_variant_threshold_time,
-    "scenario-recovery": measure_scenario_recovery,
-    "shock-recovery": measure_shock_recovery,
-    "churn-band": measure_churn_band,
-    "topology-resilience": measure_topology_resilience,
-    "workload-replay": measure_workload_replay,
-    "workload-adversarial": measure_workload_adversarial,
-}
 
-#: Kinds returning a :class:`FamilyMeasurement` — the sweep kinds whose
-#: mean convergence round the adaptive CI controller can target.
-ADAPTIVE_KINDS = frozenset({"approx", "exact", "weighted"})
+@dataclass(frozen=True)
+class CellKind:
+    """Everything the executor knows about one measurement kind.
 
-#: Kinds whose ensembles shard under ``rng_policy="counter"``: all their
-#: counter draw sites are fixed-width and replica-addressed (the
-#: weighted kernels' fused migration draw). The uniform kinds' batched
-#: multinomial and every scenario event consume data-dependent
-#: whole-stack blocks, so their counter ensembles refuse to split.
-COUNTER_SHARDABLE_KINDS = frozenset({"weighted", "weighted-variant"})
+    Exactly one of ``measure`` and ``build`` is set. ``measure`` is a
+    static measurement ``(family_name, target_n, m_factor=,
+    repetitions=, seed=, rng_policy=, replica_offset=, replica_count=,
+    **params)`` that runs a replica window itself. ``build`` is a
+    scenario cell builder ``(family_name, target_n, m_factor, seed,
+    **params)``: the executor runs the built cell's ensemble, or a
+    replica window of it, on the engine a spec's ``engine`` param names,
+    and summarizes it. The function's keywords that no spec field fills
+    (plus ``engine`` for a builder) are the params the kind takes.
 
-#: Trace-replay kinds: their schedules are compiled from workload
-#: traces, so every event is deterministic (zero stream randomness).
-#: That makes them the one scenario family whose *counter* ensembles
-#: may shard — but only on weighted task systems (``params["tasks"] ==
-#: "weighted"``), because the uniform kernel's multinomial site is
-#: whole-stack.
-WORKLOAD_KINDS = frozenset({"workload-replay", "workload-adversarial"})
+    ``merge(spec, parts)`` joins one cell's shard partials, given in
+    replica order. ``adaptive`` marks the family sweep kinds, whose mean
+    convergence round ``target_ci`` can target. ``counter_shardable``
+    says from a spec's params whether the kind's ensembles split into
+    replica windows under ``rng_policy="counter"``.
+    """
 
-#: Kinds merged through :func:`repro.scenarios.merge_replica_results`.
-_SCENARIO_KINDS = (
-    frozenset(
-        {
-            "scenario-recovery",
-            "shock-recovery",
-            "churn-band",
-            "topology-resilience",
-        }
+    merge: Callable[[CellSpec, Sequence[object]], object]
+    measure: Callable[..., object] | None = None
+    build: Callable[..., _ScenarioCell] | None = None
+    adaptive: bool = False
+    counter_shardable: Callable[[Mapping[str, object]], bool] = (
+        lambda params: False
     )
-    | WORKLOAD_KINDS
+
+
+def _pooled_rounds(
+    parts: Sequence[FamilyMeasurement | VariantMeasurement],
+) -> tuple[tuple[float, ...], np.ndarray, int]:
+    """Concatenated ``repetition_rounds``, the converged rounds, and R.
+
+    The converged rounds go through the monolithic measurement's NaN
+    filter and int64 round-trip, so summaries over them are
+    byte-identical to the serial run's.
+    """
+    repetition_rounds = tuple(
+        value for part in parts for value in part.repetition_rounds
+    )
+    rounds_array = np.asarray(repetition_rounds, dtype=np.float64)
+    converged = rounds_array[~np.isnan(rounds_array)].astype(np.int64)
+    num_repetitions = sum(part.num_repetitions for part in parts)
+    return repetition_rounds, converged.astype(np.float64), num_repetitions
+
+
+def _merge_family(
+    spec: CellSpec, parts: Sequence[FamilyMeasurement]
+) -> FamilyMeasurement:
+    """Merge windowed family measurements in replica (offset) order."""
+    first = parts[0]
+    repetition_rounds, converged, num_repetitions = _pooled_rounds(parts)
+    if converged.shape[0]:
+        summary = summarize(converged)
+        median_rounds, mean_rounds = summary.median, summary.mean
+    else:
+        median_rounds = mean_rounds = float("nan")
+    return FamilyMeasurement(
+        family=first.family,
+        n=first.n,
+        m=first.m,
+        lambda2=first.lambda2,
+        max_degree=first.max_degree,
+        median_rounds=median_rounds,
+        mean_rounds=mean_rounds,
+        bound_rounds=first.bound_rounds,
+        num_converged=int(converged.shape[0]),
+        num_repetitions=num_repetitions,
+        repetition_rounds=repetition_rounds,
+    )
+
+
+def _merge_variant(
+    spec: CellSpec, parts: Sequence[VariantMeasurement]
+) -> VariantMeasurement:
+    """Merge windowed variant measurements in replica (offset) order.
+
+    The churn probe ran only on the shard owning replica 0 (the first),
+    whose probe fields carry over verbatim; the ablation's
+    all-or-nothing ``median_rounds`` is recomputed over the full
+    ensemble.
+    """
+    first = parts[0]
+    repetition_rounds, converged, num_repetitions = _pooled_rounds(parts)
+    if converged.shape[0] == num_repetitions and converged.shape[0]:
+        median_rounds = summarize(converged).median
+    else:
+        median_rounds = float("nan")
+    return VariantMeasurement(
+        variant=first.variant,
+        label=first.label,
+        median_rounds=median_rounds,
+        num_converged=int(converged.shape[0]),
+        num_repetitions=num_repetitions,
+        engine=first.engine,
+        probe_converged=first.probe_converged,
+        churn_per_round=first.churn_per_round,
+        still_threshold_nash=first.still_threshold_nash,
+        repetition_rounds=repetition_rounds,
+    )
+
+
+def _merge_scenario(
+    spec: CellSpec, parts: Sequence[ScenarioResult]
+) -> object:
+    """Summarize the merged windows with a rebuilt cell.
+
+    Building a cell is deterministic in the spec, so the parent's
+    rebuild summarizes exactly as the monolithic run does.
+    """
+    return _build_scenario(spec).summarize(merge_replica_results(list(parts)))
+
+
+def _weighted_tasks(params: Mapping[str, object]) -> bool:
+    return params.get("tasks", "uniform") == "weighted"
+
+
+#: The measurement kinds. Under counter streams the weighted kinds
+#: shard (their one draw site is fixed-width and replica-addressed), and
+#: so do the trace replay kinds on weighted tasks: compiled trace events
+#: draw nothing, while the uniform kernel's multinomial site is
+#: whole-stack. Every other kind draws data-dependent whole-stack blocks
+#: that a replica window cannot reproduce.
+CELL_KINDS: Mapping[str, CellKind] = MappingProxyType(
+    {
+        "approx": CellKind(
+            _merge_family, measure=measure_psi_threshold_time, adaptive=True
+        ),
+        "exact": CellKind(
+            _merge_family, measure=measure_exact_nash_time, adaptive=True
+        ),
+        "weighted": CellKind(
+            _merge_family,
+            measure=measure_weighted_threshold_time,
+            adaptive=True,
+            counter_shardable=lambda params: True,
+        ),
+        "weighted-variant": CellKind(
+            _merge_variant,
+            measure=measure_variant_threshold_time,
+            counter_shardable=lambda params: True,
+        ),
+        "scenario-recovery": CellKind(_merge_scenario, build=_build_recovery_cell),
+        "shock-recovery": CellKind(_merge_scenario, build=_build_shock_cell),
+        "churn-band": CellKind(_merge_scenario, build=_build_churn_cell),
+        "topology-resilience": CellKind(_merge_scenario, build=_build_topology_cell),
+        "workload-replay": CellKind(
+            _merge_scenario,
+            build=_build_workload_cell,
+            counter_shardable=_weighted_tasks,
+        ),
+        "workload-adversarial": CellKind(
+            _merge_scenario,
+            build=_build_adversarial_cell,
+            counter_shardable=_weighted_tasks,
+        ),
+    }
+)
+
+#: Keywords a run fills from the spec fields and the replica window.
+_SPEC_FILLED = frozenset(
+    {"m_factor", "repetitions", "seed", "rng_policy", "replica_offset", "replica_count"}
 )
 
 #: Wave size for adaptive cells that set no explicit ``shard_size``.
@@ -175,7 +291,7 @@ class CellSpec:
     Attributes
     ----------
     kind:
-        Key into :data:`MEASUREMENT_KINDS`.
+        Key into :data:`CELL_KINDS`.
     family, n:
         Graph family name and target size of the cell.
     m_factor:
@@ -292,97 +408,139 @@ class ExecutionReport:
         return [timing.to_json() for timing in self.timings]
 
 
-def _measurement_for(kind: str) -> Callable[..., object]:
+def _kind_for(kind: object) -> CellKind:
     """Resolve a measurement kind, rejecting unknown ones."""
-    try:
-        return MEASUREMENT_KINDS[kind]
-    except KeyError:
+    record = CELL_KINDS.get(kind) if isinstance(kind, str) else None
+    if record is None:
         raise ValidationError(
             f"unknown measurement kind {kind!r}; "
-            f"available: {sorted(MEASUREMENT_KINDS)}"
-        ) from None
+            f"available: {sorted(CELL_KINDS)}"
+        )
+    return record
+
+
+def _check_params(spec: CellSpec, kind: CellKind) -> None:
+    """Refuse params the kind's measurement or builder does not take."""
+    if not isinstance(spec.params, tuple) or not all(
+        isinstance(pair, tuple) and len(pair) == 2 and isinstance(pair[0], str)
+        for pair in spec.params
+    ):
+        raise ValidationError(
+            f"kind {spec.kind!r}: params must be a tuple of (name, value) "
+            f"pairs, got {spec.params!r}"
+        )
+    parameters = list(
+        inspect.signature(kind.measure or kind.build).parameters.values()
+    )
+    # The family and size go in positionally; a spec's params may name
+    # neither them nor a keyword the spec fills.
+    filled = {parameters[0].name, parameters[1].name, *_SPEC_FILLED}
+    accepted = {
+        p.name for p in parameters if p.kind is not p.VAR_KEYWORD
+    } - filled
+    if kind.build is not None:
+        accepted.add("engine")
+    open_ended = any(p.kind is p.VAR_KEYWORD for p in parameters)
+    unknown = sorted(
+        name
+        for name, _ in spec.params
+        if name in filled or not (open_ended or name in accepted)
+    )
+    if unknown:
+        raise ValidationError(
+            f"kind {spec.kind!r} does not take params {unknown}; "
+            f"it takes {sorted(accepted)}"
+        )
 
 
 def _check_spec(spec: CellSpec) -> None:
     """Validate one spec's values and sharding/adaptive plan up front."""
-    measure = _measurement_for(spec.kind)
+    kind = _kind_for(spec.kind)
+    check_integer(spec.n, "n", minimum=1)
+    check_integer(spec.repetitions, "repetitions", minimum=1)
     check_integer(spec.seed, "seed", minimum=0)
     check_non_negative(spec.m_factor, "m_factor")
-    parameters = inspect.signature(measure).parameters
-    # The family and size go in positionally, the rest by _spec_kwargs;
-    # a spec's params may name none of them.
-    filled = {*list(parameters)[:2], *_spec_kwargs(spec, (0, 1))}
-    open_ended = any(p.kind is p.VAR_KEYWORD for p in parameters.values())
-    unknown = sorted(
-        name
-        for name, _ in spec.params
-        if name in filled or not (open_ended or name in parameters)
-    )
-    if unknown:
-        accepted = sorted(
-            name
-            for name, p in parameters.items()
-            if p.kind is not p.VAR_KEYWORD and name not in filled
-        )
-        raise ValidationError(
-            f"kind {spec.kind!r} does not take params {unknown}; "
-            f"it takes {accepted}"
-        )
-    if spec.shard_size is not None and spec.shard_size < 1:
-        raise ValidationError(
-            f"shard_size must be >= 1, got {spec.shard_size}"
-        )
+    check_rng_policy(spec.rng_policy)
+    if spec.shard_size is not None:
+        check_integer(spec.shard_size, "shard_size", minimum=1)
+    _check_params(spec, kind)
     if spec.target_ci is not None:
-        if not spec.target_ci > 0:
+        if not isinstance(spec.target_ci, numbers.Real) or not spec.target_ci > 0:
             raise ValidationError(
-                f"target_ci must be positive, got {spec.target_ci}"
+                f"target_ci must be positive, got {spec.target_ci!r}"
             )
-        if spec.kind not in ADAPTIVE_KINDS:
+        if not kind.adaptive:
+            adaptive = sorted(name for name, k in CELL_KINDS.items() if k.adaptive)
             raise ValidationError(
                 f"adaptive sizing (target_ci) targets the mean convergence "
-                f"round of the family sweep kinds {sorted(ADAPTIVE_KINDS)}; "
+                f"round of the family sweep kinds {adaptive}; "
                 f"kind {spec.kind!r} has no such estimand"
             )
     splits = spec.target_ci is not None or (
         spec.shard_size is not None and spec.shard_size < spec.repetitions
     )
-    counter_shardable = spec.kind in COUNTER_SHARDABLE_KINDS or (
-        spec.kind in WORKLOAD_KINDS
-        and dict(spec.params).get("tasks", "uniform") == "weighted"
-    )
-    if splits and spec.rng_policy == "counter" and not counter_shardable:
+    if (
+        splits
+        and spec.rng_policy == "counter"
+        and not kind.counter_shardable(dict(spec.params))
+    ):
+        shardable = sorted(
+            name for name, k in CELL_KINDS.items() if k.counter_shardable({})
+        )
         raise ValidationError(
             f"kind {spec.kind!r} cannot shard under rng_policy='counter': "
             "its draw sites consume data-dependent whole-stack counter "
             "blocks (multinomial / churn-sized), which a replica window "
             "cannot reproduce. Use rng_policy='spawned' for sharded runs "
             f"of this kind, or drop shard_size/target_ci; counter sharding "
-            f"is available for {sorted(COUNTER_SHARDABLE_KINDS)} and for "
+            f"is available for {shardable} and for "
             "weighted-task workload replay kinds"
         )
 
 
-def _spec_kwargs(
-    spec: CellSpec, window: tuple[int, int] | None = None
-) -> dict[str, object]:
-    """The keyword arguments a measurement call fills from the spec."""
-    kwargs: dict[str, object] = {
-        "m_factor": spec.m_factor,
-        "repetitions": spec.repetitions,
-        "seed": spec.seed,
-        "rng_policy": spec.rng_policy,
-    }
-    if window is not None:
-        kwargs["replica_offset"], kwargs["replica_count"] = window
-    return kwargs
-
-
-def _run_monolithic(spec: CellSpec) -> object:
-    """Run one fixed-R cell whole, in the current process."""
-    measure = _measurement_for(spec.kind)
-    return measure(
-        spec.family, spec.n, **_spec_kwargs(spec), **dict(spec.params)
+def _build_scenario(spec: CellSpec) -> _ScenarioCell:
+    """Build a scenario kind's cell; ``engine`` is a run param, not a build one."""
+    params = {name: value for name, value in spec.params if name != "engine"}
+    return CELL_KINDS[spec.kind].build(
+        spec.family, spec.n, spec.m_factor, spec.seed, **params
     )
+
+
+def _run_window(
+    spec: CellSpec, window: tuple[int, int] | None
+) -> tuple[object, _ScenarioCell | None]:
+    """Run a cell whole (``window=None``) or one replica window of it.
+
+    Returns a static kind's measurement, or a scenario kind's raw
+    :class:`~repro.scenarios.ScenarioResult` and the built cell.
+    """
+    kind = CELL_KINDS[spec.kind]
+    offset, count = window or (0, None)
+    if kind.build is None:
+        measurement = kind.measure(
+            spec.family,
+            spec.n,
+            m_factor=spec.m_factor,
+            repetitions=spec.repetitions,
+            seed=spec.seed,
+            rng_policy=spec.rng_policy,
+            replica_offset=offset,
+            replica_count=count,
+            **dict(spec.params),
+        )
+        return measurement, None
+    cell = _build_scenario(spec)
+    result = cell.runner.run_ensemble(
+        cell.factory,
+        repetitions=spec.repetitions,
+        rounds=cell.horizon,
+        seed=cell.cell_seed,
+        engine=dict(spec.params).get("engine", "auto"),
+        rng_policy=spec.rng_policy,
+        replica_offset=offset,
+        replica_count=count,
+    )
+    return result, cell
 
 
 def run_cell(spec: CellSpec) -> object:
@@ -396,7 +554,8 @@ def run_cell(spec: CellSpec) -> object:
     """
     _check_spec(spec)
     if spec.target_ci is None:
-        return _run_monolithic(spec)
+        result, cell = _run_window(spec, None)
+        return result if cell is None else cell.summarize(result)
     job = _CellJob(spec)
     _drive_job_serial(job)
     job.finalize()
@@ -412,104 +571,9 @@ def run_cell_shard(
     ``[replica_offset, replica_offset + replica_count)``: a windowed
     measurement dataclass for the family/variant kinds, a raw windowed
     :class:`~repro.scenarios.ScenarioResult` for the scenario kinds.
-    Partials merge in offset order via :func:`_merge_shards`.
+    Partials merge in offset order via the kind's ``merge``.
     """
-    kwargs = _spec_kwargs(spec, (replica_offset, replica_count))
-    if spec.kind in _SCENARIO_KINDS:
-        return run_scenario_window(
-            spec.kind, spec.family, spec.n, **kwargs, **dict(spec.params)
-        )
-    measure = _measurement_for(spec.kind)
-    return measure(spec.family, spec.n, **kwargs, **dict(spec.params))
-
-
-def _merge_family_shards(
-    parts: Sequence[FamilyMeasurement],
-) -> FamilyMeasurement:
-    """Merge windowed family measurements in replica (offset) order.
-
-    Recomputes the summary statistics over the concatenated
-    ``repetition_rounds`` exactly as the monolithic measurement does
-    (NaN filter, int64 round-trip, :func:`summarize`), so the merged
-    cell is byte-identical to the serial run.
-    """
-    first = parts[0]
-    repetition_rounds = tuple(
-        value for part in parts for value in part.repetition_rounds
-    )
-    rounds_array = np.asarray(repetition_rounds, dtype=np.float64)
-    converged = rounds_array[~np.isnan(rounds_array)].astype(np.int64)
-    if converged.shape[0]:
-        summary = summarize(converged.astype(np.float64))
-        median_rounds, mean_rounds = summary.median, summary.mean
-    else:
-        median_rounds = mean_rounds = float("nan")
-    return FamilyMeasurement(
-        family=first.family,
-        n=first.n,
-        m=first.m,
-        lambda2=first.lambda2,
-        max_degree=first.max_degree,
-        median_rounds=median_rounds,
-        mean_rounds=mean_rounds,
-        bound_rounds=first.bound_rounds,
-        num_converged=int(converged.shape[0]),
-        num_repetitions=sum(part.num_repetitions for part in parts),
-        repetition_rounds=repetition_rounds,
-    )
-
-
-def _merge_variant_shards(
-    parts: Sequence[VariantMeasurement],
-) -> VariantMeasurement:
-    """Merge windowed variant measurements in replica (offset) order.
-
-    The churn probe ran only on the shard owning replica 0 (the first),
-    whose probe fields carry over verbatim; the ablation's
-    all-or-nothing ``median_rounds`` is recomputed over the full
-    ensemble.
-    """
-    first = parts[0]
-    repetition_rounds = tuple(
-        value for part in parts for value in part.repetition_rounds
-    )
-    rounds_array = np.asarray(repetition_rounds, dtype=np.float64)
-    converged = rounds_array[~np.isnan(rounds_array)].astype(np.int64)
-    num_repetitions = sum(part.num_repetitions for part in parts)
-    if converged.shape[0] == num_repetitions and converged.shape[0]:
-        median_rounds = summarize(converged.astype(np.float64)).median
-    else:
-        median_rounds = float("nan")
-    return VariantMeasurement(
-        variant=first.variant,
-        label=first.label,
-        median_rounds=median_rounds,
-        num_converged=int(converged.shape[0]),
-        num_repetitions=num_repetitions,
-        engine=first.engine,
-        probe_converged=first.probe_converged,
-        churn_per_round=first.churn_per_round,
-        still_threshold_nash=first.still_threshold_nash,
-        repetition_rounds=repetition_rounds,
-    )
-
-
-def _merge_shards(spec: CellSpec, parts: Sequence[object]) -> object:
-    """Merge one cell's shard partials (in offset order) into its result."""
-    if spec.kind in _SCENARIO_KINDS:
-        merged = merge_replica_results(list(parts))
-        return summarize_scenario_result(
-            spec.kind,
-            spec.family,
-            spec.n,
-            spec.m_factor,
-            spec.seed,
-            merged,
-            **dict(spec.params),
-        )
-    if spec.kind == "weighted-variant":
-        return _merge_variant_shards(parts)
-    return _merge_family_shards(parts)
+    return _run_window(spec, (replica_offset, replica_count))[0]
 
 
 def _shard_windows(spec: CellSpec) -> list[tuple[int, int] | None]:
@@ -675,7 +739,7 @@ class _CellJob:
         spec = self.spec
         if self.adaptive:
             windows = self.windows[: len(self.partials)]
-            self.result = _merge_shards(spec, self.partials)
+            self.result = CELL_KINDS[spec.kind].merge(spec, self.partials)
             shards = tuple(
                 ShardTiming(window[0], window[1], elapsed)
                 for window, elapsed in zip(windows, self.seconds)
@@ -690,7 +754,7 @@ class _CellJob:
                     ShardTiming(0, spec.repetitions, self.seconds[0]),
                 )
             else:
-                self.result = _merge_shards(spec, self.partials)
+                self.result = CELL_KINDS[spec.kind].merge(spec, self.partials)
                 shards = tuple(
                     ShardTiming(window[0], window[1], elapsed)
                     for window, elapsed in zip(self.windows, self.seconds)

@@ -199,64 +199,31 @@ def run_experiment(
     check_rng_policy(rng_policy)
     runner = get_experiment(experiment_id)
     keywords: dict[str, object] = {}
-    if workers is not None and _accepts_keyword(runner, "workers"):
-        keywords["workers"] = workers
-    elif workers is not None and workers > 1:
-        warnings.warn(
-            f"experiment {experiment_id!r} does not support parallel "
-            f"execution; ignoring --workers {workers} and running serially",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    if _accepts_keyword(runner, "rng_policy"):
-        keywords["rng_policy"] = rng_policy
-    elif rng_policy != "spawned":
-        warnings.warn(
-            f"experiment {experiment_id!r} has no rng_policy parameter; "
-            f"ignoring --rng {rng_policy} and using spawned streams",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    if shard_size is not None:
-        if _accepts_keyword(runner, "shard_size"):
-            keywords["shard_size"] = shard_size
-        else:
+    # Per knob: keyword, value, whether ignoring it warns, and the
+    # warning's reason, CLI flag and fallback.
+    knobs = (
+        ("workers", workers, workers is not None and workers > 1,
+         "does not support parallel execution", "--workers", "running serially"),
+        ("rng_policy", rng_policy, rng_policy != "spawned",
+         "has no rng_policy parameter", "--rng", "using spawned streams"),
+        ("shard_size", shard_size, True,
+         "has no shard_size parameter", "--shard-size", "running monolithic cells"),
+        ("target_ci", target_ci, True,
+         "has no target_ci parameter", "--target-ci", "running fixed-size ensembles"),
+        ("trace", trace, True,
+         "has no trace parameter", "--trace", "running its normal grid"),
+        ("workload", workload, True,
+         "has no workload parameter", "--workload", "running its normal grid"),
+    )
+    for name, value, warns, reason, flag, fallback in knobs:
+        if value is None:
+            continue
+        if _accepts_keyword(runner, name):
+            keywords[name] = value
+        elif warns:
             warnings.warn(
-                f"experiment {experiment_id!r} has no shard_size parameter; "
-                f"ignoring --shard-size {shard_size} and running monolithic "
-                "cells",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-    if target_ci is not None:
-        if _accepts_keyword(runner, "target_ci"):
-            keywords["target_ci"] = target_ci
-        else:
-            warnings.warn(
-                f"experiment {experiment_id!r} has no target_ci parameter; "
-                f"ignoring --target-ci {target_ci} and running fixed-size "
-                "ensembles",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-    if trace is not None:
-        if _accepts_keyword(runner, "trace"):
-            keywords["trace"] = trace
-        else:
-            warnings.warn(
-                f"experiment {experiment_id!r} has no trace parameter; "
-                f"ignoring --trace {trace} and running its normal grid",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-    if workload is not None:
-        if _accepts_keyword(runner, "workload"):
-            keywords["workload"] = workload
-        else:
-            warnings.warn(
-                f"experiment {experiment_id!r} has no workload parameter; "
-                f"ignoring --workload {workload} and running its normal "
-                "grid",
+                f"experiment {experiment_id!r} {reason}; ignoring {flag} "
+                f"{value} and {fallback}",
                 RuntimeWarning,
                 stacklevel=2,
             )

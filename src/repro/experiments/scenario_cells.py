@@ -1,34 +1,34 @@
 """Picklable scenario measurement cells for the sweep executor.
 
-Each function here is one independent measurement cell in the
-:mod:`repro.experiments.executor` sense — module-level, returning a
-frozen dataclass of plain scalars, deriving its own stream from
-``(seed, family, n, tag)`` — so the ``scenarios-*`` experiments and the
-ported ``robustness`` experiment fan their cells over a process pool
-with results identical at any worker count.
+Each builder here constructs one independent measurement cell in the
+:mod:`repro.experiments.executor` sense — deterministic in ``(family,
+n, m_factor, seed, params)``, deriving its own stream from ``(seed,
+family, n, tag)`` — so the ``scenarios-*`` experiments and the ported
+``robustness`` experiment fan their cells over a process pool with
+results identical at any worker count.
 
-Three kinds:
+Four kinds, one builder each:
 
-* ``"scenario-recovery"`` (:func:`measure_scenario_recovery`) — Poisson
+* ``"scenario-recovery"`` (:func:`_build_recovery_cell`) — Poisson
   churn plus one mid-run load shock, on uniform *or* weighted task
   systems, measuring post-shock recovery and steady-state bands;
-* ``"shock-recovery"`` (:func:`measure_shock_recovery`) — the
+* ``"shock-recovery"`` (:func:`_build_shock_cell`) — the
   self-stabilization check: repeated shocks, each recovery compared to
   the Theorem 1.1 bound;
-* ``"churn-band"`` (:func:`measure_churn_band`) — stationary churn,
+* ``"churn-band"`` (:func:`_build_churn_cell`) — stationary churn,
   checking the potential stays in a band around the balanced region;
-* ``"topology-resilience"`` (:func:`measure_topology_resilience`) — an
+* ``"topology-resilience"`` (:func:`_build_topology_cell`) — an
   edge-failure / network-partition / recovery cycle, tracking the
   per-round graph factor ``Delta / lambda_2`` (``inf`` through the
   disconnected window) and post-recovery re-convergence.
 
-Each kind is split into *build* (deterministic cell construction),
-*run* (the ensemble — or a replica window of it,
-:func:`run_scenario_window`), and *summarize*
-(:func:`summarize_scenario_result`, pure aggregation of a
-:class:`~repro.scenarios.ScenarioResult`). The ``measure_*`` functions
-compose all three; the executor's replica-sharded path runs windows in
-worker processes and summarizes the
+A builder returns a :class:`_ScenarioCell`: the runner, state factory,
+horizon and cell seed to run, plus ``summarize``, pure aggregation of a
+:class:`~repro.scenarios.ScenarioResult` into the kind's frozen
+measurement dataclass. The executor's kind table
+(:data:`~repro.experiments.executor.CELL_KINDS`) runs the ensemble — or
+a replica window of it — and summarizes. Its replica-sharded path runs
+windows in worker processes and summarizes the
 :func:`~repro.scenarios.merge_replica_results`-merged ensemble in the
 parent, which is byte-identical because spawned windows draw exactly
 their replicas' monolithic streams.
@@ -85,12 +85,6 @@ __all__ = [
     "ShockRecoveryMeasurement",
     "ChurnBandMeasurement",
     "TopologyResilienceMeasurement",
-    "measure_scenario_recovery",
-    "measure_shock_recovery",
-    "measure_churn_band",
-    "measure_topology_resilience",
-    "run_scenario_window",
-    "summarize_scenario_result",
 ]
 
 
@@ -206,6 +200,13 @@ def _build_recovery_cell(
     warmup: int = 20,
     violation_window: int = 10,
 ) -> _ScenarioCell:
+    """Recovery from a mid-churn load shock on one cell.
+
+    ``m = ceil(m_factor * n)`` tasks from a random start, stationary
+    Poisson churn every round, and one flash crowd at ``shock_round``
+    relocating ``shock_fraction`` of all tasks onto node 0. The cell
+    seed derives from ``(seed, family, n, "scenario-<tasks>")``.
+    """
     family = get_family(family_name)
     graph = family.make(target_n)
     n = graph.num_vertices
@@ -263,56 +264,6 @@ def _build_recovery_cell(
     )
 
 
-def measure_scenario_recovery(
-    family_name: str,
-    target_n: int,
-    m_factor: float,
-    repetitions: int,
-    seed: int,
-    tasks: str = "uniform",
-    churn_rate: float = 1.0,
-    churn_weight: float = 0.5,
-    shock_round: int = 60,
-    shock_fraction: float = 0.5,
-    horizon: int = 180,
-    warmup: int = 20,
-    violation_window: int = 10,
-    engine: str = "auto",
-    rng_policy: str = "spawned",
-) -> ScenarioCellMeasurement:
-    """Measure recovery from a mid-churn load shock on one cell.
-
-    The scenario: ``m = ceil(m_factor * n)`` tasks from a random start,
-    stationary Poisson churn every round, and one flash crowd at
-    ``shock_round`` relocating ``shock_fraction`` of all tasks onto node
-    0. The cell derives its own stream from ``(seed, family, n,
-    "scenario-<tasks>")``, so executor results are identical at any
-    worker count.
-    """
-    cell = _build_recovery_cell(
-        family_name,
-        target_n,
-        m_factor,
-        seed,
-        tasks=tasks,
-        churn_rate=churn_rate,
-        churn_weight=churn_weight,
-        shock_round=shock_round,
-        shock_fraction=shock_fraction,
-        horizon=horizon,
-        warmup=warmup,
-        violation_window=violation_window,
-    )
-    result = cell.runner.run_ensemble(
-        cell.factory,
-        repetitions=repetitions,
-        rounds=cell.horizon,
-        seed=cell.cell_seed,
-        engine=engine,
-        rng_policy=rng_policy,
-    )
-    return cell.summarize(result)
-
 
 @dataclass(frozen=True)
 class ShockRecoveryMeasurement:
@@ -348,6 +299,15 @@ def _build_shock_cell(
     shock_fraction: float = 0.5,
     budget_factor: float = 2.0,
 ) -> _ScenarioCell:
+    """Recovery from repeated adversarial shocks on one cell.
+
+    ``m = ceil(m_factor * n^2)`` tasks start adversarially (all on one
+    node); shocks relocating ``shock_fraction`` of all tasks onto node 0
+    fire every ``budget_factor x bound`` rounds, giving each recovery
+    the same budget the static Theorem 1.1 measurement allows. The
+    memoryless protocol must re-reach ``Psi_0 <= 4 psi_c`` within the
+    bound after *every* shock.
+    """
     family = get_family(family_name)
     graph = family.make(target_n)
     n = graph.num_vertices
@@ -414,46 +374,6 @@ def _build_shock_cell(
     )
 
 
-def measure_shock_recovery(
-    family_name: str,
-    target_n: int,
-    m_factor: float,
-    repetitions: int,
-    seed: int,
-    num_shocks: int = 3,
-    shock_fraction: float = 0.5,
-    budget_factor: float = 2.0,
-    engine: str = "auto",
-    rng_policy: str = "spawned",
-) -> ShockRecoveryMeasurement:
-    """Measure recovery from repeated adversarial shocks on one cell.
-
-    ``m = ceil(m_factor * n^2)`` tasks start adversarially (all on one
-    node); shocks relocating ``shock_fraction`` of all tasks onto node 0
-    fire every ``budget_factor x bound`` rounds, giving each recovery
-    the same budget the static Theorem 1.1 measurement allows. The
-    memoryless protocol must re-reach ``Psi_0 <= 4 psi_c`` within the
-    bound after *every* shock.
-    """
-    cell = _build_shock_cell(
-        family_name,
-        target_n,
-        m_factor,
-        seed,
-        num_shocks=num_shocks,
-        shock_fraction=shock_fraction,
-        budget_factor=budget_factor,
-    )
-    result = cell.runner.run_ensemble(
-        cell.factory,
-        repetitions=repetitions,
-        rounds=cell.horizon,
-        seed=cell.cell_seed,
-        engine=engine,
-        rng_policy=rng_policy,
-    )
-    return cell.summarize(result)
-
 
 @dataclass(frozen=True)
 class ChurnBandMeasurement:
@@ -488,6 +408,7 @@ def _build_churn_cell(
     horizon: int = 400,
     warmup: int = 100,
 ) -> _ScenarioCell:
+    """The stationary potential band under Poisson churn."""
     family = get_family(family_name)
     graph = family.make(target_n)
     n = graph.num_vertices
@@ -528,38 +449,6 @@ def _build_churn_cell(
         summarize=summarize,
     )
 
-
-def measure_churn_band(
-    family_name: str,
-    target_n: int,
-    m_factor: float,
-    repetitions: int,
-    seed: int,
-    churn_rate: float = 5.0,
-    horizon: int = 400,
-    warmup: int = 100,
-    engine: str = "auto",
-    rng_policy: str = "spawned",
-) -> ChurnBandMeasurement:
-    """Measure the stationary potential band under Poisson churn."""
-    cell = _build_churn_cell(
-        family_name,
-        target_n,
-        m_factor,
-        seed,
-        churn_rate=churn_rate,
-        horizon=horizon,
-        warmup=warmup,
-    )
-    result = cell.runner.run_ensemble(
-        cell.factory,
-        repetitions=repetitions,
-        rounds=cell.horizon,
-        seed=cell.cell_seed,
-        engine=engine,
-        rng_policy=rng_policy,
-    )
-    return cell.summarize(result)
 
 
 @dataclass(frozen=True)
@@ -616,6 +505,14 @@ def _build_topology_cell(
     recover_round: int = 70,
     horizon: int = 140,
 ) -> _ScenarioCell:
+    """Resilience through a failure → partition → recovery cycle.
+
+    ``m = ceil(m_factor * n)`` tasks from a random start; the topology
+    events are replica-stable (their randomness derives from the cell
+    seed, not the replica streams), so both engines and both RNG
+    policies see the identical graph sequence, and the cell can shard
+    into replica windows under the spawned policy.
+    """
     if not 0 < fail_round < partition_round < recover_round < horizon:
         raise ValidationError(
             "rounds must satisfy 0 < fail_round < partition_round < "
@@ -678,131 +575,3 @@ def _build_topology_cell(
         cell_seed=derive_seed(seed, family_name, n, f"topology-{tasks}"),
         summarize=summarize,
     )
-
-
-def measure_topology_resilience(
-    family_name: str,
-    target_n: int,
-    m_factor: float,
-    repetitions: int,
-    seed: int,
-    tasks: str = "uniform",
-    fail_fraction: float = 0.3,
-    fail_round: int = 20,
-    partition_round: int = 45,
-    recover_round: int = 70,
-    horizon: int = 140,
-    engine: str = "auto",
-    rng_policy: str = "spawned",
-) -> TopologyResilienceMeasurement:
-    """Measure resilience through a failure → partition → recovery cycle.
-
-    ``m = ceil(m_factor * n)`` tasks from a random start; the topology
-    events are replica-stable (their randomness derives from the cell
-    seed, not the replica streams), so both engines and both RNG
-    policies see the identical graph sequence, and the cell can shard
-    into replica windows under the spawned policy.
-    """
-    cell = _build_topology_cell(
-        family_name,
-        target_n,
-        m_factor,
-        seed,
-        tasks=tasks,
-        fail_fraction=fail_fraction,
-        fail_round=fail_round,
-        partition_round=partition_round,
-        recover_round=recover_round,
-        horizon=horizon,
-    )
-    result = cell.runner.run_ensemble(
-        cell.factory,
-        repetitions=repetitions,
-        rounds=cell.horizon,
-        seed=cell.cell_seed,
-        engine=engine,
-        rng_policy=rng_policy,
-    )
-    return cell.summarize(result)
-
-
-#: Builder per scenario measurement kind; the builder's keyword surface
-#: is the kind's parameter contract (CellSpec.params keys must match).
-_CELL_BUILDERS: dict[str, Callable[..., _ScenarioCell]] = {
-    "scenario-recovery": _build_recovery_cell,
-    "shock-recovery": _build_shock_cell,
-    "churn-band": _build_churn_cell,
-    "topology-resilience": _build_topology_cell,
-}
-
-
-def _build_cell(
-    kind: str,
-    family_name: str,
-    target_n: int,
-    m_factor: float,
-    seed: int,
-    params: dict,
-) -> _ScenarioCell:
-    builder = _CELL_BUILDERS.get(kind)
-    if builder is None:
-        raise ValidationError(
-            f"unknown scenario measurement kind {kind!r}; "
-            f"available: {sorted(_CELL_BUILDERS)}"
-        )
-    return builder(family_name, target_n, m_factor, seed, **params)
-
-
-def run_scenario_window(
-    kind: str,
-    family_name: str,
-    target_n: int,
-    m_factor: float,
-    repetitions: int,
-    seed: int,
-    replica_offset: int = 0,
-    replica_count: int | None = None,
-    engine: str = "auto",
-    rng_policy: str = "spawned",
-    **params,
-) -> ScenarioResult:
-    """Run one replica window of a scenario cell (executor shard body).
-
-    Returns the raw :class:`~repro.scenarios.ScenarioResult` for replicas
-    ``[replica_offset, replica_offset + replica_count)`` of the
-    ``repetitions``-sized ensemble; windows merged in offset order with
-    :func:`~repro.scenarios.merge_replica_results` reproduce the
-    monolithic ensemble byte-for-byte (spawned policy only — counter
-    scenario ensembles refuse to shard, see
-    :meth:`ScenarioRunner.run_ensemble`).
-    """
-    cell = _build_cell(kind, family_name, target_n, m_factor, seed, params)
-    return cell.runner.run_ensemble(
-        cell.factory,
-        repetitions=repetitions,
-        rounds=cell.horizon,
-        seed=cell.cell_seed,
-        engine=engine,
-        rng_policy=rng_policy,
-        replica_offset=replica_offset,
-        replica_count=replica_count,
-    )
-
-
-def summarize_scenario_result(
-    kind: str,
-    family_name: str,
-    target_n: int,
-    m_factor: float,
-    seed: int,
-    result: ScenarioResult,
-    **params,
-):
-    """Summarize a (possibly shard-merged) ensemble result for ``kind``.
-
-    Pure aggregation — rebuilding the cell is deterministic, so the
-    parent process summarizing merged shard windows produces exactly
-    what the monolithic ``measure_*`` call would.
-    """
-    cell = _build_cell(kind, family_name, target_n, m_factor, seed, params)
-    return cell.summarize(result)

@@ -2,13 +2,13 @@
 
 Two kinds bridge :mod:`repro.workloads` into the executor:
 
-* ``"workload-replay"`` (:func:`measure_workload_replay`) — build a
+* ``"workload-replay"`` (:func:`_build_workload_cell`) — build a
   generator trace (or load one from disk), compile it to a
   deterministic schedule, replay it over an ensemble, and check exact
   task conservation: the recorded per-round task counts must equal the
   trace's :func:`~repro.workloads.task_timeline` in every replica, on
   every engine, under both RNG policies.
-* ``"workload-adversarial"`` (:func:`measure_workload_adversarial`) —
+* ``"workload-adversarial"`` (:func:`_build_adversarial_cell`) —
   the adversarial generator: arrivals target each replica's currently
   most-loaded node (placement deferred to application time), measuring
   how much imbalance pressure the protocol absorbs.
@@ -36,11 +36,7 @@ from repro.analysis.dynamics import (
     time_averaged_imbalance,
 )
 from repro.errors import ValidationError
-from repro.experiments.scenario_cells import (
-    _CELL_BUILDERS,
-    _ScenarioCell,
-    _scenario_setup,
-)
+from repro.experiments.scenario_cells import _ScenarioCell, _scenario_setup
 from repro.graphs.families import get_family
 from repro.scenarios import ScenarioResult, ScenarioRunner
 from repro.utils.rng import derive_seed
@@ -52,11 +48,7 @@ from repro.workloads import (
     task_timeline,
 )
 
-__all__ = [
-    "WorkloadMeasurement",
-    "measure_workload_replay",
-    "measure_workload_adversarial",
-]
+__all__ = ["WorkloadMeasurement"]
 
 
 @dataclass(frozen=True)
@@ -152,6 +144,16 @@ def _build_workload_cell(
     violation_window: int = 10,
     **overrides,
 ) -> _ScenarioCell:
+    """Replay a compiled workload trace over an ensemble.
+
+    ``m = ceil(m_factor * n)`` tasks start randomly placed; the trace
+    (the ``workload`` generator with ``overrides``, or the
+    ``trace_path`` file) compiles to a deterministic schedule, so the
+    recorded task counts must track
+    :func:`~repro.workloads.task_timeline` exactly — the
+    ``conservation_ok`` verdict — across engines, RNG policies, worker
+    counts, and replica shards.
+    """
     family = get_family(family_name)
     graph = family.make(target_n)
     n = graph.num_vertices
@@ -168,8 +170,9 @@ def _build_workload_cell(
             f"trace has initial_tasks={m}"
         )
     protocol, target, factory = _scenario_setup(graph, tasks, m)
+    # load_trace and every generator hand back a validated trace.
     runner = ScenarioRunner(
-        graph, protocol, compile_trace(trace), target=target
+        graph, protocol, compile_trace(trace, validate=False), target=target
     )
     expected = task_timeline(trace)
 
@@ -223,7 +226,13 @@ def _build_adversarial_cell(
     workload: str = "adversarial",
     **params,
 ) -> _ScenarioCell:
-    """The replay cell pinned to the adversarial generator."""
+    """The replay cell pinned to the adversarial generator.
+
+    The trace pins arrival *counts* per round; each replica resolves the
+    target node at application time as its own ``argmax`` load, so the
+    pressure adapts per trajectory while the task timeline — and hence
+    the conservation verdict — stays deterministic.
+    """
     if workload != "adversarial":
         raise ValidationError(
             "workload-adversarial cells always replay the 'adversarial' "
@@ -232,71 +241,3 @@ def _build_adversarial_cell(
     return _build_workload_cell(
         family_name, target_n, m_factor, seed, workload="adversarial", **params
     )
-
-
-_CELL_BUILDERS["workload-replay"] = _build_workload_cell
-_CELL_BUILDERS["workload-adversarial"] = _build_adversarial_cell
-
-
-def measure_workload_replay(
-    family_name: str,
-    target_n: int,
-    m_factor: float,
-    repetitions: int,
-    seed: int,
-    engine: str = "auto",
-    rng_policy: str = "spawned",
-    **params,
-) -> WorkloadMeasurement:
-    """Replay a compiled workload trace over an ensemble and summarize.
-
-    ``m = ceil(m_factor * n)`` tasks start randomly placed; the trace
-    (``params["workload"]`` generator, or ``params["trace_path"]`` file)
-    compiles to a deterministic schedule, so the recorded task counts
-    must track :func:`~repro.workloads.task_timeline` exactly — the
-    ``conservation_ok`` verdict — across engines, RNG policies, worker
-    counts, and replica shards.
-    """
-    cell = _build_workload_cell(
-        family_name, target_n, m_factor, seed, **params
-    )
-    result = cell.runner.run_ensemble(
-        cell.factory,
-        repetitions=repetitions,
-        rounds=cell.horizon,
-        seed=cell.cell_seed,
-        engine=engine,
-        rng_policy=rng_policy,
-    )
-    return cell.summarize(result)
-
-
-def measure_workload_adversarial(
-    family_name: str,
-    target_n: int,
-    m_factor: float,
-    repetitions: int,
-    seed: int,
-    engine: str = "auto",
-    rng_policy: str = "spawned",
-    **params,
-) -> WorkloadMeasurement:
-    """Replay the adversarial generator: arrivals chase the loaded node.
-
-    The trace pins arrival *counts* per round; each replica resolves the
-    target node at application time as its own ``argmax`` load, so the
-    pressure adapts per trajectory while the task timeline — and hence
-    the conservation verdict — stays deterministic.
-    """
-    cell = _build_adversarial_cell(
-        family_name, target_n, m_factor, seed, **params
-    )
-    result = cell.runner.run_ensemble(
-        cell.factory,
-        repetitions=repetitions,
-        rounds=cell.horizon,
-        seed=cell.cell_seed,
-        engine=engine,
-        rng_policy=rng_policy,
-    )
-    return cell.summarize(result)

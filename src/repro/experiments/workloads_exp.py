@@ -25,7 +25,7 @@ from repro.experiments.executor import CellSpec, execute_cells_report
 from repro.experiments.registry import ExperimentResult, register_experiment
 from repro.experiments.workload_cells import WorkloadMeasurement
 from repro.utils.tables import Table, format_float
-from repro.workloads import available_workloads, load_trace
+from repro.workloads import available_workloads, load_trace_header
 
 __all__ = ["run_workloads_traffic"]
 
@@ -66,16 +66,16 @@ def _grid_specs(
     if trace is not None:
         # The trace dictates node count, placement size, and horizon;
         # the complete family realizes any vertex count exactly.
-        loaded = load_trace(trace)
+        header = load_trace_header(trace)
         rows = [
             (
                 "workload-replay",
                 "complete",
-                loaded.num_nodes,
+                header["num_nodes"],
                 "uniform",
                 1.0,
                 "mmpp-flash",
-                loaded.horizon,
+                header["horizon"],
             )
         ]
     elif workload is not None:

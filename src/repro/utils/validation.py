@@ -7,6 +7,7 @@ functions down to one line per argument.
 
 from __future__ import annotations
 
+from numbers import Real
 from typing import Sized
 
 import numpy as np
@@ -26,8 +27,15 @@ __all__ = [
 ]
 
 
+def _check_real(value: object, name: str) -> None:
+    """Require a real number, so the finiteness checks cannot raise."""
+    if not isinstance(value, Real):
+        raise ValidationError(f"{name} must be a number, got {value!r}")
+
+
 def check_positive(value: float, name: str) -> float:
     """Require ``value > 0`` and return it."""
+    _check_real(value, name)
     if not np.isfinite(value) or value <= 0:
         raise ValidationError(f"{name} must be a positive finite number, got {value!r}")
     return float(value)
@@ -35,6 +43,7 @@ def check_positive(value: float, name: str) -> float:
 
 def check_non_negative(value: float, name: str) -> float:
     """Require ``value >= 0`` and return it."""
+    _check_real(value, name)
     if not np.isfinite(value) or value < 0:
         raise ValidationError(
             f"{name} must be a non-negative finite number, got {value!r}"
@@ -44,6 +53,7 @@ def check_non_negative(value: float, name: str) -> float:
 
 def check_probability(value: float, name: str) -> float:
     """Require ``0 <= value <= 1`` and return it."""
+    _check_real(value, name)
     if not np.isfinite(value) or value < 0 or value > 1:
         raise ValidationError(f"{name} must lie in [0, 1], got {value!r}")
     return float(value)
@@ -62,6 +72,7 @@ def check_in_range(
 
     ``low_open``/``high_open`` make the respective end exclusive.
     """
+    _check_real(value, name)
     if not np.isfinite(value):
         raise ValidationError(f"{name} must be finite, got {value!r}")
     low_ok = value > low if low_open else value >= low

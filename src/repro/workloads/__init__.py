@@ -42,6 +42,7 @@ from repro.workloads.trace import (
     TraceEvent,
     WorkloadTrace,
     load_trace,
+    load_trace_header,
     save_trace,
     task_timeline,
     validate_trace,
@@ -57,6 +58,7 @@ __all__ = [
     "task_timeline",
     "save_trace",
     "load_trace",
+    "load_trace_header",
     "mmpp_trace",
     "diurnal_trace",
     "flash_crowd_trace",

@@ -17,6 +17,7 @@ trace is departure-safe by construction (see
 
 from __future__ import annotations
 
+import inspect
 import math
 
 from repro.errors import ValidationError
@@ -299,8 +300,18 @@ def merge_traces(*traces: WorkloadTrace, generator: str | None = None) -> Worklo
     )
 
 
+def _keywords(*generators) -> frozenset[str]:
+    """The keyword-only parameters of ``generators`` but ``initial_tasks``."""
+    return frozenset(
+        name
+        for generator in generators
+        for name, p in inspect.signature(generator).parameters.items()
+        if p.kind is p.KEYWORD_ONLY and name != "initial_tasks"
+    )
+
+
 def _mmpp_flash(num_nodes, horizon, seed, *, initial_tasks=0, **overrides):
-    flash_keys = {"crowds", "fraction", "echoes", "decay"}
+    flash_keys = _keywords(flash_crowd_trace)
     flash_args = {k: v for k, v in overrides.items() if k in flash_keys}
     mmpp_args = {k: v for k, v in overrides.items() if k not in flash_keys}
     return merge_traces(
@@ -312,13 +323,14 @@ def _mmpp_flash(num_nodes, horizon, seed, *, initial_tasks=0, **overrides):
     )
 
 
-#: Named workloads for ``--workload NAME`` and the sweep cells.
+#: Named workloads for ``--workload NAME`` and the sweep cells, each
+#: with the generators whose keywords it takes.
 _WORKLOADS = {
-    "mmpp": mmpp_trace,
-    "diurnal": diurnal_trace,
-    "flash-crowd": flash_crowd_trace,
-    "adversarial": adversarial_trace,
-    "mmpp-flash": _mmpp_flash,
+    "mmpp": (mmpp_trace, (mmpp_trace,)),
+    "diurnal": (diurnal_trace, (diurnal_trace,)),
+    "flash-crowd": (flash_crowd_trace, (flash_crowd_trace,)),
+    "adversarial": (adversarial_trace, (adversarial_trace,)),
+    "mmpp-flash": (_mmpp_flash, (mmpp_trace, flash_crowd_trace)),
 }
 
 
@@ -336,13 +348,23 @@ def build_workload(
     initial_tasks: int = 0,
     **overrides,
 ) -> WorkloadTrace:
-    """Build a named workload trace (see :func:`available_workloads`)."""
+    """Build a named workload trace (see :func:`available_workloads`).
+
+    ``overrides`` are the generator's keywords; ``"mmpp-flash"`` takes
+    those of :func:`mmpp_trace` and :func:`flash_crowd_trace`.
+    """
     try:
-        builder = _WORKLOADS[name]
+        builder, generators = _WORKLOADS[name]
     except KeyError:
         raise ValidationError(
             f"unknown workload {name!r}; available: {available_workloads()}"
         ) from None
+    unknown = sorted(set(overrides) - _keywords(*generators))
+    if unknown:
+        raise ValidationError(
+            f"workload {name!r} does not take {unknown}; "
+            f"it takes {sorted(_keywords(*generators))}"
+        )
     return builder(
         num_nodes, horizon, seed, initial_tasks=initial_tasks, **overrides
     )

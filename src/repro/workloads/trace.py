@@ -62,6 +62,7 @@ __all__ = [
     "task_timeline",
     "save_trace",
     "load_trace",
+    "load_trace_header",
 ]
 
 #: Magic string in the header line of every trace file.
@@ -224,27 +225,25 @@ def validate_trace(trace: WorkloadTrace) -> WorkloadTrace:
     return _validate(trace, "event {}".format)
 
 
+def _check_header(
+    num_nodes: object, horizon: object, seed: object, initial_tasks: object
+) -> None:
+    """Range-check a trace's header fields."""
+    if not isinstance(num_nodes, (int, np.integer)) or num_nodes < 1:
+        raise ValidationError(f"num_nodes must be a positive int, got {num_nodes}")
+    if not isinstance(horizon, (int, np.integer)) or horizon < 1:
+        raise ValidationError(f"horizon must be a positive int, got {horizon}")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValidationError(f"trace seed must be a non-negative int, got {seed}")
+    if not isinstance(initial_tasks, (int, np.integer)) or initial_tasks < 0:
+        raise ValidationError(
+            f"initial_tasks must be a non-negative int, got {initial_tasks}"
+        )
+
+
 def _validate(trace: WorkloadTrace, name: Callable[[int], str]) -> WorkloadTrace:
     """:func:`validate_trace`, naming the event at ``position`` ``name(position)``."""
-    if not isinstance(trace.num_nodes, (int, np.integer)) or trace.num_nodes < 1:
-        raise ValidationError(
-            f"num_nodes must be a positive int, got {trace.num_nodes}"
-        )
-    if not isinstance(trace.horizon, (int, np.integer)) or trace.horizon < 1:
-        raise ValidationError(
-            f"horizon must be a positive int, got {trace.horizon}"
-        )
-    if not isinstance(trace.seed, (int, np.integer)) or trace.seed < 0:
-        raise ValidationError(
-            f"trace seed must be a non-negative int, got {trace.seed}"
-        )
-    if (
-        not isinstance(trace.initial_tasks, (int, np.integer))
-        or trace.initial_tasks < 0
-    ):
-        raise ValidationError(
-            f"initial_tasks must be a non-negative int, got {trace.initial_tasks}"
-        )
+    _check_header(trace.num_nodes, trace.horizon, trace.seed, trace.initial_tasks)
     running = int(trace.initial_tasks)
     previous_round = 0
     for position, event in enumerate(trace.events):
@@ -413,15 +412,16 @@ def save_trace(trace: WorkloadTrace, path: str | Path) -> Path:
     return path
 
 
-def load_trace(path: str | Path) -> WorkloadTrace:
-    """Read and validate a JSONL trace file written by :func:`save_trace`."""
-    path = Path(path)
-    with path.open("r", encoding="utf-8") as handle:
-        lines = [line for line in (raw.strip() for raw in handle) if line]
-    if not lines:
+#: The integer header fields every trace file carries.
+_HEADER_NUMBERS = ("num_nodes", "horizon", "seed", "initial_tasks")
+
+
+def _parse_header(path: Path, line: str | None) -> dict:
+    """A trace file's checked header object, its numbers converted."""
+    if line is None:
         raise ValidationError(f"trace file {path} is empty")
     try:
-        header = json.loads(lines[0])
+        header = json.loads(line)
     except json.JSONDecodeError as error:
         raise ValidationError(
             f"trace file {path}: header is not valid JSON ({error})"
@@ -436,10 +436,33 @@ def load_trace(path: str | Path) -> WorkloadTrace:
             f"trace file {path}: unsupported version {version!r} "
             f"(this reader handles version {TRACE_VERSION})"
         )
-    num_nodes, horizon, seed, initial_tasks = (
-        _json_number(header.get(key), f"trace file {path}: header {key!r}", True)
-        for key in ("num_nodes", "horizon", "seed", "initial_tasks")
-    )
+    numbers = {
+        key: _json_number(header.get(key), f"trace file {path}: header {key!r}", True)
+        for key in _HEADER_NUMBERS
+    }
+    _check_header(**numbers)
+    return {**header, **numbers}
+
+
+def load_trace_header(path: str | Path) -> dict:
+    """A trace file's header, read without its events.
+
+    The header object :func:`save_trace` wrote, with ``num_nodes``,
+    ``horizon``, ``seed`` and ``initial_tasks`` checked and converted to
+    ints; a malformed header is refused as :func:`load_trace` refuses it.
+    """
+    path = Path(path)
+    with path.open("r", encoding="utf-8") as handle:
+        line = next((line for line in (raw.strip() for raw in handle) if line), None)
+    return _parse_header(path, line)
+
+
+def load_trace(path: str | Path) -> WorkloadTrace:
+    """Read and validate a JSONL trace file written by :func:`save_trace`."""
+    path = Path(path)
+    with path.open("r", encoding="utf-8") as handle:
+        lines = [line for line in (raw.strip() for raw in handle) if line]
+    header = _parse_header(path, lines[0] if lines else None)
     events = []
     for position, line in enumerate(lines[1:], start=1):
         try:
@@ -458,10 +481,7 @@ def load_trace(path: str | Path) -> WorkloadTrace:
             f"found {len(events)}"
         )
     trace = WorkloadTrace(
-        num_nodes=num_nodes,
-        horizon=horizon,
-        seed=seed,
-        initial_tasks=initial_tasks,
+        **{key: header[key] for key in _HEADER_NUMBERS},
         events=tuple(events),
         generator=str(header.get("generator", "custom")),
     )

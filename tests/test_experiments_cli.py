@@ -327,6 +327,36 @@ class TestWorkloadFlags:
         assert code == 0
         assert "file" in out  # the loaded-trace cell reports workload=file
 
+    def test_serial_trace_run_loads_and_validates_once(self, tmp_path, monkeypatch):
+        import repro.workloads
+        from repro.experiments import workload_cells, workloads_exp
+        from repro.experiments.registry import run_experiment
+        from repro.workloads import build_workload, save_trace
+        from repro.workloads import trace as trace_module
+
+        trace_path = tmp_path / "small.jsonl"
+        save_trace(
+            build_workload("mmpp", num_nodes=6, horizon=15, seed=3, initial_tasks=24),
+            trace_path,
+        )
+        calls = {"load_trace": 0, "_validate": 0}
+
+        def counting(function):
+            def counted(*args, **kwargs):
+                calls[function.__name__] += 1
+                return function(*args, **kwargs)
+
+            return counted
+
+        monkeypatch.setattr(trace_module, "_validate", counting(trace_module._validate))
+        load = counting(trace_module.load_trace)
+        for module in (repro.workloads, trace_module, workload_cells, workloads_exp):
+            if hasattr(module, "load_trace"):
+                monkeypatch.setattr(module, "load_trace", load)
+        result = run_experiment("workloads-traffic", trace=str(trace_path))
+        assert result.passed
+        assert calls == {"load_trace": 1, "_validate": 1}
+
     def test_malformed_trace_field_exits_two(self, tmp_path, capsys):
         from repro.workloads import TRACE_FORMAT, TRACE_VERSION
 

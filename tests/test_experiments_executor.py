@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ValidationError
 from repro.experiments._common import (
@@ -13,7 +17,7 @@ from repro.experiments._common import (
     measure_variant_threshold_time,
 )
 from repro.experiments.executor import (
-    MEASUREMENT_KINDS,
+    CELL_KINDS,
     CellSpec,
     execute_cells,
     execute_cells_report,
@@ -67,7 +71,7 @@ class TestSweepSpecs:
 
 class TestRunCell:
     def test_known_kinds_cover_all_measurements(self):
-        assert set(MEASUREMENT_KINDS) == {
+        assert set(CELL_KINDS) == {
             "approx",
             "exact",
             "weighted",
@@ -196,6 +200,64 @@ class TestFailures:
         with pytest.raises(ValidationError, match=message):
             execute_cells_report([good, malformed], workers=1)
         assert ran == []
+
+
+# Arbitrary field values: bools, ints, every float including nan and
+# the infinities, short strings, null and short lists.
+_ANY = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 12),
+    st.floats(),
+    st.text(max_size=3),
+    st.lists(st.integers(0, 3), max_size=2),
+)
+
+
+def _mostly(valid):
+    """``valid`` three draws in four, any value otherwise."""
+    return st.sampled_from((valid, valid, valid, _ANY)).flatmap(lambda s: s)
+
+
+_PARAM_NAMES = st.sampled_from(
+    ["engine", "horizon", "tasks", "variant", "workload", "seed", "replica_count"]
+) | st.text(max_size=3)
+_FIELDS = {
+    "kind": st.sampled_from(sorted(CELL_KINDS)),
+    "family": st.just("ring"),
+    "n": st.integers(1, 16),
+    "m_factor": st.floats(0.0, 10.0),
+    "repetitions": st.integers(1, 8),
+    "seed": st.integers(0, 100),
+    "params": st.lists(st.tuples(_PARAM_NAMES, _ANY), max_size=2).map(tuple),
+    "rng_policy": st.sampled_from(["spawned", "counter"]),
+    "shard_size": st.none() | st.integers(1, 8),
+    "target_ci": st.none() | st.floats(0.1, 5.0),
+}
+
+
+_VALID_SPEC = {"kind": "weighted", "family": "ring", "n": 8, "m_factor": 1.0}
+_VALID_SPEC |= {"repetitions": 4, "seed": 1}
+
+
+class TestSpecFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(fields=st.fixed_dictionaries({k: _mostly(v) for k, v in _FIELDS.items()}))
+    @example(fields={"kind": ["x"]})
+    @example(fields={"kind": "weighted", "shard_size": "2"})
+    @example(fields={"kind": "weighted", "target_ci": "x"})
+    @example(fields={"kind": "weighted", "repetitions": "4", "shard_size": 2})
+    def test_check_passes_or_names_the_kind_or_the_field(self, fields):
+        from repro.experiments.executor import _check_spec
+
+        spec = CellSpec(**{**_VALID_SPEC, **fields})
+        try:
+            _check_spec(spec)
+        except ValidationError as error:
+            text = str(error)
+            assert repr(spec.kind) in text or any(
+                f"{field} must" in text for field in _FIELDS
+            ), text
 
 
 class TestGroupByFamily:
@@ -387,6 +449,27 @@ def _pickled(value):
     return pickle.dumps(value, protocol=4)
 
 
+#: One small 4-replica spec per scenario and workload kind.
+_SCENARIO_SPECS = [
+    CellSpec("scenario-recovery", "ring", 8, 2.0, 4, 9),
+    CellSpec("shock-recovery", "ring", 6, 1.0, 4, 9, params=(("num_shocks", 1),)),
+    CellSpec(
+        "churn-band", "ring", 8, 1.0, 4, 9, params=(("horizon", 40), ("warmup", 10))
+    ),
+    CellSpec("topology-resilience", "ring", 8, 2.0, 4, 9),
+    CellSpec(
+        "workload-replay",
+        "torus",
+        9,
+        4.0,
+        4,
+        9,
+        params=(("horizon", 30), ("tasks", "weighted"), ("workload", "diurnal")),
+    ),
+    CellSpec("workload-adversarial", "torus", 9, 6.0, 4, 9, params=(("horizon", 30),)),
+]
+
+
 class TestShardedExecution:
     """Replica-sharded cells: byte-identical merge at any shard plan."""
 
@@ -449,14 +532,17 @@ class TestShardedExecution:
         # carried through the merge.
         assert sharded.probe_converged == monolithic.probe_converged
 
-    def test_sharded_scenario_cell_matches_monolithic(self):
-        monolithic = run_cell(
-            CellSpec("scenario-recovery", "ring", 8, 2.0, 4, 9)
-        )
-        sharded = execute_cells(
-            [CellSpec("scenario-recovery", "ring", 8, 2.0, 4, 9, shard_size=2)],
-            workers=2,
-        )[0]
+    @pytest.mark.parametrize(
+        "engine", [(), (("engine", "batch"),)], ids=["default", "engine"]
+    )
+    @pytest.mark.parametrize("spec", _SCENARIO_SPECS, ids=lambda spec: spec.kind)
+    def test_sharded_scenario_cell_matches_monolithic(self, spec, engine):
+        """Every scenario and workload kind merges its shards into the
+        monolithic result, also when the spec names the engine (which
+        goes to the ensemble run, never to the cell builder)."""
+        spec = replace(spec, params=spec.params + engine)
+        monolithic = run_cell(spec)
+        sharded = execute_cells([replace(spec, shard_size=2)], workers=2)[0]
         assert _pickled(sharded) == _pickled(monolithic)
 
     def test_sharded_sweep_serial_matches_pool(self):

@@ -43,7 +43,7 @@ from repro.experiments._common import (
     measure_variant_threshold_time,
     measure_weighted_threshold_time,
 )
-from repro.experiments.scenario_cells import measure_scenario_recovery
+from repro.experiments.executor import CellSpec, run_cell
 from repro.graphs.generators import cycle_graph, star_graph, torus_graph
 from repro.model.batch import BatchUniformState, BatchWeightedState
 from repro.model.placement import adversarial_placement, place_weighted_random
@@ -419,9 +419,12 @@ class TestPolicyMatrix:
         assert measurement.num_converged == measurement.num_repetitions
 
     def test_scenario_recovery_cell(self, cli_rng_policy):
-        cell = measure_scenario_recovery(
-            "torus", 9, m_factor=8.0, repetitions=10, seed=20120716,
-            tasks="uniform", horizon=120, rng_policy=cli_rng_policy,
+        cell = run_cell(
+            CellSpec(
+                "scenario-recovery", "torus", 9, m_factor=8.0, repetitions=10,
+                seed=20120716, params=(("horizon", 120), ("tasks", "uniform")),
+                rng_policy=cli_rng_policy,
+            )
         )
         assert cell.engine == "batch"
         assert cell.num_recovered == cell.num_replicas

@@ -266,22 +266,26 @@ class TestTopologyScenarioRuns:
 
 class TestTopologyResilienceCell:
     def test_measurement_roundtrip(self, cli_rng_policy):
-        from repro.experiments.scenario_cells import (
-            measure_topology_resilience,
-        )
+        from repro.experiments.executor import CellSpec, run_cell
 
-        cell = measure_topology_resilience(
-            "fat-tree",
-            20,
-            m_factor=8.0,
-            repetitions=4,
-            seed=20120716,
-            rng_policy=cli_rng_policy,
-            fail_fraction=0.25,
-            fail_round=20,
-            partition_round=45,
-            recover_round=70,
-            horizon=140,
+        params = {
+            "fail_fraction": 0.25,
+            "fail_round": 20,
+            "partition_round": 45,
+            "recover_round": 70,
+            "horizon": 140,
+        }
+        cell = run_cell(
+            CellSpec(
+                "topology-resilience",
+                "fat-tree",
+                20,
+                m_factor=8.0,
+                repetitions=4,
+                seed=20120716,
+                params=tuple(sorted(params.items())),
+                rng_policy=cli_rng_policy,
+            )
         )
         assert cell.family == "fat-tree"
         assert cell.n == 20
@@ -294,13 +298,10 @@ class TestTopologyResilienceCell:
         assert cell.gap_series[-1] == cell.gap_series[0]
 
     def test_registered_in_executor(self):
-        from repro.experiments.executor import (
-            MEASUREMENT_KINDS,
-            _SCENARIO_KINDS,
-        )
+        from repro.experiments.executor import CELL_KINDS
+        from repro.experiments.scenario_cells import _build_topology_cell
 
-        assert "topology-resilience" in MEASUREMENT_KINDS
-        assert "topology-resilience" in _SCENARIO_KINDS
+        assert CELL_KINDS["topology-resilience"].build is _build_topology_cell
 
     def test_experiment_registered(self):
         from repro.experiments.registry import available_experiments

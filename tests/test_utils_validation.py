@@ -24,7 +24,9 @@ class TestCheckPositive:
     def test_accepts_positive(self):
         assert check_positive(2.5, "x") == 2.5
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "bad", [0.0, -1.0, math.nan, math.inf, "2", None, [1.0, 2.0]]
+    )
     def test_rejects(self, bad):
         with pytest.raises(ValidationError, match="x"):
             check_positive(bad, "x")
@@ -34,7 +36,7 @@ class TestCheckNonNegative:
     def test_accepts_zero(self):
         assert check_non_negative(0.0, "x") == 0.0
 
-    @pytest.mark.parametrize("bad", [-0.1, math.nan, -math.inf])
+    @pytest.mark.parametrize("bad", [-0.1, math.nan, -math.inf, "x", None])
     def test_rejects(self, bad):
         with pytest.raises(ValidationError):
             check_non_negative(bad, "x")
@@ -45,7 +47,7 @@ class TestCheckProbability:
     def test_accepts(self, ok):
         assert check_probability(ok, "p") == ok
 
-    @pytest.mark.parametrize("bad", [-0.01, 1.01, math.nan])
+    @pytest.mark.parametrize("bad", [-0.01, 1.01, math.nan, "0.5"])
     def test_rejects(self, bad):
         with pytest.raises(ValidationError):
             check_probability(bad, "p")
@@ -65,6 +67,10 @@ class TestCheckInRange:
     def test_rejects_nan(self):
         with pytest.raises(ValidationError):
             check_in_range(math.nan, "x", 0.0, 1.0)
+
+    def test_rejects_non_numbers(self):
+        with pytest.raises(ValidationError, match="x must be a number"):
+            check_in_range("0.5", "x", 0.0, 1.0)
 
     def test_error_mentions_interval(self):
         with pytest.raises(ValidationError, match=r"\(0\.0, 1\.0\]"):

@@ -180,6 +180,21 @@ class TestGenerators:
         with pytest.raises(ValidationError, match="unknown workload"):
             build_workload("tsunami", num_nodes=4, horizon=10, seed=1)
 
+    def test_unknown_override_rejected_with_the_generator_keywords(self):
+        # mmpp-flash takes the keywords of both of its generators.
+        taken = (
+            r"\['crowds', 'decay', 'echoes', 'fraction', 'rate_high', "
+            r"'rate_low', 'switch_probability', 'weight'\]"
+        )
+        with pytest.raises(
+            ValidationError, match=rf"does not take \['bogus'\]; it takes {taken}"
+        ):
+            build_workload("mmpp-flash", num_nodes=4, horizon=10, seed=1, bogus=1)
+        trace = build_workload(
+            "mmpp-flash", num_nodes=4, horizon=10, seed=1, crowds=1, rate_low=2.0
+        )
+        validate_trace(trace)
+
     def test_catalog_is_sorted_and_complete(self):
         names = available_workloads()
         assert names == sorted(names)
