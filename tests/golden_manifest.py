@@ -17,6 +17,12 @@
   streamed, plus one spawned replica window. The schedule churns every
   round and fires a shock, a speed change, an edge failure and an edge
   recovery.
+* ``static/<kind>/<rng>`` — the sha256 of every field of one small
+  executor cell (:data:`STATIC_CELLS`) of each static measurement kind
+  under both policies: the per-repetition stop rounds
+  (``repetition_rounds``), the summary fields and, for the ablation
+  variant, the churn-probe fields. Final states are not pinned: the
+  convergence measurement does not return them.
 * ``trace/<workload>`` — the sha256 of the ``save_trace`` JSONL bytes
   and the ``task_timeline`` of every named workload in
   :func:`~repro.workloads.available_workloads`, built at a small fixed
@@ -47,6 +53,7 @@ import quick_json
 
 from repro.core.protocols import SelfishUniformProtocol, SelfishWeightedProtocol
 from repro.core.stopping import PotentialThresholdStop
+from repro.experiments.executor import CellSpec, run_cell
 from repro.experiments.registry import available_experiments, run_experiment
 from repro.graphs.families import get_family
 from repro.model.placement import place_weighted_random, random_placement
@@ -87,6 +94,28 @@ SCENARIO_RUNS = (
 SCENARIO_SEED = 2024
 SCENARIO_REPLICAS = 4
 SCENARIO_ROUNDS = 24
+#: One small cell per static measurement kind (the seed and the policy
+#: are filled in per entry); the variant's per-task rule keeps migrating
+#: after convergence, so its churn probe reads a non-zero churn.
+STATIC_CELLS = {
+    "approx": CellSpec("approx", "ring", 8, 2.0, 4, 77),
+    "exact": CellSpec("exact", "ring", 6, 4.0, 4, 3),
+    "weighted": CellSpec("weighted", "ring", 8, 4.0, 4, 5),
+    "weighted-variant": CellSpec(
+        "weighted-variant",
+        "ring",
+        12,
+        0.0,
+        4,
+        9,
+        params=(
+            ("churn_window", 10),
+            ("m", 60),
+            ("max_rounds", 5000),
+            ("variant", "per-task"),
+        ),
+    ),
+}
 TRACE_ARGS = dict(num_nodes=12, horizon=60, seed=11, initial_tasks=50)
 
 
@@ -205,6 +234,14 @@ def scenario_digest(tasks: str, run: str) -> str:
     return sha.hexdigest()[:16]
 
 
+def static_digest(kind: str, rng_policy: str) -> str:
+    """Digest of every field of one static-kind cell (see module docstring)."""
+    cell = run_cell(dataclasses.replace(STATIC_CELLS[kind], rng_policy=rng_policy))
+    sha = hashlib.sha256()
+    _fold(sha, cell)
+    return sha.hexdigest()[:16]
+
+
 def trace_digest(workload: str) -> str:
     """Digest of one workload's saved JSONL bytes and its task timeline."""
     trace = build_workload(workload, **TRACE_ARGS)
@@ -230,8 +267,9 @@ def entry_names() -> list[str]:
     from_scenarios = [
         f"scenario/{tasks}/{run}" for tasks in SCENARIO_TASKS for run in SCENARIO_RUNS
     ]
+    from_static = [f"static/{kind}/{rng}" for kind in STATIC_CELLS for rng in RNG_POLICIES]
     from_traces = [f"trace/{workload}" for workload in available_workloads()]
-    return from_experiments + from_perfbench + from_scenarios + from_traces
+    return from_experiments + from_perfbench + from_scenarios + from_static + from_traces
 
 
 def compute(name: str) -> str:
@@ -244,6 +282,8 @@ def compute(name: str) -> str:
         return experiment_digest(label, variant)
     if kind == "scenario":
         return scenario_digest(label, variant)
+    if kind == "static":
+        return static_digest(label, variant)
     return perfbench_digest(label, int(variant.removeprefix("seed")))
 
 
