@@ -11,7 +11,7 @@ import numpy as np
 
 from benchmarks.conftest import run_quick
 from repro.core.protocols import SelfishUniformProtocol
-from repro.experiments._common import measure_psi_threshold_time
+from repro.experiments.executor import CellSpec, run_cell
 
 
 def test_table1_approx_experiment(benchmark):
@@ -29,8 +29,8 @@ def test_table1_approx_experiment(benchmark):
 def test_single_cell_ring(benchmark):
     """One Table 1 cell: ring n=16, rounds to Psi_0 <= 4 psi_c."""
     cell = benchmark.pedantic(
-        lambda: measure_psi_threshold_time(
-            "ring", 16, m_factor=8.0, repetitions=1, seed=1
+        lambda: run_cell(
+            CellSpec("approx", "ring", 16, m_factor=8.0, repetitions=1, seed=1)
         ),
         rounds=1,
         iterations=1,

@@ -11,7 +11,7 @@ import numpy as np
 
 from benchmarks.conftest import run_quick
 from repro.core.equilibrium import is_nash
-from repro.experiments._common import measure_exact_nash_time
+from repro.experiments.executor import CellSpec, run_cell
 from repro.model.placement import random_placement
 from repro.model.speeds import uniform_speeds
 from repro.model.state import UniformState
@@ -32,8 +32,8 @@ def test_table1_exact_experiment(benchmark):
 def test_single_cell_torus(benchmark):
     """One exact-NE cell: torus n=25."""
     cell = benchmark.pedantic(
-        lambda: measure_exact_nash_time(
-            "torus", 25, m_factor=8.0, repetitions=1, seed=2
+        lambda: run_cell(
+            CellSpec("exact", "torus", 25, m_factor=8.0, repetitions=1, seed=2)
         ),
         rounds=1,
         iterations=1,

@@ -16,6 +16,7 @@ from repro.analysis.statistics import (
 from repro.analysis.convergence import (
     ConvergenceMeasurement,
     measure_convergence_rounds,
+    merge_convergence_measurements,
 )
 from repro.analysis.dynamics import (
     recovery_rounds,
@@ -40,6 +41,7 @@ __all__ = [
     "geometric_mean",
     "ConvergenceMeasurement",
     "measure_convergence_rounds",
+    "merge_convergence_measurements",
     "recovery_rounds",
     "time_averaged_imbalance",
     "rolling_violation",

@@ -42,7 +42,7 @@ every regime and ``"auto"`` always batches them when stackable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -55,7 +55,11 @@ from repro.graphs.graph import Graph
 from repro.model.state import LoadStateBase
 from repro.types import SeedLike
 
-__all__ = ["ConvergenceMeasurement", "measure_convergence_rounds"]
+__all__ = [
+    "ConvergenceMeasurement",
+    "measure_convergence_rounds",
+    "merge_convergence_measurements",
+]
 
 @dataclass(frozen=True)
 class ConvergenceMeasurement:
@@ -108,6 +112,37 @@ class ConvergenceMeasurement:
         if self.summary is None:
             return float("nan")
         return self.summary.mean
+
+
+def _from_repetition_rounds(
+    repetition_rounds: np.ndarray, engine: str
+) -> ConvergenceMeasurement:
+    """The measurement of per-repetition rounds (NaN where unconverged)."""
+    rounds = repetition_rounds[~np.isnan(repetition_rounds)].astype(np.int64)
+    return ConvergenceMeasurement(
+        rounds=rounds,
+        repetition_rounds=repetition_rounds,
+        num_repetitions=int(repetition_rounds.shape[0]),
+        num_converged=int(rounds.shape[0]),
+        summary=summarize(rounds.astype(np.float64)) if rounds.shape[0] else None,
+        engine=engine,
+    )
+
+
+def merge_convergence_measurements(
+    parts: Sequence[ConvergenceMeasurement],
+) -> ConvergenceMeasurement:
+    """Join replica-window measurements, given in replica order.
+
+    The windows of one ensemble (see ``replica_offset`` in
+    :func:`measure_convergence_rounds`) merge into exactly the
+    monolithic measurement: the same constructor summarizes the
+    concatenated ``repetition_rounds``.
+    """
+    return _from_repetition_rounds(
+        np.concatenate([part.repetition_rounds for part in parts]),
+        parts[0].engine,
+    )
 
 
 def measure_convergence_rounds(
@@ -217,12 +252,4 @@ def measure_convergence_rounds(
                 repetition_rounds[index] = scalar_result.stop_round
         engine_used = "scalar"
 
-    rounds = repetition_rounds[~np.isnan(repetition_rounds)].astype(np.int64)
-    return ConvergenceMeasurement(
-        rounds=rounds,
-        repetition_rounds=repetition_rounds,
-        num_repetitions=count,
-        num_converged=int(rounds.shape[0]),
-        summary=summarize(rounds.astype(np.float64)) if rounds.shape[0] else None,
-        engine=engine_used,
-    )
+    return _from_repetition_rounds(repetition_rounds, engine_used)

@@ -4,11 +4,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from repro.analysis.convergence import measure_convergence_rounds
+from repro.analysis.convergence import (
+    ConvergenceMeasurement,
+    measure_convergence_rounds,
+    merge_convergence_measurements,
+)
 from repro.core.equilibrium import is_nash
 from repro.core.protocols import (
     PerTaskThresholdProtocol,
@@ -21,11 +26,7 @@ from repro.core.stopping import NashStop, PotentialThresholdStop, StoppingRule
 from repro.errors import ValidationError
 from repro.graphs.families import get_family
 from repro.graphs.graph import Graph
-from repro.model.placement import (
-    adversarial_placement,
-    place_weighted_all_on_one,
-    random_placement,
-)
+from repro.model.placement import adversarial_placement, place_weighted_all_on_one
 from repro.model.speeds import two_class_speeds
 from repro.model.state import UniformState, WeightedState
 from repro.model.tasks import two_class_weights
@@ -38,15 +39,12 @@ from repro.theory.bounds import (
 )
 from repro.theory.constants import psi_critical
 from repro.utils.rng import derive_seed, spawn_rngs
+from repro.utils.validation import check_integer, check_positive
 
 __all__ = [
     "FamilyMeasurement",
     "VariantMeasurement",
     "WEIGHTED_VARIANT_LABELS",
-    "measure_psi_threshold_time",
-    "measure_exact_nash_time",
-    "measure_weighted_threshold_time",
-    "measure_variant_threshold_time",
     "variant_measure_seed",
     "weighted_variant_setup",
     "APPROX_SWEEP_QUICK",
@@ -119,8 +117,7 @@ class FamilyMeasurement:
         Convergence bookkeeping.
     repetition_rounds:
         Per-repetition first-hitting rounds in repetition order (NaN
-        where the budget ran out) — the raw sample the executor's shard
-        merge and adaptive CI controller operate on.
+        where the budget ran out).
     """
 
     family: str
@@ -136,17 +133,37 @@ class FamilyMeasurement:
     repetition_rounds: tuple[float, ...] = ()
 
 
-def _uniform_state_factory(graph: Graph, m: int, adversarial: bool):
-    """Factory producing fresh initial uniform states per repetition."""
-    n = graph.num_vertices
-    speeds = np.ones(n, dtype=np.float64)
+@dataclass(frozen=True)
+class _Cell:
+    """One built measurement cell: its ensemble, merge and summary.
+
+    Every executor kind builds one (see
+    :data:`repro.experiments.executor.CELL_KINDS`). ``ensemble`` is
+    :func:`~repro.analysis.convergence.measure_convergence_rounds` or
+    :meth:`~repro.scenarios.ScenarioRunner.run_ensemble`, bound to the
+    cell's graph, protocol, initial states, budget and seed; the
+    executor passes it ``repetitions``, ``engine``, ``rng_policy`` and
+    the replica window. ``merge`` joins the raw results of replica
+    windows, given in replica order, into the monolithic result, and
+    ``summarize`` turns a raw result into the kind's frozen measurement.
+
+    Construction is deterministic in ``(kind, family, n, m_factor,
+    seed, params)``, so a worker process that builds the cell for one
+    replica window and the parent that rebuilds it to summarize the
+    merged ensemble agree on every derived quantity.
+    """
+
+    ensemble: Callable[..., object]
+    merge: Callable[[list], object]
+    summarize: Callable[[object], object]
+
+
+def _adversarial_uniform_factory(graph: Graph, m: int):
+    """Factory producing the all-on-one-node uniform start per repetition."""
+    speeds = np.ones(graph.num_vertices, dtype=np.float64)
 
     def factory(rng: np.random.Generator) -> UniformState:
-        if adversarial:
-            counts = adversarial_placement(speeds, m)
-        else:
-            counts = random_placement(n, m, rng)
-        return UniformState(counts, speeds)
+        return UniformState(adversarial_placement(speeds, m), speeds)
 
     return factory
 
@@ -171,128 +188,161 @@ def _weighted_state_factory(
     return factory
 
 
-def measure_weighted_threshold_time(
-    family_name: str,
-    target_n: int,
-    m_factor: float,
-    repetitions: int,
-    seed: int,
-    max_budget: int = 200_000,
-    engine: str = "auto",
-    rng_policy: str = "spawned",
-    replica_offset: int = 0,
-    replica_count: int | None = None,
-) -> FamilyMeasurement:
-    """Measure Algorithm 2's rounds to the threshold state on one cell.
-
-    The weighted counterpart of :func:`measure_exact_nash_time`: uniform
-    speeds, ``m = ceil(m_factor * n)`` heavy/light tasks from an
-    adversarial start, stopping at the threshold state ``l_i - l_j <=
-    1/s_j`` (Algorithm 2's convergence target, an approximate NE by
-    Theorem 1.3). The budget is the Theorem 1.3 *expected*-rounds bound
-    with a flat 50x slack factor (the stopping target is a first-hitting
-    time, not an expectation), capped at ``max_budget``. Repetitions run
-    through the batched ensemble engine by default (``engine="auto"``
-    stacks the per-task arrays into a padded
-    :class:`~repro.model.batch.BatchWeightedState`); pass
-    ``engine="scalar"`` to force the sequential reference path — both
-    engines are pathwise identical for the weighted kernels.
-    """
-    family = get_family(family_name)
-    graph = family.make(target_n)
-    n = graph.num_vertices
-    m = int(math.ceil(m_factor * n))
+def _family_graph(family_name: str, target_n: int) -> tuple[Graph, GraphQuantities]:
+    """A family cell's graph and the quantities its bound takes."""
+    graph = get_family(family_name).make(target_n)
     lambda2 = algebraic_connectivity(graph)
-    quantities = GraphQuantities(n=n, max_degree=graph.max_degree, lambda2=lambda2)
-    bound = theorem13_round_bound(quantities, m, 1.0, 1.0)
-    budget = int(min(math.ceil(bound) * 50, max_budget))
-    measurement = measure_convergence_rounds(
+    return graph, GraphQuantities(
+        n=graph.num_vertices, max_degree=graph.max_degree, lambda2=lambda2
+    )
+
+
+def _family_cell(
+    family_name: str,
+    graph: Graph,
+    quantities: GraphQuantities,
+    m: int,
+    bound: float,
+    protocol: Protocol,
+    factory: Callable[[np.random.Generator], object],
+    stopping: StoppingRule,
+    max_rounds: int,
+    seed: int,
+) -> _Cell:
+    """A family sweep cell: rounds to ``stopping`` against ``bound``."""
+    ensemble = partial(
+        measure_convergence_rounds,
         graph=graph,
-        protocol=SelfishWeightedProtocol(),
-        state_factory=_weighted_state_factory(graph, m),
-        stopping=NashStop(),
-        repetitions=repetitions,
-        max_rounds=budget,
-        seed=derive_seed(seed, family_name, n, "weighted"),
-        engine=engine,
-        rng_policy=rng_policy,
-        replica_offset=replica_offset,
-        replica_count=replica_count,
-    )
-    return FamilyMeasurement(
-        family=family_name,
-        n=n,
-        m=m,
-        lambda2=lambda2,
-        max_degree=graph.max_degree,
-        median_rounds=measurement.median_rounds,
-        mean_rounds=measurement.mean_rounds,
-        bound_rounds=bound,
-        num_converged=measurement.num_converged,
-        num_repetitions=measurement.num_repetitions,
-        repetition_rounds=tuple(
-            float(value) for value in measurement.repetition_rounds
-        ),
+        protocol=protocol,
+        state_factory=factory,
+        stopping=stopping,
+        max_rounds=max_rounds,
+        seed=seed,
     )
 
+    def summarize(measurement: ConvergenceMeasurement) -> FamilyMeasurement:
+        return FamilyMeasurement(
+            family=family_name,
+            n=quantities.n,
+            m=m,
+            lambda2=quantities.lambda2,
+            max_degree=quantities.max_degree,
+            median_rounds=measurement.median_rounds,
+            mean_rounds=measurement.mean_rounds,
+            bound_rounds=bound,
+            num_converged=measurement.num_converged,
+            num_repetitions=measurement.num_repetitions,
+            repetition_rounds=tuple(
+                float(value) for value in measurement.repetition_rounds
+            ),
+        )
 
-def measure_psi_threshold_time(
+    return _Cell(ensemble, merge_convergence_measurements, summarize)
+
+
+def _build_approx_cell(
     family_name: str,
     target_n: int,
     m_factor: float,
-    repetitions: int,
     seed: int,
     budget_factor: float = 2.0,
-    engine: str = "auto",
-    rng_policy: str = "spawned",
-    replica_offset: int = 0,
-    replica_count: int | None = None,
-) -> FamilyMeasurement:
-    """Measure rounds until ``Psi_0 <= 4 psi_c`` on one family cell.
+) -> _Cell:
+    """Rounds until ``Psi_0 <= 4 psi_c`` on one family cell.
 
     Uniform speeds (Table 1 omits the speed factors). ``m`` is
-    ``ceil(m_factor * n^2)`` — quadratic in ``n`` so the initial potential
-    is far above the critical value at every size. The start is
-    adversarial (all tasks on one node). Repetitions run through the
-    batched ensemble engine by default (``engine="auto"``); pass
-    ``engine="scalar"`` to force the sequential reference path.
+    ``ceil(m_factor * n^2)`` — quadratic in ``n`` so the initial
+    potential is far above the critical value at every size. The start
+    is adversarial (all tasks on one node). The budget is
+    ``budget_factor`` times the Theorem 1.1 bound, plus 10 rounds.
     """
-    family = get_family(family_name)
-    graph = family.make(target_n)
-    n = graph.num_vertices
+    check_positive(budget_factor, "budget_factor")
+    graph, quantities = _family_graph(family_name, target_n)
+    n = quantities.n
     m = int(math.ceil(m_factor * n * n))
-    lambda2 = algebraic_connectivity(graph)
-    quantities = GraphQuantities(n=n, max_degree=graph.max_degree, lambda2=lambda2)
-    psi_c = psi_critical(n, graph.max_degree, lambda2, 1.0)
+    psi_c = psi_critical(n, quantities.max_degree, quantities.lambda2, 1.0)
     bound = theorem11_round_bound(quantities, m, 1.0)
-    stopping: StoppingRule = PotentialThresholdStop(4.0 * psi_c, "psi0")
-    measurement = measure_convergence_rounds(
-        graph=graph,
-        protocol=SelfishUniformProtocol(),
-        state_factory=_uniform_state_factory(graph, m, adversarial=True),
-        stopping=stopping,
-        repetitions=repetitions,
+    return _family_cell(
+        family_name,
+        graph,
+        quantities,
+        m,
+        bound,
+        SelfishUniformProtocol(),
+        _adversarial_uniform_factory(graph, m),
+        PotentialThresholdStop(4.0 * psi_c, "psi0"),
         max_rounds=int(math.ceil(budget_factor * bound)) + 10,
         seed=derive_seed(seed, family_name, n, "approx"),
-        engine=engine,
-        rng_policy=rng_policy,
-        replica_offset=replica_offset,
-        replica_count=replica_count,
     )
-    return FamilyMeasurement(
-        family=family_name,
-        n=n,
-        m=m,
-        lambda2=lambda2,
-        max_degree=graph.max_degree,
-        median_rounds=measurement.median_rounds,
-        mean_rounds=measurement.mean_rounds,
-        bound_rounds=bound,
-        num_converged=measurement.num_converged,
-        num_repetitions=measurement.num_repetitions,
-        repetition_rounds=tuple(
-            float(value) for value in measurement.repetition_rounds
-        ),
+
+
+def _build_exact_cell(
+    family_name: str,
+    target_n: int,
+    m_factor: float,
+    seed: int,
+    max_budget: int = 2_000_000,
+) -> _Cell:
+    """Rounds until the exact NE on one family cell.
+
+    Uniform speeds and ``m = ceil(m_factor * n)`` tasks from an
+    adversarial start (all tasks on one node, so the endgame is reached
+    after a genuine spreading phase); the stopping rule is the exact NE
+    condition. The budget is the Theorem 1.2 bound capped at
+    ``max_budget``.
+    """
+    check_integer(max_budget, "max_budget", minimum=0)
+    graph, quantities = _family_graph(family_name, target_n)
+    n = quantities.n
+    m = int(math.ceil(m_factor * n))
+    bound = theorem12_round_bound(quantities, 1.0, 1.0)
+    return _family_cell(
+        family_name,
+        graph,
+        quantities,
+        m,
+        bound,
+        SelfishUniformProtocol(),
+        _adversarial_uniform_factory(graph, m),
+        NashStop(),
+        max_rounds=int(min(bound, max_budget)),
+        seed=derive_seed(seed, family_name, n, "exact"),
+    )
+
+
+def _build_weighted_cell(
+    family_name: str,
+    target_n: int,
+    m_factor: float,
+    seed: int,
+    max_budget: int = 200_000,
+) -> _Cell:
+    """Algorithm 2's rounds to the threshold state on one family cell.
+
+    The weighted counterpart of the ``exact`` cell: uniform speeds,
+    ``m = ceil(m_factor * n)`` heavy/light tasks from an adversarial
+    start, stopping at the threshold state ``l_i - l_j <= 1/s_j``
+    (Algorithm 2's convergence target, an approximate NE by Theorem
+    1.3). The budget is the Theorem 1.3 *expected*-rounds bound with a
+    flat 50x slack factor (the stopping target is a first-hitting time,
+    not an expectation), capped at ``max_budget``. The weighted kernels
+    are pathwise identical on both engines.
+    """
+    check_integer(max_budget, "max_budget", minimum=0)
+    graph, quantities = _family_graph(family_name, target_n)
+    n = quantities.n
+    m = int(math.ceil(m_factor * n))
+    bound = theorem13_round_bound(quantities, m, 1.0, 1.0)
+    return _family_cell(
+        family_name,
+        graph,
+        quantities,
+        m,
+        bound,
+        SelfishWeightedProtocol(),
+        _weighted_state_factory(graph, m),
+        NashStop(),
+        max_rounds=int(min(math.ceil(bound) * 50, max_budget)),
+        seed=derive_seed(seed, family_name, n, "weighted"),
     )
 
 
@@ -334,7 +384,7 @@ class VariantMeasurement:
         after the churn window.
     repetition_rounds:
         Per-repetition first-hitting rounds in repetition order (NaN
-        where the budget ran out), for the executor's shard merge.
+        where the budget ran out).
     """
 
     variant: str
@@ -352,10 +402,10 @@ class VariantMeasurement:
 def variant_measure_seed(seed: int, variant: str) -> int:
     """Per-cell seed for one ablation variant measurement.
 
-    The single derivation shared by :func:`measure_variant_threshold_time`
-    and the churn probe in :mod:`repro.experiments.weighted_variants` —
-    the probe replays repetition 0 of the measurement, which only works
-    if both sides derive the identical stream.
+    The single derivation shared by the ensemble and the churn probe of
+    :func:`_build_variant_cell` — the probe replays repetition 0 of the
+    measurement, which only works if both sides derive the identical
+    stream.
 
     Deliberately derived from the variant label only, *not* ``(family,
     n)`` like the sweep cells: the ablation runs one fixed cell per
@@ -379,11 +429,11 @@ def weighted_variant_setup(
 ) -> tuple[Graph, Protocol, Callable[[np.random.Generator], WeightedState]]:
     """Graph, protocol, and state factory for one ablation variant cell.
 
-    Shared between the executor measurement kind and the churn probe in
-    :mod:`repro.experiments.weighted_variants`, so both replay the exact
-    same configuration: two-class speeds (25% fast at speed 2), two-class
-    weights (10% heavy), ``m = ceil(m_factor * n)`` tasks all starting on
-    node 0. An explicit ``m`` overrides the factor-derived count — the
+    Shared between the variant cell's ensemble and its churn probe (and
+    the ``weighted-nash-counter`` benchmark workload), so all replay the
+    exact same configuration: two-class speeds (25% fast at speed 2),
+    two-class weights (10% heavy), ``m = ceil(m_factor * n)`` tasks all
+    starting on node 0. An explicit ``m`` overrides the factor-derived count — the
     ablation experiment fixes ``m`` exactly rather than scaling it, and
     a ``m / n`` float round-trip through ``m_factor`` could be off by
     one after ``ceil``.
@@ -413,72 +463,56 @@ def weighted_variant_setup(
     return graph, protocol, factory
 
 
-def measure_variant_threshold_time(
+
+
+def _build_variant_cell(
     family_name: str,
     target_n: int,
     m_factor: float,
-    repetitions: int,
     seed: int,
     max_rounds: int = 30_000,
-    engine: str = "auto",
-    rng_policy: str = "spawned",
     variant: str = "flow",
     m: int | None = None,
     churn_window: int = 200,
-    replica_offset: int = 0,
-    replica_count: int | None = None,
-) -> VariantMeasurement:
-    """Measure one ablation variant's rounds-to-threshold and churn.
+) -> _Cell:
+    """One ablation variant's rounds-to-threshold and churn.
 
-    The measurement phase of the ``weighted-variants`` experiment as a
-    standalone (picklable) cell so the executor can fan the variants out
-    across processes — including the post-convergence churn probe, which
-    would otherwise serialize in the parent. The repetition seed derives
-    from the variant's display label (:func:`variant_measure_seed` — see
-    its note on why ``(family, n)`` is deliberately excluded here), so
-    results are identical at any worker count.
+    The measurement phase of the ``weighted-variants`` experiment as an
+    executor cell (see :func:`weighted_variant_setup` for the
+    configuration). The repetition seed derives from the variant's
+    display label (:func:`variant_measure_seed` — see its note on why
+    ``(family, n)`` is deliberately excluded here), so results are
+    identical at any worker count.
 
-    The churn probe is one scalar run that *replays repetition 0 of the
-    measurement* (same spawned child stream, and the weighted kernels
-    are pathwise identical across engines), so whenever the measurement
-    converged the probe is guaranteed to reach the same threshold state;
-    it then keeps running for ``churn_window`` rounds counting
-    migrations. A non-converged probe would make the churn numbers
-    meaningless, so ``probe_converged`` is reported for the verdict.
-
-    ``replica_offset`` / ``replica_count`` run a replica window of the
-    ensemble (see :func:`measure_convergence_rounds`). The churn probe —
-    a replay of global repetition 0 — only runs on the window that
-    contains replica 0; other shards report NaN/False probe fields, and
-    the executor's merge takes the probe columns from the first shard.
+    ``summarize`` runs the churn probe: one scalar run that *replays
+    repetition 0 of the measurement* (spawned child 0, which
+    :func:`~repro.utils.rng.spawn_rngs` derives independently of the
+    ensemble size, and the weighted kernels are pathwise identical
+    across engines), so whenever the measurement converged the probe
+    reaches the same threshold state; it then keeps running for
+    ``churn_window`` rounds counting migrations. Under
+    ``rng_policy="counter"`` it is an independent scalar probe of the
+    same (initial state, protocol) cell. A non-converged probe would
+    make the churn numbers meaningless, so ``probe_converged`` is
+    reported for the verdict.
     """
+    check_integer(churn_window, "churn_window", minimum=1)
     graph, protocol, factory = weighted_variant_setup(
         family_name, target_n, m_factor, variant, m=m
     )
-    label = WEIGHTED_VARIANT_LABELS[variant]
     measure_seed = variant_measure_seed(seed, variant)
-    measurement = measure_convergence_rounds(
+    ensemble = partial(
+        measure_convergence_rounds,
         graph=graph,
         protocol=protocol,
         state_factory=factory,
         stopping=NashStop(),
-        repetitions=repetitions,
         max_rounds=max_rounds,
         seed=measure_seed,
-        engine=engine,
-        rng_policy=rng_policy,
-        replica_offset=replica_offset,
-        replica_count=replica_count,
     )
 
-    # The churn probe is always a spawned scalar replay of repetition
-    # 0's stream: under the default policy it revisits the measurement's
-    # exact trajectory; under rng_policy="counter" it is an independent
-    # scalar probe of the same (initial state, protocol) cell. Shards
-    # that do not own replica 0 skip it (it would serialize the same
-    # scalar run once per shard) and report placeholder probe fields.
-    if replica_offset == 0:
-        rng = spawn_rngs(measure_seed, repetitions)[0]
+    def summarize(measurement: ConvergenceMeasurement) -> VariantMeasurement:
+        rng = spawn_rngs(measure_seed, 1)[0]
         state = factory(rng)
         probe = Simulator(graph, protocol, rng).run(
             state, stopping=NashStop(), max_rounds=max_rounds
@@ -486,88 +520,23 @@ def measure_variant_threshold_time(
         moved = 0
         for _ in range(churn_window):
             moved += protocol.execute_round(state, graph, rng).tasks_moved
-        probe_converged = bool(probe.converged)
-        churn_per_round = moved / churn_window
-        still_threshold_nash = bool(is_nash(state, graph))
-    else:
-        probe_converged = False
-        churn_per_round = float("nan")
-        still_threshold_nash = False
+        return VariantMeasurement(
+            variant=variant,
+            label=WEIGHTED_VARIANT_LABELS[variant],
+            median_rounds=(
+                measurement.median_rounds
+                if measurement.all_converged
+                else float("nan")
+            ),
+            num_converged=measurement.num_converged,
+            num_repetitions=measurement.num_repetitions,
+            engine=measurement.engine,
+            probe_converged=bool(probe.converged),
+            churn_per_round=moved / churn_window,
+            still_threshold_nash=bool(is_nash(state, graph)),
+            repetition_rounds=tuple(
+                float(value) for value in measurement.repetition_rounds
+            ),
+        )
 
-    return VariantMeasurement(
-        variant=variant,
-        label=label,
-        median_rounds=(
-            measurement.median_rounds
-            if measurement.all_converged
-            else float("nan")
-        ),
-        num_converged=measurement.num_converged,
-        num_repetitions=measurement.num_repetitions,
-        engine=measurement.engine,
-        probe_converged=probe_converged,
-        churn_per_round=churn_per_round,
-        still_threshold_nash=still_threshold_nash,
-        repetition_rounds=tuple(
-            float(value) for value in measurement.repetition_rounds
-        ),
-    )
-
-
-def measure_exact_nash_time(
-    family_name: str,
-    target_n: int,
-    m_factor: float,
-    repetitions: int,
-    seed: int,
-    max_budget: int = 2_000_000,
-    engine: str = "auto",
-    rng_policy: str = "spawned",
-    replica_offset: int = 0,
-    replica_count: int | None = None,
-) -> FamilyMeasurement:
-    """Measure rounds until the exact NE on one family cell.
-
-    Uniform speeds and ``m = ceil(m_factor * n)`` tasks from an
-    adversarial start (all tasks on one node, so the endgame is reached
-    after a genuine spreading phase); the stopping rule is the exact NE
-    condition. The budget is the Theorem 1.2 bound capped at
-    ``max_budget``. Repetitions run through the batched ensemble engine
-    by default (``engine="auto"``).
-    """
-    family = get_family(family_name)
-    graph = family.make(target_n)
-    n = graph.num_vertices
-    m = int(math.ceil(m_factor * n))
-    lambda2 = algebraic_connectivity(graph)
-    quantities = GraphQuantities(n=n, max_degree=graph.max_degree, lambda2=lambda2)
-    bound = theorem12_round_bound(quantities, 1.0, 1.0)
-    budget = int(min(bound, max_budget))
-    measurement = measure_convergence_rounds(
-        graph=graph,
-        protocol=SelfishUniformProtocol(),
-        state_factory=_uniform_state_factory(graph, m, adversarial=True),
-        stopping=NashStop(),
-        repetitions=repetitions,
-        max_rounds=budget,
-        seed=derive_seed(seed, family_name, n, "exact"),
-        engine=engine,
-        rng_policy=rng_policy,
-        replica_offset=replica_offset,
-        replica_count=replica_count,
-    )
-    return FamilyMeasurement(
-        family=family_name,
-        n=n,
-        m=m,
-        lambda2=lambda2,
-        max_degree=graph.max_degree,
-        median_rounds=measurement.median_rounds,
-        mean_rounds=measurement.mean_rounds,
-        bound_rounds=bound,
-        num_converged=measurement.num_converged,
-        num_repetitions=measurement.num_repetitions,
-        repetition_rounds=tuple(
-            float(value) for value in measurement.repetition_rounds
-        ),
-    )
+    return _Cell(ensemble, merge_convergence_measurements, summarize)

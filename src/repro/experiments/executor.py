@@ -8,12 +8,12 @@ randomness. This module turns those sweeps into data: a
 :func:`execute_cells` runs a spec list either serially in-process
 (``workers=None``) or fanned out over a ``ProcessPoolExecutor``.
 
-Because every cell derives its own seed *inside* the measurement
-function — ``(seed, family, n, tag)`` for the sweep kinds,
-``(seed, variant label)`` for the single-cell ``"weighted-variant"``
-kind (see :func:`repro.experiments._common.variant_measure_seed`) —
-results are bit-identical at any worker count: parallelism changes
-wall-clock, never numbers.
+Because every cell derives its own seed *inside* its builder —
+``(seed, family, n, tag)`` for the sweep kinds, ``(seed, variant
+label)`` for the single-cell ``"weighted-variant"`` kind (see
+:func:`repro.experiments._common.variant_measure_seed`) — results are
+bit-identical at any worker count: parallelism changes wall-clock,
+never numbers.
 
 Three nested parallel axes compose here:
 
@@ -37,15 +37,21 @@ target (NaN rounds from unconverged replicas are excluded — see
 seed are deterministic functions of the spec, so adaptive runs are
 reproducible at any worker count too.
 
-Workers are processes, not threads, so cells and their results must
-be picklable. :data:`CELL_KINDS` is the one table of measurement kinds:
-each :class:`CellKind` record names a module-level measurement function
-in :mod:`repro.experiments._common` or a scenario cell builder in
-:mod:`repro.experiments.scenario_cells` /
-:mod:`repro.experiments.workload_cells`, plus the kind's merge, whether
-it sizes adaptively and when it shards under counter streams. Results
-are frozen dataclasses of plain scalars, and a worker process finds the
-table by importing this module to unpickle a :class:`CellSpec`.
+:data:`CELL_KINDS` is the one table of measurement kinds. Each
+:class:`CellKind` names the kind's cell builder — the four static
+kinds' in :mod:`repro.experiments._common`, the scenario kinds' in
+:mod:`repro.experiments.scenario_cells` and
+:mod:`repro.experiments.workload_cells` — plus whether it sizes
+adaptively and when it shards under counter streams. Every kind runs
+through one body: build the cell, run its ensemble (or a replica
+window of it) on the spec's ``engine`` param and rng policy, merge the
+windows and summarize. A shard returns the raw ensemble result (a
+:class:`~repro.analysis.convergence.ConvergenceMeasurement` or a
+:class:`~repro.scenarios.ScenarioResult`); the parent rebuilds the cell
+to merge and summarize a split cell. Workers are processes, not
+threads, so specs and results must be picklable: results are frozen
+dataclasses of plain scalars, and a worker process finds the table by
+importing this module to unpickle a :class:`CellSpec`.
 
 Sharding restrictions (enforced per spec, only when a split would
 actually happen): under ``rng_policy="counter"`` only the weighted
@@ -67,28 +73,25 @@ from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
-from repro.analysis.statistics import bootstrap_half_width, summarize
+from repro.analysis.statistics import bootstrap_half_width
 from repro.errors import ValidationError
 from repro.experiments._common import (
-    FamilyMeasurement,
-    VariantMeasurement,
-    measure_exact_nash_time,
-    measure_psi_threshold_time,
-    measure_variant_threshold_time,
-    measure_weighted_threshold_time,
+    _build_approx_cell,
+    _build_exact_cell,
+    _build_variant_cell,
+    _build_weighted_cell,
+    _Cell,
 )
 from repro.experiments.scenario_cells import (
     _build_churn_cell,
     _build_recovery_cell,
     _build_shock_cell,
     _build_topology_cell,
-    _ScenarioCell,
 )
 from repro.experiments.workload_cells import (
     _build_adversarial_cell,
     _build_workload_cell,
 )
-from repro.scenarios import ScenarioResult, merge_replica_results
 from repro.utils.rng import check_rng_policy, derive_seed
 from repro.utils.validation import check_integer, check_non_negative
 
@@ -114,115 +117,24 @@ T = TypeVar("T")
 class CellKind:
     """Everything the executor knows about one measurement kind.
 
-    Exactly one of ``measure`` and ``build`` is set. ``measure`` is a
-    static measurement ``(family_name, target_n, m_factor=,
-    repetitions=, seed=, rng_policy=, replica_offset=, replica_count=,
-    **params)`` that runs a replica window itself. ``build`` is a
-    scenario cell builder ``(family_name, target_n, m_factor, seed,
-    **params)``: the executor runs the built cell's ensemble, or a
-    replica window of it, on the engine a spec's ``engine`` param names,
-    and summarizes it. The function's keywords that no spec field fills
-    (plus ``engine`` for a builder) are the params the kind takes.
+    ``build(family_name, target_n, m_factor, seed, **params)`` builds
+    the kind's cell (:class:`repro.experiments._common._Cell`): the
+    ensemble run, the merge of replica windows and the summary. The
+    builder's keywords past those four, plus ``engine`` (which goes to
+    the ensemble run, never to the builder), are the params the kind
+    takes.
 
-    ``merge(spec, parts)`` joins one cell's shard partials, given in
-    replica order. ``adaptive`` marks the family sweep kinds, whose mean
-    convergence round ``target_ci`` can target. ``counter_shardable``
-    says from a spec's params whether the kind's ensembles split into
-    replica windows under ``rng_policy="counter"``.
+    ``adaptive`` marks the family sweep kinds, whose mean convergence
+    round ``target_ci`` can target. ``counter_shardable`` says from a
+    spec's params whether the kind's ensembles split into replica
+    windows under ``rng_policy="counter"``.
     """
 
-    merge: Callable[[CellSpec, Sequence[object]], object]
-    measure: Callable[..., object] | None = None
-    build: Callable[..., _ScenarioCell] | None = None
+    build: Callable[..., _Cell]
     adaptive: bool = False
     counter_shardable: Callable[[Mapping[str, object]], bool] = (
         lambda params: False
     )
-
-
-def _pooled_rounds(
-    parts: Sequence[FamilyMeasurement | VariantMeasurement],
-) -> tuple[tuple[float, ...], np.ndarray, int]:
-    """Concatenated ``repetition_rounds``, the converged rounds, and R.
-
-    The converged rounds go through the monolithic measurement's NaN
-    filter and int64 round-trip, so summaries over them are
-    byte-identical to the serial run's.
-    """
-    repetition_rounds = tuple(
-        value for part in parts for value in part.repetition_rounds
-    )
-    rounds_array = np.asarray(repetition_rounds, dtype=np.float64)
-    converged = rounds_array[~np.isnan(rounds_array)].astype(np.int64)
-    num_repetitions = sum(part.num_repetitions for part in parts)
-    return repetition_rounds, converged.astype(np.float64), num_repetitions
-
-
-def _merge_family(
-    spec: CellSpec, parts: Sequence[FamilyMeasurement]
-) -> FamilyMeasurement:
-    """Merge windowed family measurements in replica (offset) order."""
-    first = parts[0]
-    repetition_rounds, converged, num_repetitions = _pooled_rounds(parts)
-    if converged.shape[0]:
-        summary = summarize(converged)
-        median_rounds, mean_rounds = summary.median, summary.mean
-    else:
-        median_rounds = mean_rounds = float("nan")
-    return FamilyMeasurement(
-        family=first.family,
-        n=first.n,
-        m=first.m,
-        lambda2=first.lambda2,
-        max_degree=first.max_degree,
-        median_rounds=median_rounds,
-        mean_rounds=mean_rounds,
-        bound_rounds=first.bound_rounds,
-        num_converged=int(converged.shape[0]),
-        num_repetitions=num_repetitions,
-        repetition_rounds=repetition_rounds,
-    )
-
-
-def _merge_variant(
-    spec: CellSpec, parts: Sequence[VariantMeasurement]
-) -> VariantMeasurement:
-    """Merge windowed variant measurements in replica (offset) order.
-
-    The churn probe ran only on the shard owning replica 0 (the first),
-    whose probe fields carry over verbatim; the ablation's
-    all-or-nothing ``median_rounds`` is recomputed over the full
-    ensemble.
-    """
-    first = parts[0]
-    repetition_rounds, converged, num_repetitions = _pooled_rounds(parts)
-    if converged.shape[0] == num_repetitions and converged.shape[0]:
-        median_rounds = summarize(converged).median
-    else:
-        median_rounds = float("nan")
-    return VariantMeasurement(
-        variant=first.variant,
-        label=first.label,
-        median_rounds=median_rounds,
-        num_converged=int(converged.shape[0]),
-        num_repetitions=num_repetitions,
-        engine=first.engine,
-        probe_converged=first.probe_converged,
-        churn_per_round=first.churn_per_round,
-        still_threshold_nash=first.still_threshold_nash,
-        repetition_rounds=repetition_rounds,
-    )
-
-
-def _merge_scenario(
-    spec: CellSpec, parts: Sequence[ScenarioResult]
-) -> object:
-    """Summarize the merged windows with a rebuilt cell.
-
-    Building a cell is deterministic in the spec, so the parent's
-    rebuild summarizes exactly as the monolithic run does.
-    """
-    return _build_scenario(spec).summarize(merge_replica_results(list(parts)))
 
 
 def _weighted_tasks(params: Mapping[str, object]) -> bool:
@@ -237,36 +149,25 @@ def _weighted_tasks(params: Mapping[str, object]) -> bool:
 #: that a replica window cannot reproduce.
 CELL_KINDS: Mapping[str, CellKind] = MappingProxyType(
     {
-        "approx": CellKind(
-            _merge_family, measure=measure_psi_threshold_time, adaptive=True
-        ),
-        "exact": CellKind(
-            _merge_family, measure=measure_exact_nash_time, adaptive=True
-        ),
+        "approx": CellKind(_build_approx_cell, adaptive=True),
+        "exact": CellKind(_build_exact_cell, adaptive=True),
         "weighted": CellKind(
-            _merge_family,
-            measure=measure_weighted_threshold_time,
+            _build_weighted_cell,
             adaptive=True,
             counter_shardable=lambda params: True,
         ),
         "weighted-variant": CellKind(
-            _merge_variant,
-            measure=measure_variant_threshold_time,
-            counter_shardable=lambda params: True,
+            _build_variant_cell, counter_shardable=lambda params: True
         ),
-        "scenario-recovery": CellKind(_merge_scenario, build=_build_recovery_cell),
-        "shock-recovery": CellKind(_merge_scenario, build=_build_shock_cell),
-        "churn-band": CellKind(_merge_scenario, build=_build_churn_cell),
-        "topology-resilience": CellKind(_merge_scenario, build=_build_topology_cell),
+        "scenario-recovery": CellKind(_build_recovery_cell),
+        "shock-recovery": CellKind(_build_shock_cell),
+        "churn-band": CellKind(_build_churn_cell),
+        "topology-resilience": CellKind(_build_topology_cell),
         "workload-replay": CellKind(
-            _merge_scenario,
-            build=_build_workload_cell,
-            counter_shardable=_weighted_tasks,
+            _build_workload_cell, counter_shardable=_weighted_tasks
         ),
         "workload-adversarial": CellKind(
-            _merge_scenario,
-            build=_build_adversarial_cell,
-            counter_shardable=_weighted_tasks,
+            _build_adversarial_cell, counter_shardable=_weighted_tasks
         ),
     }
 )
@@ -302,9 +203,9 @@ class CellSpec:
         engines where possible). Under adaptive sizing (``target_ci``)
         this is the hard cap.
     seed:
-        Base seed; the measurement function derives the cell's own
-        stream from ``(seed, family, n, tag)``, which is what makes the
-        execution order — and the worker count — irrelevant to results.
+        Base seed; the cell builder derives the cell's own stream from
+        ``(seed, family, n, tag)``, which is what makes the execution
+        order — and the worker count — irrelevant to results.
     params:
         Kind-specific keyword extras as a sorted tuple of ``(name,
         value)`` pairs (tuples keep the spec hashable and picklable).
@@ -420,7 +321,7 @@ def _kind_for(kind: object) -> CellKind:
 
 
 def _check_params(spec: CellSpec, kind: CellKind) -> None:
-    """Refuse params the kind's measurement or builder does not take."""
+    """Refuse params the kind's builder does not take."""
     if not isinstance(spec.params, tuple) or not all(
         isinstance(pair, tuple) and len(pair) == 2 and isinstance(pair[0], str)
         for pair in spec.params
@@ -429,17 +330,14 @@ def _check_params(spec: CellSpec, kind: CellKind) -> None:
             f"kind {spec.kind!r}: params must be a tuple of (name, value) "
             f"pairs, got {spec.params!r}"
         )
-    parameters = list(
-        inspect.signature(kind.measure or kind.build).parameters.values()
-    )
+    parameters = list(inspect.signature(kind.build).parameters.values())
     # The family and size go in positionally; a spec's params may name
     # neither them nor a keyword the spec fills.
     filled = {parameters[0].name, parameters[1].name, *_SPEC_FILLED}
     accepted = {
         p.name for p in parameters if p.kind is not p.VAR_KEYWORD
     } - filled
-    if kind.build is not None:
-        accepted.add("engine")
+    accepted.add("engine")  # goes to the ensemble run, never the builder
     open_ended = any(p.kind is p.VAR_KEYWORD for p in parameters)
     unknown = sorted(
         name
@@ -498,8 +396,8 @@ def _check_spec(spec: CellSpec) -> None:
         )
 
 
-def _build_scenario(spec: CellSpec) -> _ScenarioCell:
-    """Build a scenario kind's cell; ``engine`` is a run param, not a build one."""
+def _build(spec: CellSpec) -> _Cell:
+    """Build a spec's cell; ``engine`` is a run param, not a build one."""
     params = {name: value for name, value in spec.params if name != "engine"}
     return CELL_KINDS[spec.kind].build(
         spec.family, spec.n, spec.m_factor, spec.seed, **params
@@ -507,40 +405,17 @@ def _build_scenario(spec: CellSpec) -> _ScenarioCell:
 
 
 def _run_window(
-    spec: CellSpec, window: tuple[int, int] | None
-) -> tuple[object, _ScenarioCell | None]:
-    """Run a cell whole (``window=None``) or one replica window of it.
-
-    Returns a static kind's measurement, or a scenario kind's raw
-    :class:`~repro.scenarios.ScenarioResult` and the built cell.
-    """
-    kind = CELL_KINDS[spec.kind]
+    spec: CellSpec, cell: _Cell, window: tuple[int, int] | None
+) -> object:
+    """Run a cell's whole ensemble (``window=None``) or one replica window."""
     offset, count = window or (0, None)
-    if kind.build is None:
-        measurement = kind.measure(
-            spec.family,
-            spec.n,
-            m_factor=spec.m_factor,
-            repetitions=spec.repetitions,
-            seed=spec.seed,
-            rng_policy=spec.rng_policy,
-            replica_offset=offset,
-            replica_count=count,
-            **dict(spec.params),
-        )
-        return measurement, None
-    cell = _build_scenario(spec)
-    result = cell.runner.run_ensemble(
-        cell.factory,
+    return cell.ensemble(
         repetitions=spec.repetitions,
-        rounds=cell.horizon,
-        seed=cell.cell_seed,
         engine=dict(spec.params).get("engine", "auto"),
         rng_policy=spec.rng_policy,
         replica_offset=offset,
         replica_count=count,
     )
-    return result, cell
 
 
 def run_cell(spec: CellSpec) -> object:
@@ -554,8 +429,8 @@ def run_cell(spec: CellSpec) -> object:
     """
     _check_spec(spec)
     if spec.target_ci is None:
-        result, cell = _run_window(spec, None)
-        return result if cell is None else cell.summarize(result)
+        cell = _build(spec)
+        return cell.summarize(_run_window(spec, cell, None))
     job = _CellJob(spec)
     _drive_job_serial(job)
     job.finalize()
@@ -567,13 +442,14 @@ def run_cell_shard(
 ) -> object:
     """Run one replica window of a cell (the pool's shard task body).
 
-    Returns the kind's *partial* result for replicas
-    ``[replica_offset, replica_offset + replica_count)``: a windowed
-    measurement dataclass for the family/variant kinds, a raw windowed
-    :class:`~repro.scenarios.ScenarioResult` for the scenario kinds.
-    Partials merge in offset order via the kind's ``merge``.
+    Returns the raw ensemble result for replicas ``[replica_offset,
+    replica_offset + replica_count)``: a
+    :class:`~repro.analysis.convergence.ConvergenceMeasurement` for the
+    static kinds, a :class:`~repro.scenarios.ScenarioResult` for the
+    scenario kinds. Partials merge in offset order through the built
+    cell's ``merge``.
     """
-    return _run_window(spec, (replica_offset, replica_count))[0]
+    return _run_window(spec, _build(spec), (replica_offset, replica_count))
 
 
 def _shard_windows(spec: CellSpec) -> list[tuple[int, int] | None]:
@@ -737,31 +613,20 @@ class _CellJob:
     def finalize(self) -> None:
         """Merge partials into the cell result and freeze the timing."""
         spec = self.spec
-        if self.adaptive:
-            windows = self.windows[: len(self.partials)]
-            self.result = CELL_KINDS[spec.kind].merge(spec, self.partials)
-            shards = tuple(
-                ShardTiming(window[0], window[1], elapsed)
-                for window, elapsed in zip(windows, self.seconds)
-            )
-            effective = sum(window[1] for window in windows)
-            adaptive_stop = self.stop_reason
-            ci_half_width: float | None = self.half_width
+        windows = self.windows[: len(self.partials)]
+        if windows == [None]:
+            # One monolithic task: run_cell already summarized the cell.
+            self.result = self.partials[0]
+            windows = [(0, spec.repetitions)]
         else:
-            if self.windows == [None]:
-                self.result = self.partials[0]
-                shards = (
-                    ShardTiming(0, spec.repetitions, self.seconds[0]),
-                )
-            else:
-                self.result = CELL_KINDS[spec.kind].merge(spec, self.partials)
-                shards = tuple(
-                    ShardTiming(window[0], window[1], elapsed)
-                    for window, elapsed in zip(self.windows, self.seconds)
-                )
-            effective = spec.repetitions
-            adaptive_stop = None
-            ci_half_width = None
+            # Building a cell is deterministic in the spec, so the
+            # parent's rebuild summarizes exactly as a monolithic run.
+            cell = _build(spec)
+            self.result = cell.summarize(cell.merge(self.partials))
+        shards = tuple(
+            ShardTiming(offset, count, elapsed)
+            for (offset, count), elapsed in zip(windows, self.seconds)
+        )
         self.timing = CellTiming(
             kind=spec.kind,
             family=spec.family,
@@ -769,10 +634,10 @@ class _CellJob:
             rng_policy=spec.rng_policy,
             seconds=float(sum(shard.seconds for shard in shards)),
             repetitions_requested=spec.repetitions,
-            repetitions_effective=effective,
+            repetitions_effective=sum(shard.replica_count for shard in shards),
             shards=shards,
-            adaptive_stop=adaptive_stop,
-            ci_half_width=ci_half_width,
+            adaptive_stop=self.stop_reason,
+            ci_half_width=self.half_width if self.adaptive else None,
         )
 
 
@@ -831,8 +696,8 @@ def execute_cells_report(
         from process state or task placement.
     """
     cell_specs = list(specs)
-    if workers is not None and workers < 1:
-        raise ValidationError(f"workers must be >= 1, got {workers}")
+    if workers is not None:
+        check_integer(workers, "workers", minimum=1)
     jobs = [_CellJob(spec) for spec in cell_specs]
     planned = sum(job.task_parallelism for job in jobs)
     if workers is None or workers == 1 or planned <= 1:

@@ -22,22 +22,26 @@ Four kinds, one builder each:
   per-round graph factor ``Delta / lambda_2`` (``inf`` through the
   disconnected window) and post-recovery re-convergence.
 
-A builder returns a :class:`_ScenarioCell`: the runner, state factory,
-horizon and cell seed to run, plus ``summarize``, pure aggregation of a
-:class:`~repro.scenarios.ScenarioResult` into the kind's frozen
-measurement dataclass. The executor's kind table
-(:data:`~repro.experiments.executor.CELL_KINDS`) runs the ensemble — or
-a replica window of it — and summarizes. Its replica-sharded path runs
-windows in worker processes and summarizes the
-:func:`~repro.scenarios.merge_replica_results`-merged ensemble in the
-parent, which is byte-identical because spawned windows draw exactly
-their replicas' monolithic streams.
+A builder returns the same cell record as the static kinds
+(:class:`repro.experiments._common._Cell`, made by
+:func:`_scenario_cell`): its ``ensemble`` is
+:meth:`~repro.scenarios.ScenarioRunner.run_ensemble` bound to the
+cell's runner, state factory, horizon and cell seed; its ``merge`` is
+:func:`~repro.scenarios.merge_replica_results`; its ``summarize`` is
+pure aggregation of a :class:`~repro.scenarios.ScenarioResult` into the
+kind's frozen measurement dataclass. The executor
+(:data:`~repro.experiments.executor.CELL_KINDS`) runs the ensemble, or
+replica windows of it in worker processes, merges the windows and
+summarizes in the parent; that is byte-identical to the monolithic run
+because spawned windows draw exactly their replicas' monolithic
+streams.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -55,6 +59,7 @@ from repro.core.protocols import (
 )
 from repro.core.stopping import NashStop, PotentialThresholdStop, StoppingRule
 from repro.errors import ValidationError
+from repro.experiments._common import _Cell
 from repro.graphs.families import get_family
 from repro.model.placement import (
     adversarial_placement,
@@ -74,6 +79,7 @@ from repro.scenarios import (
     ScenarioRunner,
     at,
     every,
+    merge_replica_results,
 )
 from repro.spectral.eigen import algebraic_connectivity
 from repro.theory.bounds import GraphQuantities, theorem11_round_bound
@@ -120,21 +126,19 @@ def _scenario_setup(
     )
 
 
-@dataclass(frozen=True)
-class _ScenarioCell:
-    """One fully built scenario cell: ready to run and to summarize.
-
-    Construction is deterministic in ``(kind, family, n, m_factor, seed,
-    params)``, so a worker process rebuilding the cell for a replica
-    window and the parent rebuilding it to summarize the merged ensemble
-    agree on every derived quantity (schedule, horizon, cell seed).
-    """
-
-    runner: ScenarioRunner
-    factory: Callable[[np.random.Generator], object]
-    horizon: int
-    cell_seed: int
-    summarize: Callable[[ScenarioResult], object]
+def _scenario_cell(
+    runner: ScenarioRunner,
+    factory: Callable[[np.random.Generator], object],
+    horizon: int,
+    cell_seed: int,
+    summarize: Callable[[ScenarioResult], object],
+) -> _Cell:
+    """The cell that runs ``horizon`` rounds of ``runner``'s ensemble."""
+    return _Cell(
+        partial(runner.run_ensemble, factory, rounds=horizon, seed=cell_seed),
+        merge_replica_results,
+        summarize,
+    )
 
 
 @dataclass(frozen=True)
@@ -199,7 +203,7 @@ def _build_recovery_cell(
     horizon: int = 180,
     warmup: int = 20,
     violation_window: int = 10,
-) -> _ScenarioCell:
+) -> _Cell:
     """Recovery from a mid-churn load shock on one cell.
 
     ``m = ceil(m_factor * n)`` tasks from a random start, stationary
@@ -255,12 +259,12 @@ def _build_recovery_cell(
             psi0_p95=band.p95,
         )
 
-    return _ScenarioCell(
-        runner=runner,
-        factory=factory,
-        horizon=horizon,
-        cell_seed=derive_seed(seed, family_name, n, f"scenario-{tasks}"),
-        summarize=summarize,
+    return _scenario_cell(
+        runner,
+        factory,
+        horizon,
+        derive_seed(seed, family_name, n, f"scenario-{tasks}"),
+        summarize,
     )
 
 
@@ -298,7 +302,7 @@ def _build_shock_cell(
     num_shocks: int = 3,
     shock_fraction: float = 0.5,
     budget_factor: float = 2.0,
-) -> _ScenarioCell:
+) -> _Cell:
     """Recovery from repeated adversarial shocks on one cell.
 
     ``m = ceil(m_factor * n^2)`` tasks start adversarially (all on one
@@ -365,12 +369,12 @@ def _build_shock_cell(
             within_bound=within,
         )
 
-    return _ScenarioCell(
-        runner=runner,
-        factory=factory,
-        horizon=horizon,
-        cell_seed=derive_seed(seed, family_name, n, "shock"),
-        summarize=summarize,
+    return _scenario_cell(
+        runner,
+        factory,
+        horizon,
+        derive_seed(seed, family_name, n, "shock"),
+        summarize,
     )
 
 
@@ -407,7 +411,7 @@ def _build_churn_cell(
     churn_rate: float = 5.0,
     horizon: int = 400,
     warmup: int = 100,
-) -> _ScenarioCell:
+) -> _Cell:
     """The stationary potential band under Poisson churn."""
     family = get_family(family_name)
     graph = family.make(target_n)
@@ -441,12 +445,12 @@ def _build_churn_cell(
             psi0_series=tuple(float(v) for v in result.psi0[1:].mean(axis=1)),
         )
 
-    return _ScenarioCell(
-        runner=runner,
-        factory=factory,
-        horizon=horizon,
-        cell_seed=derive_seed(seed, family_name, n, "churn"),
-        summarize=summarize,
+    return _scenario_cell(
+        runner,
+        factory,
+        horizon,
+        derive_seed(seed, family_name, n, "churn"),
+        summarize,
     )
 
 
@@ -504,7 +508,7 @@ def _build_topology_cell(
     partition_round: int = 45,
     recover_round: int = 70,
     horizon: int = 140,
-) -> _ScenarioCell:
+) -> _Cell:
     """Resilience through a failure → partition → recovery cycle.
 
     ``m = ceil(m_factor * n)`` tasks from a random start; the topology
@@ -568,10 +572,10 @@ def _build_topology_cell(
             gap_series=tuple(float(v) for v in gap),
         )
 
-    return _ScenarioCell(
-        runner=runner,
-        factory=factory,
-        horizon=horizon,
-        cell_seed=derive_seed(seed, family_name, n, f"topology-{tasks}"),
-        summarize=summarize,
+    return _scenario_cell(
+        runner,
+        factory,
+        horizon,
+        derive_seed(seed, family_name, n, f"topology-{tasks}"),
+        summarize,
     )

@@ -16,15 +16,16 @@ edges, Algorithm 2's convergence target) over independent repetitions,
 plus the residual churn afterwards (a scalar probe replaying repetition
 0). Each variant is one executor
 :class:`~repro.experiments.executor.CellSpec` (kind
-``"weighted-variant"``, implemented by
-:func:`repro.experiments._common.measure_variant_threshold_time`), so
-the three cells — measurement and churn probe alike — fan out over
-processes under ``--workers`` while each cell still batches its
-repetitions as one padded
-:class:`~repro.model.batch.BatchWeightedState` replica stack. The
-per-task baseline's lighter tasks keep migrating after the threshold
-state is reached (their own condition is stricter), which is exactly the
-behaviour the paper's modification removes.
+``"weighted-variant"``, built by
+:func:`repro.experiments._common._build_variant_cell`), so the three
+cells fan out over processes under ``--workers`` while each cell still
+batches its repetitions as one padded
+:class:`~repro.model.batch.BatchWeightedState` replica stack. The churn
+probe runs in the cell's summary, once the ensemble (or its merged
+replica windows) is in. The per-task baseline's lighter tasks keep
+migrating after the threshold state is reached (their own condition is
+stricter), which is exactly the behaviour the paper's modification
+removes.
 """
 
 from __future__ import annotations

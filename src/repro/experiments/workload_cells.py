@@ -36,7 +36,8 @@ from repro.analysis.dynamics import (
     time_averaged_imbalance,
 )
 from repro.errors import ValidationError
-from repro.experiments.scenario_cells import _ScenarioCell, _scenario_setup
+from repro.experiments._common import _Cell
+from repro.experiments.scenario_cells import _scenario_cell, _scenario_setup
 from repro.graphs.families import get_family
 from repro.scenarios import ScenarioResult, ScenarioRunner
 from repro.utils.rng import derive_seed
@@ -143,7 +144,7 @@ def _build_workload_cell(
     warmup: int = 10,
     violation_window: int = 10,
     **overrides,
-) -> _ScenarioCell:
+) -> _Cell:
     """Replay a compiled workload trace over an ensemble.
 
     ``m = ceil(m_factor * n)`` tasks start randomly placed; the trace
@@ -209,12 +210,12 @@ def _build_workload_cell(
             psi0_p95=band.p95,
         )
 
-    return _ScenarioCell(
-        runner=runner,
-        factory=factory,
-        horizon=trace.horizon,
-        cell_seed=derive_seed(seed, family_name, n, f"workload-{tasks}"),
-        summarize=summarize,
+    return _scenario_cell(
+        runner,
+        factory,
+        trace.horizon,
+        derive_seed(seed, family_name, n, f"workload-{tasks}"),
+        summarize,
     )
 
 
@@ -225,7 +226,7 @@ def _build_adversarial_cell(
     seed: int,
     workload: str = "adversarial",
     **params,
-) -> _ScenarioCell:
+) -> _Cell:
     """The replay cell pinned to the adversarial generator.
 
     The trace pins arrival *counts* per round; each replica resolves the

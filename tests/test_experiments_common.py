@@ -12,9 +12,8 @@ from repro.experiments._common import (
     EXACT_SWEEP_QUICK,
     WEIGHTED_SWEEP_FULL,
     WEIGHTED_SWEEP_QUICK,
-    measure_exact_nash_time,
-    measure_psi_threshold_time,
 )
+from repro.experiments.executor import CellSpec, run_cell
 
 
 class TestSweepDefinitions:
@@ -43,9 +42,7 @@ class TestSweepDefinitions:
 
 class TestMeasurePsiThreshold:
     def test_cell_fields(self):
-        cell = measure_psi_threshold_time(
-            "torus", 9, m_factor=8.0, repetitions=2, seed=5
-        )
+        cell = run_cell(CellSpec("approx", "torus", 9, 8.0, repetitions=2, seed=5))
         assert cell.family == "torus"
         assert cell.n == 9
         assert cell.m == 8 * 81
@@ -55,32 +52,35 @@ class TestMeasurePsiThreshold:
         assert cell.median_rounds <= cell.bound_rounds
 
     def test_deterministic_given_seed(self):
-        a = measure_psi_threshold_time("ring", 8, 8.0, repetitions=2, seed=9)
-        b = measure_psi_threshold_time("ring", 8, 8.0, repetitions=2, seed=9)
+        a = run_cell(CellSpec("approx", "ring", 8, 8.0, repetitions=2, seed=9))
+        b = run_cell(CellSpec("approx", "ring", 8, 8.0, repetitions=2, seed=9))
         assert a.median_rounds == b.median_rounds
 
     def test_seed_matters(self):
-        a = measure_psi_threshold_time("ring", 12, 8.0, repetitions=1, seed=1)
-        b = measure_psi_threshold_time("ring", 12, 8.0, repetitions=1, seed=2)
+        a = run_cell(CellSpec("approx", "ring", 12, 8.0, repetitions=1, seed=1))
+        b = run_cell(CellSpec("approx", "ring", 12, 8.0, repetitions=1, seed=2))
         # Different randomness; identical values possible but unlikely
         # for this size. Accept equality but require valid measurements.
         assert a.num_converged == b.num_converged == 1
 
     def test_size_rounded_to_admissible(self):
-        cell = measure_psi_threshold_time("torus", 10, 8.0, repetitions=1, seed=1)
+        cell = run_cell(CellSpec("approx", "torus", 10, 8.0, repetitions=1, seed=1))
         assert cell.n == 9  # nearest square with side >= 3
 
 
 class TestMeasureExactNash:
     def test_cell_converges(self):
-        cell = measure_exact_nash_time("torus", 9, m_factor=8.0, repetitions=2, seed=4)
+        cell = run_cell(CellSpec("exact", "torus", 9, 8.0, repetitions=2, seed=4))
         assert cell.num_converged == 2
         assert cell.m == 72
         assert not np.isnan(cell.median_rounds)
 
     def test_budget_capping(self):
         """max_budget caps the round budget without breaking the cell."""
-        cell = measure_exact_nash_time(
-            "ring", 6, m_factor=8.0, repetitions=1, seed=3, max_budget=100_000
+        cell = run_cell(
+            CellSpec(
+                "exact", "ring", 6, 8.0, repetitions=1, seed=3,
+                params=(("max_budget", 100_000),),
+            )
         )
         assert cell.num_converged == 1

@@ -9,12 +9,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.convergence import ConvergenceMeasurement
 from repro.errors import ValidationError
 from repro.experiments._common import (
     WEIGHTED_SWEEP_QUICK,
     FamilyMeasurement,
     VariantMeasurement,
-    measure_variant_threshold_time,
+    _build_variant_cell,
 )
 from repro.experiments.executor import (
     CELL_KINDS,
@@ -23,6 +24,7 @@ from repro.experiments.executor import (
     execute_cells_report,
     group_by_family,
     run_cell,
+    run_cell_shard,
     sweep_specs,
 )
 from repro.experiments.registry import (
@@ -103,10 +105,10 @@ class TestRunCell:
         cell = run_cell(spec)
         assert isinstance(cell, VariantMeasurement)
         assert cell.variant == "per-task"
-        direct = measure_variant_threshold_time(
-            "ring", 8, 10.0, repetitions=2, seed=3,
-            variant="per-task", max_rounds=5_000,
+        built = _build_variant_cell(
+            "ring", 8, 10.0, seed=3, variant="per-task", max_rounds=5_000
         )
+        direct = built.summarize(built.ensemble(repetitions=2))
         assert cell.label == direct.label == "[6]-style per-task"
         assert cell.engine == direct.engine
         assert cell.num_converged == direct.num_converged
@@ -115,6 +117,24 @@ class TestRunCell:
     def test_unknown_kind_rejected(self):
         spec = CellSpec("bogus", "ring", 8, 1.0, 1, 1)
         with pytest.raises(ValidationError, match="unknown measurement kind"):
+            run_cell(spec)
+
+    @pytest.mark.parametrize(
+        "kind, param, value",
+        [
+            ("exact", "max_budget", "x"),
+            ("weighted", "max_budget", "x"),
+            ("weighted", "max_budget", -1),
+            ("approx", "budget_factor", -1.0),
+            ("approx", "budget_factor", "x"),
+            ("weighted-variant", "churn_window", 0),
+            ("weighted-variant", "churn_window", "x"),
+            ("weighted-variant", "churn_window", -2),
+        ],
+    )
+    def test_static_param_values_checked_by_name(self, kind, param, value):
+        spec = CellSpec(kind, "ring", 8, 2.0, 2, 1, params=((param, value),))
+        with pytest.raises(ValidationError, match=f"{param} must be"):
             run_cell(spec)
 
 
@@ -139,8 +159,9 @@ class TestExecuteCells:
         assert execute_cells([], workers=4) == []
 
     def test_invalid_workers(self):
-        with pytest.raises(ValidationError, match="workers"):
-            execute_cells(WEIGHTED_SPECS, workers=0)
+        for workers in (0, "2", 2.5, True):
+            with pytest.raises(ValidationError, match="workers must be"):
+                execute_cells(WEIGHTED_SPECS, workers=workers)
 
     def test_unknown_kind_rejected_before_fanout(self):
         bad = CellSpec("bogus", "ring", 8, 1.0, 1, 1)
@@ -473,28 +494,51 @@ _SCENARIO_SPECS = [
 class TestShardedExecution:
     """Replica-sharded cells: byte-identical merge at any shard plan."""
 
-    @pytest.mark.parametrize("rng_policy", ["spawned", "counter"])
-    def test_sharded_family_cell_matches_monolithic(self, rng_policy):
-        monolithic = run_cell(
-            CellSpec("weighted", "ring", 8, 2.0, 7, 123, rng_policy=rng_policy)
-        )
+    @pytest.mark.parametrize(
+        "kind, rng_policy",
+        [
+            pytest.param("approx", "spawned", id="approx-spawned"),
+            pytest.param("exact", "spawned", id="exact-spawned"),
+            pytest.param("weighted", "spawned", id="spawned"),
+            pytest.param("weighted", "counter", id="counter"),
+        ],
+    )
+    def test_sharded_family_cell_matches_monolithic(self, kind, rng_policy):
+        spec = CellSpec(kind, "ring", 8, 2.0, 7, 123, rng_policy=rng_policy)
+        monolithic = run_cell(spec)
         for shard_size in (1, 2, 3, 5):
             sharded = execute_cells(
-                [
-                    CellSpec(
-                        "weighted",
-                        "ring",
-                        8,
-                        2.0,
-                        7,
-                        123,
-                        rng_policy=rng_policy,
-                        shard_size=shard_size,
-                    )
-                ],
-                workers=2,
+                [replace(spec, shard_size=shard_size)], workers=2
             )[0]
             assert _pickled(sharded) == _pickled(monolithic)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            CellSpec("approx", "ring", 8, 2.0, 4, 9),
+            CellSpec("exact", "ring", 6, 4.0, 4, 9),
+            CellSpec("weighted", "ring", 8, 2.0, 4, 9),
+            CellSpec(
+                "weighted-variant", "ring", 8, 2.0, 4, 9,
+                params=(("max_rounds", 10_000),),
+            ),
+            *_SCENARIO_SPECS,
+        ],
+        ids=lambda spec: spec.kind,
+    )
+    def test_shard_returns_the_raw_ensemble_result(self, spec):
+        """Every kind's shard is its raw windowed ensemble result: one
+        partial shape per engine family, merged by the cell."""
+        from repro.scenarios import ScenarioResult
+
+        scenario = spec in _SCENARIO_SPECS
+        partial = run_cell_shard(spec, 1, 2)
+        assert type(partial) is (
+            ScenarioResult if scenario else ConvergenceMeasurement
+        )
+        assert (
+            partial.num_replicas if scenario else partial.num_repetitions
+        ) == 2
 
     @pytest.mark.parametrize("rng_policy", ["spawned", "counter"])
     def test_sharded_variant_cell_matches_monolithic(self, rng_policy):
@@ -528,8 +572,8 @@ class TestShardedExecution:
             workers=2,
         )[0]
         assert _pickled(sharded) == _pickled(monolithic)
-        # The churn probe ran on the replica-0 shard and its fields
-        # carried through the merge.
+        # The churn probe runs in the variant's summary: the parent
+        # replays spawned child 0 once, after merging plain windows.
         assert sharded.probe_converged == monolithic.probe_converged
 
     @pytest.mark.parametrize(
@@ -691,6 +735,28 @@ class TestAdaptiveSizing:
         # run_cell is the single-process reference for adaptive specs
         # too.
         assert _pickled(run_cell(self.SPEC)) == _pickled(serial.results[0])
+
+    @pytest.mark.parametrize("kind, target_ci", [("approx", 0.7), ("exact", 6.0)])
+    def test_uniform_kinds_deterministic_across_worker_counts(
+        self, kind, target_ci
+    ):
+        specs = [
+            CellSpec(
+                kind, family, n, 4.0, 24, 7, shard_size=4, target_ci=target_ci
+            )
+            for family, n in (("ring", 8), ("torus", 9))
+        ]
+        serial = execute_cells_report(specs, workers=1)
+        pooled = execute_cells_report(specs, workers=2)
+        assert [_pickled(c) for c in serial.results] == [
+            _pickled(c) for c in pooled.results
+        ]
+        stops = [(t.adaptive_stop, t.repetitions_effective) for t in serial.timings]
+        assert stops == [
+            (t.adaptive_stop, t.repetitions_effective) for t in pooled.timings
+        ]
+        # At least one cell stops on the target after several waves.
+        assert any(stop == "target" and 4 < count < 24 for stop, count in stops)
 
     def test_unreachable_target_falls_to_cap(self):
         from repro.experiments.executor import execute_cells_report

@@ -38,11 +38,6 @@ from repro.core.protocols import (
 )
 from repro.core.stopping import NashStop, PotentialThresholdStop
 from repro.errors import ValidationError
-from repro.experiments._common import (
-    measure_psi_threshold_time,
-    measure_variant_threshold_time,
-    measure_weighted_threshold_time,
-)
 from repro.experiments.executor import CellSpec, run_cell
 from repro.graphs.generators import cycle_graph, star_graph, torus_graph
 from repro.model.batch import BatchUniformState, BatchWeightedState
@@ -412,9 +407,11 @@ class TestPolicyMatrix:
     """Pipeline smoke under the CLI-selected policy (CI runs both)."""
 
     def test_weighted_measurement_cell(self, cli_rng_policy):
-        measurement = measure_weighted_threshold_time(
-            "ring", 8, m_factor=8.0, repetitions=3, seed=20120716,
-            rng_policy=cli_rng_policy,
+        measurement = run_cell(
+            CellSpec(
+                "weighted", "ring", 8, m_factor=8.0, repetitions=3,
+                seed=20120716, rng_policy=cli_rng_policy,
+            )
         )
         assert measurement.num_converged == measurement.num_repetitions
 
@@ -488,29 +485,34 @@ class TestCounterGoldens:
     PERTASK_GOLDEN = (41.0, 70.0, 46.0, 89.0)
 
     def test_weighted_counter_measurement(self):
-        measurement = measure_weighted_threshold_time(
-            "ring", 8, 8.0, repetitions=6, seed=123, rng_policy="counter"
+        measurement = run_cell(
+            CellSpec("weighted", "ring", 8, 8.0, 6, 123, rng_policy="counter")
         )
         assert tuple(measurement.repetition_rounds) == self.WEIGHTED_GOLDEN
 
     def test_uniform_counter_measurement(self):
-        measurement = measure_psi_threshold_time(
-            "ring", 8, 2.0, repetitions=4, seed=77, rng_policy="counter"
+        measurement = run_cell(
+            CellSpec("approx", "ring", 8, 2.0, 4, 77, rng_policy="counter")
         )
         assert tuple(measurement.repetition_rounds) == self.UNIFORM_GOLDEN
 
     def test_pertask_variant_counter_measurement(self):
-        measurement = measure_variant_threshold_time(
-            "ring",
-            12,
-            0.0,
-            repetitions=4,
-            seed=9,
-            rng_policy="counter",
-            variant="per-task",
-            m=60,
-            max_rounds=5000,
-            churn_window=10,
+        measurement = run_cell(
+            CellSpec(
+                "weighted-variant",
+                "ring",
+                12,
+                0.0,
+                4,
+                9,
+                params=(
+                    ("churn_window", 10),
+                    ("m", 60),
+                    ("max_rounds", 5000),
+                    ("variant", "per-task"),
+                ),
+                rng_policy="counter",
+            )
         )
         assert tuple(measurement.repetition_rounds) == self.PERTASK_GOLDEN
         assert measurement.churn_per_round == pytest.approx(0.7)
