@@ -47,11 +47,14 @@ through one body: build the cell, run its ensemble (or a replica
 window of it) on the spec's ``engine`` param and rng policy, merge the
 windows and summarize. A shard returns the raw ensemble result (a
 :class:`~repro.analysis.convergence.ConvergenceMeasurement` or a
-:class:`~repro.scenarios.ScenarioResult`); the parent rebuilds the cell
-to merge and summarize a split cell. Workers are processes, not
-threads, so specs and results must be picklable: results are frozen
-dataclasses of plain scalars, and a worker process finds the table by
-importing this module to unpickle a :class:`CellSpec`.
+:class:`~repro.scenarios.ScenarioResult`). The serial path builds each
+cell once, runs every window on it and merges with it. A pool worker
+builds the cell for each task it runs, because a built cell binds
+closures, which do not pickle; the parent then builds a split cell once
+more to merge and summarize it. Workers are processes, not threads, so
+specs and results must be picklable: results are frozen dataclasses of
+plain scalars, and a worker process finds the table by importing this
+module to unpickle a :class:`CellSpec`.
 
 Sharding restrictions (enforced per spec, only when a split would
 actually happen): under ``rng_policy="counter"`` only the weighted
@@ -433,7 +436,6 @@ def run_cell(spec: CellSpec) -> object:
         return cell.summarize(_run_window(spec, cell, None))
     job = _CellJob(spec)
     _drive_job_serial(job)
-    job.finalize()
     return job.result
 
 
@@ -473,18 +475,20 @@ def _wave_windows(spec: CellSpec) -> list[tuple[int, int]]:
 
 
 def _run_task(
-    spec: CellSpec, window: tuple[int, int] | None
+    spec: CellSpec, window: tuple[int, int] | None, job: _CellJob | None = None
 ) -> tuple[object, float]:
-    """Pool task body: one monolithic cell or one shard, timed.
+    """Task body: one monolithic cell (summarized) or one shard, timed.
 
-    An error leaves with a note naming the cell and its replica window.
+    A serial task runs on its ``job``'s cell; a pool task (no ``job``)
+    builds its own. An error leaves with a note naming the cell and its
+    replica window.
     """
     start = time.perf_counter()
     try:
+        cell = _build(spec) if job is None else job.cell()
+        payload = _run_window(spec, cell, window)
         if window is None:
-            payload = run_cell(spec)
-        else:
-            payload = run_cell_shard(spec, window[0], window[1])
+            payload = cell.summarize(payload)
     except Exception as error:
         offset, count = window or (0, spec.repetitions)
         note = (
@@ -507,10 +511,15 @@ class _CellJob:
     target is met (``complete`` returns the next wave's task, if any).
     The same object drives both the serial loop and the pooled work
     queue, so the two paths share one wave state machine.
+
+    The job builds its cell at most once (:meth:`cell`), for the serial
+    tasks and the merge, and :meth:`finalize` releases it. Pool tasks
+    build their own (see the module docstring).
     """
 
     __slots__ = (
         "spec",
+        "_cell",
         "adaptive",
         "windows",
         "partials",
@@ -526,6 +535,7 @@ class _CellJob:
     def __init__(self, spec: CellSpec):
         _check_spec(spec)
         self.spec = spec
+        self._cell: _Cell | None = None
         self.adaptive = spec.target_ci is not None
         self.stop_reason: str | None = None
         self.half_width = float("nan")
@@ -544,6 +554,12 @@ class _CellJob:
             self.partials = [None] * len(self.windows)
             self.seconds = [0.0] * len(self.windows)
             self.next_wave = len(self.windows)
+
+    def cell(self) -> _Cell:
+        """The job's cell, built on first use and kept until finalize."""
+        if self._cell is None:
+            self._cell = _build(self.spec)
+        return self._cell
 
     @property
     def task_parallelism(self) -> int:
@@ -611,18 +627,25 @@ class _CellJob:
         return self.received == len(self.windows)
 
     def finalize(self) -> None:
-        """Merge partials into the cell result and freeze the timing."""
+        """Merge partials into the cell result, freeze the timing and
+        release the cell."""
         spec = self.spec
+        if not self.done:
+            raise ValidationError(
+                f"cell ({spec.kind}, {spec.family}, {spec.n}) "
+                "finished incomplete — executor scheduling bug"
+            )
         windows = self.windows[: len(self.partials)]
         if windows == [None]:
-            # One monolithic task: run_cell already summarized the cell.
+            # One monolithic task: it already summarized the cell.
             self.result = self.partials[0]
             windows = [(0, spec.repetitions)]
         else:
-            # Building a cell is deterministic in the spec, so the
-            # parent's rebuild summarizes exactly as a monolithic run.
-            cell = _build(spec)
+            # Building a cell is deterministic in the spec, so a cell
+            # built in the parent summarizes exactly as a monolithic run.
+            cell = self.cell()
             self.result = cell.summarize(cell.merge(self.partials))
+        self._cell = None
         shards = tuple(
             ShardTiming(offset, count, elapsed)
             for (offset, count), elapsed in zip(windows, self.seconds)
@@ -642,12 +665,13 @@ class _CellJob:
 
 
 def _drive_job_serial(job: _CellJob) -> None:
-    """Run one job's tasks to completion in the current process."""
+    """Run one job's tasks in the current process, then finalize it."""
     tasks = job.start_tasks()
     while tasks:
         slot, window = tasks.pop(0)
-        payload, seconds = _run_task(job.spec, window)
+        payload, seconds = _run_task(job.spec, window, job)
         tasks.extend(job.complete(slot, payload, seconds))
+    job.finalize()
 
 
 def _execute_pooled(jobs: list[_CellJob], workers: int) -> None:
@@ -701,17 +725,13 @@ def execute_cells_report(
     jobs = [_CellJob(spec) for spec in cell_specs]
     planned = sum(job.task_parallelism for job in jobs)
     if workers is None or workers == 1 or planned <= 1:
+        # One job at a time, so at most one built cell is alive.
         for job in jobs:
             _drive_job_serial(job)
     else:
         _execute_pooled(jobs, workers)
-    for job in jobs:
-        if not job.done:
-            raise ValidationError(
-                f"cell ({job.spec.kind}, {job.spec.family}, {job.spec.n}) "
-                "finished incomplete — executor scheduling bug"
-            )
-        job.finalize()
+        for job in jobs:
+            job.finalize()
     return ExecutionReport(
         results=tuple(job.result for job in jobs),
         timings=tuple(job.timing for job in jobs),

@@ -327,7 +327,10 @@ class TestWorkloadFlags:
         assert code == 0
         assert "file" in out  # the loaded-trace cell reports workload=file
 
-    def test_serial_trace_run_loads_and_validates_once(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("shard_size", [None, 2])
+    def test_serial_trace_run_loads_and_validates_once(
+        self, tmp_path, monkeypatch, shard_size
+    ):
         import repro.workloads
         from repro.experiments import workload_cells, workloads_exp
         from repro.experiments.registry import run_experiment
@@ -353,7 +356,9 @@ class TestWorkloadFlags:
         for module in (repro.workloads, trace_module, workload_cells, workloads_exp):
             if hasattr(module, "load_trace"):
                 monkeypatch.setattr(module, "load_trace", load)
-        result = run_experiment("workloads-traffic", trace=str(trace_path))
+        result = run_experiment(
+            "workloads-traffic", trace=str(trace_path), shard_size=shard_size
+        )
         assert result.passed
         assert calls == {"load_trace": 1, "_validate": 1}
 

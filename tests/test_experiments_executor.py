@@ -798,6 +798,32 @@ class TestAdaptiveSizing:
         assert np.isnan(timing.ci_half_width)
         assert np.isnan(cell.median_rounds)
 
+    @pytest.mark.parametrize(
+        "spec, tasks",
+        [
+            (SPEC, 4),
+            (replace(SPEC, target_ci=None), 8),
+            (replace(SPEC, shard_size=None, target_ci=None), 1),
+        ],
+        ids=["adaptive", "sharded", "monolithic"],
+    )
+    def test_serial_job_builds_its_cell_once(self, monkeypatch, spec, tasks):
+        """Every wave or shard of a serial job and its merge run on one
+        built cell: one graph and one lambda_2 per cell."""
+        from repro.experiments import _common
+
+        connectivity = _common.algebraic_connectivity
+        calls = []
+
+        def counted(graph):
+            calls.append(graph)
+            return connectivity(graph)
+
+        monkeypatch.setattr(_common, "algebraic_connectivity", counted)
+        report = execute_cells_report([spec], workers=None)
+        assert len(report.timings[0].shards) == tasks
+        assert len(calls) == 1
+
     def test_non_family_kind_rejected(self):
         for kind in ("weighted-variant", "scenario-recovery"):
             with pytest.raises(ValidationError, match="adaptive sizing"):
