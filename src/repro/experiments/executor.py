@@ -432,8 +432,7 @@ def run_cell(spec: CellSpec) -> object:
     """
     _check_spec(spec)
     if spec.target_ci is None:
-        cell = _build(spec)
-        return cell.summarize(_run_window(spec, cell, None))
+        return _run_task(spec, None)[0]
     job = _CellJob(spec)
     _drive_job_serial(job)
     return job.result
