@@ -441,7 +441,7 @@ def run_cell(spec: CellSpec) -> object:
 def run_cell_shard(
     spec: CellSpec, replica_offset: int, replica_count: int
 ) -> object:
-    """Run one replica window of a cell (the pool's shard task body).
+    """Run one replica window of a cell.
 
     Returns the raw ensemble result for replicas ``[replica_offset,
     replica_offset + replica_count)``: a
