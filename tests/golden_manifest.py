@@ -21,8 +21,12 @@
   executor cell (:data:`STATIC_CELLS`) of each static measurement kind
   under both policies: the per-repetition stop rounds
   (``repetition_rounds``), the summary fields and, for the ablation
-  variant, the churn-probe fields. Final states are not pinned: the
-  convergence measurement does not return them.
+  variant, the churn-probe fields;
+* ``static-final/<kind>/<rng>`` — the sha256 of the final replica stack
+  of every batch run of the same cells: ``counts`` for uniform stacks,
+  ``task_nodes``, ``task_mask`` and the bits of ``task_weights`` for
+  weighted ones. The convergence measurement returns stop rounds only,
+  so the stacks are captured by wrapping ``BatchSimulator.run``.
 * ``trace/<workload>`` — the sha256 of the ``save_trace`` JSONL bytes
   and the ``task_timeline`` of every named workload in
   :func:`~repro.workloads.available_workloads`, built at a small fixed
@@ -40,6 +44,7 @@ and says in CHANGES.md which entries moved and why.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -51,11 +56,13 @@ from pathlib import Path
 import numpy as np
 import quick_json
 
+from repro.core.batch import BatchSimulator
 from repro.core.protocols import SelfishUniformProtocol, SelfishWeightedProtocol
 from repro.core.stopping import PotentialThresholdStop
 from repro.experiments.executor import CellSpec, run_cell
 from repro.experiments.registry import available_experiments, run_experiment
 from repro.graphs.families import get_family
+from repro.model.batch import BatchUniformState
 from repro.model.placement import place_weighted_random, random_placement
 from repro.model.state import UniformState, WeightedState
 from repro.model.tasks import two_class_weights
@@ -242,6 +249,41 @@ def static_digest(kind: str, rng_policy: str) -> str:
     return sha.hexdigest()[:16]
 
 
+@contextlib.contextmanager
+def _final_stacks():
+    """Collect the final stack of every ``BatchSimulator.run`` in the block."""
+    stacks: list = []
+    inner = BatchSimulator.__dict__["run"]
+
+    def run(self, *args, **kwargs):
+        result = inner(self, *args, **kwargs)
+        stacks.append(result.final_state)
+        return result
+
+    BatchSimulator.run = run
+    try:
+        yield stacks
+    finally:
+        BatchSimulator.run = inner
+
+
+def static_final_digest(kind: str, rng_policy: str) -> str:
+    """Digest of the final replica stacks of one static-kind cell."""
+    with _final_stacks() as stacks:
+        run_cell(dataclasses.replace(STATIC_CELLS[kind], rng_policy=rng_policy))
+    sha = hashlib.sha256()
+    _fold(
+        sha,
+        [
+            (stack.counts,)
+            if isinstance(stack, BatchUniformState)
+            else (stack.task_nodes, stack.task_mask, stack.task_weights.view(np.uint64))
+            for stack in stacks
+        ],
+    )
+    return sha.hexdigest()[:16]
+
+
 def trace_digest(workload: str) -> str:
     """Digest of one workload's saved JSONL bytes and its task timeline."""
     trace = build_workload(workload, **TRACE_ARGS)
@@ -268,8 +310,18 @@ def entry_names() -> list[str]:
         f"scenario/{tasks}/{run}" for tasks in SCENARIO_TASKS for run in SCENARIO_RUNS
     ]
     from_static = [f"static/{kind}/{rng}" for kind in STATIC_CELLS for rng in RNG_POLICIES]
+    from_finals = [
+        f"static-final/{kind}/{rng}" for kind in STATIC_CELLS for rng in RNG_POLICIES
+    ]
     from_traces = [f"trace/{workload}" for workload in available_workloads()]
-    return from_experiments + from_perfbench + from_scenarios + from_static + from_traces
+    return (
+        from_experiments
+        + from_perfbench
+        + from_scenarios
+        + from_static
+        + from_finals
+        + from_traces
+    )
 
 
 def compute(name: str) -> str:
@@ -284,6 +336,8 @@ def compute(name: str) -> str:
         return scenario_digest(label, variant)
     if kind == "static":
         return static_digest(label, variant)
+    if kind == "static-final":
+        return static_final_digest(label, variant)
     return perfbench_digest(label, int(variant.removeprefix("seed")))
 
 
