@@ -27,7 +27,6 @@ the *start* of the round (the protocol is concurrent).
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -51,13 +50,7 @@ __all__ = [
     "SelfishUniformProtocol",
     "SelfishWeightedProtocol",
     "PerTaskThresholdProtocol",
-    "GRAPH_CACHE_CAPACITY",
 ]
-
-#: Maximum number of live graphs a protocol keeps CSR/dij caches for.
-#: Beyond this the least-recently-used entry is evicted (topology
-#: scenarios cycle through derived graphs; sweeps through sizes).
-GRAPH_CACHE_CAPACITY = 8
 
 
 @dataclass(frozen=True)
@@ -94,42 +87,6 @@ class BatchRoundSummary:
     tasks_moved: IntArray
     weight_moved: FloatArray
     saturated: np.ndarray
-
-
-class _GraphCache:
-    """Per-graph precomputed arrays shared across rounds.
-
-    ``csr_rows[k]`` is the source node of CSR slot ``k``; ``dij_csr[k]``
-    is ``max(deg(i), deg(j))`` for that directed edge; ``nodes_by_slot``
-    lists, for each neighbour position ``slot``, the nodes having at least
-    ``slot + 1`` neighbours; ``slot_in_row[k]`` is the neighbour position
-    of CSR slot ``k`` within its source node's adjacency list (used by the
-    batched kernel to scatter per-slot probabilities into the padded
-    ``(n, Delta)`` layout); ``deg_float`` / ``degm1`` are per-node degree
-    lookups pre-cast for the counter kernel's fused draw (``degm1`` keeps
-    ``-1`` at isolated nodes — the fused draw's remainder then lands at
-    exactly ``1.0``, which no clipped probability can exceed, so tasks on
-    isolated nodes never migrate without needing a branch).
-    """
-
-    def __init__(self, graph: Graph):
-        degrees = graph.degrees
-        self.csr_rows = np.repeat(
-            np.arange(graph.num_vertices, dtype=np.int64), degrees
-        )
-        self.dij_csr = np.maximum(
-            degrees[self.csr_rows], degrees[graph.indices]
-        ).astype(np.float64)
-        self.nodes_by_slot = [
-            np.flatnonzero(degrees > slot) for slot in range(graph.max_degree)
-        ]
-        self.slot_in_row = (
-            np.arange(self.csr_rows.shape[0], dtype=np.int64)
-            - graph.indptr[self.csr_rows]
-        )
-        self.deg_float = degrees.astype(np.float64)
-        self.degm1 = degrees.astype(np.int64) - 1
-        self.has_isolated = bool(np.any(degrees == 0))
 
 
 class _Workspace:
@@ -209,87 +166,24 @@ class Protocol:
         if alpha is not None:
             alpha = check_positive(alpha, "alpha")
         self._alpha = alpha
-        # Keyed by the graph object itself (weakly): keying by id(graph)
-        # is unsound because a garbage-collected graph's id can be reused
-        # by a new, structurally different graph, which would then be
-        # served the stale cache's dij/CSR arrays. ``_last`` is an
-        # identity fast path for the per-round lookup in single-graph
-        # simulation loops (a weak ref, so it cannot resurrect ids).
-        self._reset_caches()
-
-    def _reset_caches(self) -> None:
-        """Empty graph caches and workspace (built fresh after unpickling)."""
-        self._cache: "weakref.WeakKeyDictionary[Graph, _GraphCache]" = (
-            weakref.WeakKeyDictionary()
-        )
-        # Recency order for LRU eviction: weak refs, least recent first.
-        self._cache_order: list[weakref.ref] = []
-        self._last: tuple[weakref.ref, _GraphCache] | None = None
         self._workspace = _Workspace()
 
     def __getstate__(self) -> dict:
-        # Caches and scratch buffers are derived state: weak references
-        # do not pickle, and the buffers would only bloat the payload.
+        # The scratch buffers are derived state and would only bloat the
+        # payload; an unpickled protocol starts with an empty workspace.
         state = self.__dict__.copy()
-        for key in ("_cache", "_cache_order", "_last", "_workspace"):
-            state.pop(key, None)
+        del state["_workspace"]
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        self._reset_caches()
+        self._workspace = _Workspace()
 
     def resolve_alpha(self, state: LoadStateBase) -> float:
         """The alpha used for this state (explicit or ``4 s_max``)."""
         if self._alpha is not None:
             return self._alpha
         return default_alpha(float(state.speeds.max()))
-
-    def _graph_cache(self, graph: Graph) -> _GraphCache:
-        last = self._last
-        if last is not None and last[0]() is graph:
-            self._touch(graph)
-            return last[1]
-        cache = self._cache.get(graph)
-        if cache is None:
-            cache = _GraphCache(graph)
-            # Keep at most GRAPH_CACHE_CAPACITY graphs cached; experiments
-            # sweep sizes and topology scenarios cycle derived graphs.
-            # Evict exactly the least-recently-used live entry — clearing
-            # everything would rebuild every CSR/dij cache each round when
-            # more than `capacity` graphs stay alive simultaneously. (Dead
-            # graphs still drop out automatically via the weak keys.)
-            if len(self._cache) >= GRAPH_CACHE_CAPACITY:
-                self._evict_lru()
-            self._cache[graph] = cache
-        self._touch(graph)
-        self._last = (weakref.ref(graph), cache)
-        return cache
-
-    def _touch(self, graph: Graph) -> None:
-        """Move ``graph`` to the most-recent end of the LRU order."""
-        order = self._cache_order
-        for position in range(len(order) - 1, -1, -1):
-            obj = order[position]()
-            if obj is None:
-                del order[position]
-            elif obj is graph or obj == graph:
-                order.append(order.pop(position))
-                return
-        order.append(weakref.ref(graph))
-
-    def _evict_lru(self) -> None:
-        """Drop the single least-recently-used live cache entry."""
-        order = self._cache_order
-        while order:
-            obj = order[0]()
-            if obj is None:
-                # Already collected; the weak dict dropped it too.
-                del order[0]
-                continue
-            del order[0]
-            self._cache.pop(obj, None)
-            return
 
     def execute_round(
         self, state: LoadStateBase, graph: Graph, rng: np.random.Generator
@@ -310,7 +204,6 @@ def _csr_migration_probabilities(
     weights: np.ndarray,
     speeds: FloatArray,
     graph: Graph,
-    cache: _GraphCache,
     alpha: float,
 ) -> FloatArray:
     """Algorithm 1's per-CSR-slot probability that a single task on
@@ -322,12 +215,13 @@ def _csr_migration_probabilities(
     ``loads`` and ``weights`` are ``(..., n)`` and the result is
     ``(..., nnz)``: the batched kernel passes a leading replica axis.
     """
-    src = cache.csr_rows
+    tables = graph.kernel_tables
+    src = tables.csr_rows
     dst = graph.indices
     gain = loads[..., src] - loads[..., dst]
     w_src = weights[..., src]
     eligible = gain > 1.0 / speeds[dst] + ELIGIBILITY_TOLERANCE
-    inv_rate = alpha * cache.dij_csr * (1.0 / speeds[src] + 1.0 / speeds[dst])
+    inv_rate = alpha * tables.dij_csr * (1.0 / speeds[src] + 1.0 / speeds[dst])
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(eligible & (w_src > 0), gain / (inv_rate * w_src), 0.0)
 
@@ -376,15 +270,15 @@ class SelfishUniformProtocol(Protocol):
         if graph.max_degree == 0 or state.num_tasks == 0:
             return RoundSummary(0, 0.0, False)
 
-        cache = self._graph_cache(graph)
+        tables = graph.kernel_tables
         alpha = self.resolve_alpha(state)
         q = _csr_migration_probabilities(
-            state.loads, state.node_weights, state.speeds, graph, cache, alpha
+            state.loads, state.node_weights, state.speeds, graph, alpha
         )
 
         # Saturation check: per-node total choose-and-move probability.
         total_q = np.zeros(graph.num_vertices)
-        np.add.at(total_q, cache.csr_rows, q)
+        np.add.at(total_q, tables.csr_rows, q)
         saturated = bool(np.any(total_q > 1.0 + 1e-12))
 
         remaining = state.counts.copy()
@@ -394,7 +288,7 @@ class SelfishUniformProtocol(Protocol):
         move_qty: list[IntArray] = []
 
         indptr, indices = graph.indptr, graph.indices
-        for slot, nodes in enumerate(cache.nodes_by_slot):
+        for slot, nodes in enumerate(tables.nodes_by_slot):
             k = indptr[nodes] + slot
             q_slot = q[k]
             active = (q_slot > 0.0) & (remaining[nodes] > 0)
@@ -482,7 +376,7 @@ class SelfishUniformProtocol(Protocol):
                 tasks_moved, tasks_moved.astype(np.float64), saturated
             )
 
-        cache = self._graph_cache(graph)
+        tables = graph.kernel_tables
         alpha = self.resolve_alpha(batch)
         n = batch.num_nodes
         max_degree = graph.max_degree
@@ -491,7 +385,7 @@ class SelfishUniformProtocol(Protocol):
         dst = graph.indices
 
         q = _csr_migration_probabilities(
-            counts / speeds, counts, speeds, graph, cache, alpha
+            counts / speeds, counts, speeds, graph, alpha
         )
 
         # Scatter into the padded (A, n, Delta + 1) multinomial layout;
@@ -501,7 +395,7 @@ class SelfishUniformProtocol(Protocol):
             np.float64, 1, (rows.size, n, max_degree + 1)
         )
         pvals.fill(0.0)
-        pvals[:, cache.csr_rows, cache.slot_in_row] = q
+        pvals[:, tables.csr_rows, tables.slot_in_row] = q
         total = pvals[..., :max_degree].sum(axis=2)
         row_saturated = (total > 1.0 + 1e-12).any(axis=1)
         if np.any(total > 1.0):
@@ -529,7 +423,7 @@ class SelfishUniformProtocol(Protocol):
 
         moved_slots = draws[..., :max_degree]
         sent = moved_slots.sum(axis=2)
-        flows = moved_slots[:, cache.csr_rows, cache.slot_in_row]  # (A, nnz)
+        flows = moved_slots[:, tables.csr_rows, tables.slot_in_row]  # (A, nnz)
         offsets = np.arange(rows.size, dtype=np.int64)[:, None] * n
         received = (
             np.bincount(
@@ -695,7 +589,6 @@ class SelfishWeightedProtocol(Protocol):
         node_weights: FloatArray,
         speeds: FloatArray,
         graph: Graph,
-        cache: _GraphCache,
         alpha: float,
     ) -> tuple[FloatArray, FloatArray, FloatArray, np.ndarray | None]:
         """Algorithm 2's migration table over the directed CSR edges.
@@ -714,19 +607,20 @@ class SelfishWeightedProtocol(Protocol):
           round's ``saturated`` verdict), ``None`` under a per-task
           condition, which the kernels test after the gather.
         """
-        src, dst = cache.csr_rows, graph.indices
+        tables = graph.kernel_tables
+        src, dst = tables.csr_rows, graph.indices
         gain = loads[..., src] - loads[..., dst]
         w_src = node_weights[..., src]
         with np.errstate(divide="ignore", invalid="ignore"):
             if self._rule == "flow":
-                rate = alpha * cache.dij_csr * (
+                rate = alpha * tables.dij_csr * (
                     1.0 / speeds[src] + 1.0 / speeds[dst]
                 )
                 p_raw = graph.degrees[src] * gain / (rate * w_src)
             else:  # pseudocode rule
                 p_raw = (
                     graph.degrees[src]
-                    / cache.dij_csr
+                    / tables.dij_csr
                     * (w_src - node_weights[..., dst])
                     / (2.0 * alpha * w_src)
                 )
@@ -792,7 +686,6 @@ class SelfishWeightedProtocol(Protocol):
         if state.num_tasks == 0 or graph.num_edges == 0:
             return RoundSummary(0, 0.0, False)
 
-        cache = self._graph_cache(graph)
         alpha = self.resolve_alpha(state)
         task_nodes = state.task_nodes
         slot_index, neighbour, valid = _choose_neighbours(
@@ -802,7 +695,7 @@ class SelfishWeightedProtocol(Protocol):
             return RoundSummary(0, 0.0, False)
 
         table = self._edge_table(
-            state.loads, state.node_weights, state.speeds, graph, cache, alpha
+            state.loads, state.node_weights, state.speeds, graph, alpha
         )
         edge = slot_index[valid]
         migrate, saturated = self._resolve_tasks(
@@ -893,7 +786,6 @@ class SelfishWeightedProtocol(Protocol):
         if rows.size == 0 or graph.num_edges == 0 or batch.max_tasks == 0:
             return summary
 
-        cache = self._graph_cache(graph)
         alpha = self.resolve_alpha(batch)
         speeds = batch.speeds
         advancing_all = rows.size == num_replicas
@@ -934,7 +826,7 @@ class SelfishWeightedProtocol(Protocol):
             row_offset = position
         slot_index, j, valid = _choose_neighbours(u_choice, nodes, graph)
         table = self._edge_table(
-            node_weights / speeds, node_weights, speeds, graph, cache, alpha
+            node_weights / speeds, node_weights, speeds, graph, alpha
         )
         flat = slot_index + row_offset * graph.indices.shape[0]
 
@@ -992,8 +884,12 @@ class SelfishWeightedProtocol(Protocol):
         migration uniform (its fractional part, which is U[0, 1)
         independent of the selected slot). One ``(A, M)`` Philox block
         per round replaces the spawned layout's ``2 R`` per-replica
-        fills — the heavy-m per-round win pinned in
-        ``benchmarks/test_batch_throughput.py``.
+        fills, and the round's ``(A, M)`` blocks live in the protocol's
+        workspace. The heavy-m per-round margin pinned in
+        ``benchmarks/test_batch_throughput.py`` comes from the latter:
+        the spawned round's fresh temporaries fault 2.3-3.0k pages per
+        round there, while a Philox word costs about twice a PCG64
+        double, so the halved word count alone does not win.
 
         Law: identical to the scalar kernel per replica (neighbour
         uniform, eligibility, clipped probability are the same
@@ -1020,7 +916,6 @@ class SelfishWeightedProtocol(Protocol):
         if rows.size == 0 or graph.num_edges == 0 or batch.max_tasks == 0:
             return summary
 
-        cache = self._graph_cache(graph)
         alpha = self.resolve_alpha(batch)
         speeds = batch.speeds
         advancing_all = rows.size == num_replicas
@@ -1038,8 +933,9 @@ class SelfishWeightedProtocol(Protocol):
             return summary
 
         gain, p_raw, p_eff, sat_edge = self._edge_table(
-            node_weights / speeds, node_weights, speeds, graph, cache, alpha
+            node_weights / speeds, node_weights, speeds, graph, alpha
         )
+        tables = graph.kernel_tables
         dst = graph.indices
 
         # Fused draw: one uniform per task slot. The integer part of
@@ -1054,13 +950,13 @@ class SelfishWeightedProtocol(Protocol):
         slot, edge, flat = self._workspace.blocks(np.int64, 3, u.shape)
         (migrate,) = self._workspace.blocks(np.bool_, 1, u.shape)
         i = nodes if all_live else np.where(mask, nodes, 0)
-        u *= cache.deg_float[i]
+        u *= tables.deg_float[i]
         np.copyto(slot, u, casting="unsafe")  # truncates, as astype does
-        if cache.has_isolated:
+        if tables.has_isolated:
             # Isolated nodes take slot -1. Elsewhere no clamp is needed:
             # the fill's uniforms are at most 1 - 2**-53, and such a u
             # times an integer degree d rounds to below d, never to d.
-            np.minimum(slot, cache.degm1[i], out=slot)
+            np.minimum(slot, tables.degm1[i], out=slot)
         u -= slot  # in-place remainder
         np.add(graph.indptr[i], slot, out=edge)  # per-task local CSR slot
         # Tasks on isolated nodes carry slot -1 (their remainder is then
@@ -1070,7 +966,7 @@ class SelfishWeightedProtocol(Protocol):
         # positions point at a real edge so the saturation/eligibility
         # gathers cannot read a neighbour row's values.
         valid_edge: np.ndarray | None = None
-        if cache.has_isolated:
+        if tables.has_isolated:
             valid_edge = slot >= 0
             np.maximum(edge, 0, out=edge)
         np.add(

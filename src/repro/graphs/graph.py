@@ -8,6 +8,8 @@ work, so the graph exposes flat arrays rather than adjacency dicts:
 * ``degrees`` — per-vertex degree.
 * ``edge_dij`` — per-edge ``d_ij = max(deg(i), deg(j))`` as used by the
   paper's migration probability (``d_{i,j}`` in Algorithm 1).
+* ``kernel_tables`` — the per-CSR-slot lookups the protocol kernels
+  read every round (:class:`KernelTables`), built on first use.
 """
 
 from __future__ import annotations
@@ -17,7 +19,43 @@ import numpy as np
 from repro.errors import GraphError
 from repro.types import EdgeList, IntArray
 
-__all__ = ["Graph"]
+__all__ = ["Graph", "KernelTables"]
+
+
+class KernelTables:
+    """Per-CSR-slot lookups the protocol kernels read every round.
+
+    ``csr_rows[k]`` is the source node of CSR slot ``k``; ``dij_csr[k]``
+    is ``max(deg(i), deg(j))`` for that directed edge; ``nodes_by_slot``
+    lists, for each neighbour position ``slot``, the nodes having at least
+    ``slot + 1`` neighbours; ``slot_in_row[k]`` is the neighbour position
+    of CSR slot ``k`` within its source node's adjacency list (used by the
+    batched kernel to scatter per-slot probabilities into the padded
+    ``(n, Delta)`` layout); ``deg_float`` / ``degm1`` are per-node degree
+    lookups pre-cast for the counter kernel's fused draw (``degm1`` keeps
+    ``-1`` at isolated nodes — the fused draw's remainder then lands at
+    exactly ``1.0``, which no clipped probability can exceed, so tasks on
+    isolated nodes never migrate without needing a branch).
+    """
+
+    def __init__(self, graph: "Graph"):
+        degrees = graph.degrees
+        self.csr_rows = np.repeat(
+            np.arange(graph.num_vertices, dtype=np.int64), degrees
+        )
+        self.dij_csr = np.maximum(
+            degrees[self.csr_rows], degrees[graph.indices]
+        ).astype(np.float64)
+        self.nodes_by_slot = [
+            np.flatnonzero(degrees > slot) for slot in range(graph.max_degree)
+        ]
+        self.slot_in_row = (
+            np.arange(self.csr_rows.shape[0], dtype=np.int64)
+            - graph.indptr[self.csr_rows]
+        )
+        self.deg_float = degrees.astype(np.float64)
+        self.degm1 = degrees.astype(np.int64) - 1
+        self.has_isolated = bool(np.any(degrees == 0))
 
 
 class Graph:
@@ -37,7 +75,9 @@ class Graph:
     -----
     The constructor normalizes, deduplicates and sorts the edge list, then
     builds the CSR structure once. All attributes are read-only views; the
-    class is safe to share between simulations.
+    class is safe to share between simulations. The kernels' lookup
+    tables are a pure function of the structure, so the graph builds them
+    the first time they are read and keeps them for its lifetime.
     """
 
     __slots__ = (
@@ -49,7 +89,7 @@ class Graph:
         "_edge_dij",
         "_name",
         "_hash",
-        "__weakref__",
+        "_kernel_tables",
     )
 
     def __init__(self, num_vertices: int, edges: EdgeList, name: str | None = None):
@@ -107,6 +147,7 @@ class Graph:
         self._edge_dij = dij
         self._edge_dij.setflags(write=False)
         self._hash: int | None = None
+        self._kernel_tables: KernelTables | None = None
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -172,6 +213,13 @@ class Graph:
         """Per-edge ``d_ij = max(deg(u), deg(v))`` (paper's ``d_{i,j}``)."""
         return self._edge_dij
 
+    @property
+    def kernel_tables(self) -> KernelTables:
+        """The protocol kernels' per-CSR-slot lookups, built on first read."""
+        if self._kernel_tables is None:
+            self._kernel_tables = KernelTables(self)
+        return self._kernel_tables
+
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
@@ -226,8 +274,8 @@ class Graph:
         )
 
     def __hash__(self) -> int:
-        # Cached: graphs are immutable, and weak-keyed protocol caches
-        # hash the graph on every round.
+        # Cached: graphs are immutable, and the scenario runner's spectral
+        # memo hashes the graph on every round.
         if self._hash is None:
             self._hash = hash((self._num_vertices, self._edges.tobytes()))
         return self._hash
@@ -258,9 +306,9 @@ class Graph:
         """A new graph with the given undirected edges removed.
 
         The receiver is untouched (graphs are immutable); the derived
-        graph goes through the full CSR build, so every hash/equality/
-        cache contract holds for it too. Edges not present are ignored,
-        making failure events idempotent.
+        graph goes through the full CSR build, so every hash/equality
+        contract holds for it too, and it builds its own kernel tables.
+        Edges not present are ignored, making failure events idempotent.
         """
         drop = self._normalized_pairs(edges)
         if drop.shape[0] == 0 or self.num_edges == 0:
@@ -293,7 +341,11 @@ class Graph:
         )
 
     def renamed(self, name: str) -> "Graph":
-        """Return a copy of this graph carrying a different name."""
+        """Return a copy of this graph carrying a different name.
+
+        The copy shares the structure arrays and, once built, the kernel
+        tables.
+        """
         clone = Graph.__new__(Graph)
         clone._num_vertices = self._num_vertices
         clone._edges = self._edges
@@ -303,4 +355,5 @@ class Graph:
         clone._edge_dij = self._edge_dij
         clone._name = name
         clone._hash = self._hash
+        clone._kernel_tables = self._kernel_tables
         return clone

@@ -846,10 +846,9 @@ class EdgeRecovery(_TopologyEvent):
     """Links come back: add explicit ``edges``, or restore the base graph.
 
     With ``edges=None`` the scenario's *original* network is restored
-    wholesale — and because :class:`~repro.graphs.graph.Graph` equality
-    is structural, the restored graph hits the protocol's existing
-    CSR/dij caches for the base topology. Adding an already-present
-    edge is a no-op (idempotent).
+    wholesale: the base graph instance itself comes back, so the kernel
+    tables it already built are reused, and the spectral memo hits it
+    too. Adding an already-present edge is a no-op (idempotent).
     """
 
     edges: tuple[tuple[int, int], ...] | None = None

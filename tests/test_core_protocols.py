@@ -16,6 +16,7 @@ from repro.core.protocols import (
 )
 from repro.errors import ProtocolError
 from repro.graphs.generators import complete_graph, cycle_graph, path_graph, star_graph
+from repro.graphs.graph import Graph, KernelTables
 from repro.model.state import UniformState, WeightedState
 
 
@@ -249,102 +250,142 @@ class TestPerTaskThresholdProtocol:
             assert protocol.execute_round(state, graph, rng).tasks_moved == 0
 
 
-class TestGraphCacheKeying:
-    """Regression: the per-protocol graph cache was keyed by ``id(graph)``,
-
-    so a garbage-collected graph whose id got reused by a new graph was
-    served the stale cache (wrong dij/CSR arrays). The cache is now
-    weakly keyed by the graph object itself."""
-
-    def test_entry_released_when_graph_dies(self):
-        import gc
-
-        protocol = SelfishUniformProtocol()
-        graph = cycle_graph(8)
-        protocol._graph_cache(graph)
-        assert len(protocol._cache) == 1
-        del graph
-        protocol._last = None  # drop the identity fast path's weak ref too
-        gc.collect()
-        assert len(protocol._cache) == 0
-
-    def test_fresh_graphs_always_get_matching_arrays(self):
-        import gc
-
-        protocol = SelfishUniformProtocol()
-        # Churn through differently shaped graphs, destroying each before
-        # the next is built, so ids are eligible for reuse; every lookup
-        # must return arrays consistent with the live graph's structure.
-        for n in [4, 9, 5, 12, 6, 16, 7, 8] * 3:
-            graph = cycle_graph(n) if n % 2 == 0 else star_graph(n)
-            cache = protocol._graph_cache(graph)
-            assert cache.csr_rows.shape[0] == graph.indices.shape[0]
-            expected_dij = np.maximum(
-                graph.degrees[cache.csr_rows], graph.degrees[graph.indices]
-            ).astype(np.float64)
-            np.testing.assert_array_equal(cache.dij_csr, expected_dij)
-            del graph, cache
-            gc.collect()
-
-    def test_identity_fast_path_tracks_graph_switches(self):
-        protocol = SelfishUniformProtocol()
-        first = cycle_graph(6)
-        second = star_graph(6)
-        cache_first = protocol._graph_cache(first)
-        cache_second = protocol._graph_cache(second)
-        assert protocol._graph_cache(first) is cache_first
-        assert protocol._graph_cache(second) is cache_second
+def _expected_tables(graph):
+    """The kernel tables, computed slot by slot from the CSR lists."""
+    rows, dij, slots = [], [], []
+    for node in range(graph.num_vertices):
+        for position, neighbour in enumerate(graph.neighbors(node)):
+            rows.append(node)
+            dij.append(max(graph.degree(node), graph.degree(int(neighbour))))
+            slots.append(position)
+    degrees = [graph.degree(node) for node in range(graph.num_vertices)]
+    return {
+        "csr_rows": np.array(rows, dtype=np.int64),
+        "dij_csr": np.array(dij, dtype=np.float64),
+        "slot_in_row": np.array(slots, dtype=np.int64),
+        "nodes_by_slot": [
+            np.array([v for v, d in enumerate(degrees) if d > slot], dtype=np.int64)
+            for slot in range(max(degrees))
+        ],
+        "deg_float": np.array(degrees, dtype=np.float64),
+        "degm1": np.array(degrees, dtype=np.int64) - 1,
+        "has_isolated": 0 in degrees,
+    }
 
 
-class TestGraphCacheLRU:
-    """Regression: a full graph cache used to be *cleared wholesale*,
+def _assert_tables_match(graph):
+    tables = graph.kernel_tables
+    for name, expected in _expected_tables(graph).items():
+        actual = getattr(tables, name)
+        if isinstance(expected, list):
+            assert len(actual) == len(expected)
+            for got, want in zip(actual, expected):
+                np.testing.assert_array_equal(got, want, strict=True)
+        elif isinstance(expected, np.ndarray):
+            np.testing.assert_array_equal(actual, expected, strict=True)
+        else:
+            assert actual is expected
 
-    so a rotation of ``capacity + 1`` graphs rebuilt every hot entry on
-    each pass. Eviction is now true LRU: the single least-recently-used
-    entry is dropped and the hot remainder survives."""
 
-    def _fill(self, protocol, count):
-        graphs = [cycle_graph(3 + index) for index in range(count)]
-        for graph in graphs:
-            protocol._graph_cache(graph)
-        return graphs
+def _weighted_state(graph, seed):
+    rng = np.random.default_rng(seed)
+    n = graph.num_vertices
+    return WeightedState(
+        rng.integers(0, n, size=4 * n), rng.uniform(0.2, 1.0, size=4 * n), [1.0] * n
+    )
 
-    def test_insert_at_capacity_evicts_exactly_one(self):
-        from repro.core.protocols import GRAPH_CACHE_CAPACITY
 
-        protocol = SelfishUniformProtocol()
-        graphs = self._fill(protocol, GRAPH_CACHE_CAPACITY)
-        caches = {g: protocol._graph_cache(g) for g in graphs}
-        overflow = cycle_graph(3 + GRAPH_CACHE_CAPACITY)
-        protocol._graph_cache(overflow)
-        assert len(protocol._cache) == GRAPH_CACHE_CAPACITY
-        # graphs[0] is the LRU entry; every other hot entry survived
-        # (identity check: the same cache object, not a rebuild).
-        assert graphs[0] not in protocol._cache
-        for graph in graphs[1:]:
-            assert protocol._graph_cache(graph) is caches[graph]
+class TestKernelTables:
+    """The per-CSR-slot lookups the kernels read live on the graph."""
 
-    def test_touch_protects_oldest_entry(self):
-        from repro.core.protocols import GRAPH_CACHE_CAPACITY
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            cycle_graph(8),
+            cycle_graph(3),
+            star_graph(7),
+            complete_graph(5),
+            Graph(12, cycle_graph(11).edges, name="cycle11+isolated"),
+            Graph(4, [], name="empty4"),
+            cycle_graph(10).without_edges([(0, 1), (4, 5)]),
+            path_graph(6).with_edges([(0, 5), (1, 4)]),
+        ],
+        ids=[
+            "cycle8",
+            "cycle3",
+            "star7",
+            "complete5",
+            "isolated",
+            "edgeless",
+            "without-edges",
+            "with-edges",
+        ],
+    )
+    def test_tables_match_fresh_computation(self, graph):
+        _assert_tables_match(graph)
 
-        protocol = SelfishUniformProtocol()
-        graphs = self._fill(protocol, GRAPH_CACHE_CAPACITY)
-        protocol._graph_cache(graphs[0])  # refresh the oldest
-        protocol._graph_cache(cycle_graph(3 + GRAPH_CACHE_CAPACITY))
-        assert graphs[0] in protocol._cache
-        assert graphs[1] not in protocol._cache  # second-oldest evicted
+    def test_renamed_shares_built_tables(self):
+        base = star_graph(6)
+        early = base.renamed("early")  # renamed before the tables exist
+        tables = base.kernel_tables
+        late = base.renamed("late")
+        assert late.kernel_tables is tables
+        assert early.kernel_tables is not tables
+        _assert_tables_match(early)
+        _assert_tables_match(late)
 
-    def test_dead_refs_do_not_count_toward_capacity(self):
-        import gc
+    def test_derived_graphs_build_their_own(self):
+        base = cycle_graph(8)
+        tables = base.kernel_tables
+        failed = base.without_edges([(0, 1)])
+        assert failed.kernel_tables is not tables
+        restored = failed.with_edges([(0, 1)])
+        assert restored == base and restored.kernel_tables is not tables
+        _assert_tables_match(restored)
 
-        from repro.core.protocols import GRAPH_CACHE_CAPACITY
+    def test_built_once_per_graph(self, monkeypatch):
+        from repro.core.reference import ReferenceUniformProtocol
+        from repro.model.batch import BatchUniformState, BatchWeightedState
+        from repro.utils.rng import CounterStreams, spawn_rngs
 
-        protocol = SelfishUniformProtocol()
-        transient = cycle_graph(64)
-        protocol._graph_cache(transient)
-        del transient
-        protocol._last = None
-        gc.collect()
-        graphs = self._fill(protocol, GRAPH_CACHE_CAPACITY)
-        # the dead entry vanished on its own; all live entries fit
-        assert all(graph in protocol._cache for graph in graphs)
+        built = []
+        init = KernelTables.__init__
+
+        def counting_init(self, graph):
+            built.append(graph)
+            init(self, graph)
+
+        monkeypatch.setattr(KernelTables, "__init__", counting_init)
+        graph = cycle_graph(6)
+        uniform = UniformState([12, 0, 3, 0, 7, 1], [1.0, 2.0, 1.0, 1.0, 2.0, 1.0])
+        weighted = _weighted_state(graph, 3)
+        rng = np.random.default_rng(0)
+        for _ in range(3):
+            for protocol in (SelfishUniformProtocol(), ReferenceUniformProtocol()):
+                protocol.execute_round(uniform.copy(), graph, rng)
+            for protocol in (
+                SelfishWeightedProtocol(),
+                SelfishWeightedProtocol(rule="pseudocode"),
+                PerTaskThresholdProtocol(),
+            ):
+                protocol.execute_round(weighted.copy(), graph, rng)
+                stack = BatchWeightedState.replicate(weighted, 2)
+                protocol.execute_round_batch(stack, graph, spawn_rngs(1, 2))
+                streams = CounterStreams(1, 2)
+                streams.begin_round(0)
+                protocol.execute_round_batch(stack, graph, streams)
+            SelfishUniformProtocol().execute_round_batch(
+                BatchUniformState.replicate(uniform, 2), graph, spawn_rngs(1, 2)
+            )
+        assert built == [graph]
+
+    def test_protocols_hold_no_graph_state(self):
+        protocol = SelfishWeightedProtocol()
+        before = set(vars(protocol))
+        rng = np.random.default_rng(5)
+        for graph in (cycle_graph(6), star_graph(6), complete_graph(6)):
+            protocol.execute_round(_weighted_state(graph, 4), graph, rng)
+        assert set(vars(protocol)) == before
+        assert not any(
+            isinstance(value, (Graph, KernelTables)) for value in vars(protocol).values()
+        )
