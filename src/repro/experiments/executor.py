@@ -68,6 +68,7 @@ from __future__ import annotations
 import inspect
 import math
 import numbers
+import warnings
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
@@ -542,6 +543,15 @@ class _CellJob:
         self.timing: CellTiming | None = None
         self.received = 0
         if self.adaptive:
+            if spec.repetitions < _MIN_ADAPTIVE_SAMPLE:
+                # One text for every cell of a sweep, so it shows once.
+                warnings.warn(
+                    f"target_ci cannot stop a cell early: the replica cap "
+                    f"of {spec.repetitions} is below the "
+                    f"{_MIN_ADAPTIVE_SAMPLE} converged samples the "
+                    "adaptive CI needs, so every cell runs to the cap",
+                    RuntimeWarning,
+                )
             self.windows: list[tuple[int, int] | None] = list(
                 _wave_windows(spec)
             )

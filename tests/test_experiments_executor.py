@@ -772,6 +772,27 @@ class TestAdaptiveSizing:
         fixed = run_cell(CellSpec("weighted", "ring", 8, 2.0, 6, 7))
         assert _pickled(report.results[0]) == _pickled(fixed)
 
+    def test_cap_below_minimum_sample_warns_once_per_text(self):
+        from repro.experiments.executor import execute_cells_report
+
+        specs = [
+            CellSpec("exact", family, 6, 4.0, 3, 3, target_ci=5.0)
+            for family in ("ring", "path")
+        ]
+        expected = "replica cap of 3 is below the 4 converged samples"
+        with pytest.warns(RuntimeWarning, match=expected) as caught:
+            report = execute_cells_report(specs, workers=None)
+        assert len({str(w.message) for w in caught}) == 1
+        assert [t.adaptive_stop for t in report.timings] == ["cap", "cap"]
+
+    @pytest.mark.parametrize("cap", [4, 6])
+    def test_cap_at_minimum_sample_is_silent(self, cap):
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run_cell(CellSpec("exact", "ring", 6, 4.0, cap, 3, target_ci=5.0))
+
     def test_all_nan_waves_fall_to_cap_with_nan_half_width(self):
         """No replica ever converges (max_budget=1), so every CI
         evaluation sees an all-NaN sample: the controller must run to
