@@ -15,12 +15,16 @@ The per-round cost cells additionally probe the heavy-m regime
 (ring(8), m=1500, the ``weighted-variants`` configuration): there the
 scalar weighted kernel is already vectorized over 1500 tasks, so
 batching under the spawned stream layout only removes per-replica
-dispatch overhead (~1.3-1.8x). The counter stream layout (PR 5) attacks
-exactly this cell: one fused Philox block draw replaces the two
-per-replica fill loops, and the acceptance test pins
+dispatch overhead (~1.3-1.8x). The acceptance test pins
 ``rng_policy="counter"`` at >= 1.3x per-round over ``"spawned"`` at
-(ring(8), m=1500, R=256). Both layouts gather the migration probability
-from one per-edge table, so the per-task math no longer separates them.
+(ring(8), m=1500, R=256). That margin is the spawned round's page
+faults: its fresh ``(A, M)`` temporaries fault 2.3-3.0k pages per round
+on this cell, while the counter round writes its blocks into the
+protocol's reused workspace. The counter layout's one fused Philox block
+draw halves the words of the two per-replica fill loops, but a Philox
+word costs about twice a PCG64 double, so the draw alone does not win.
+Both layouts gather the migration probability from one per-edge table,
+so the per-task math does not separate them either.
 A retiring row runs the weighted quick cell to ``NashStop`` under both
 policies, where converged replicas leave holes in the counter layout's
 row sets. Acceptance numbers land in ``benchmarks/BENCH.json`` (cell, policy,
@@ -171,10 +175,12 @@ def test_weighted_counter_per_round_speedup():
     Both policies advance the same initial replica stack for a fixed
     number of rounds after one untimed warm-up round; the per-round wall
     clock is best-of-two, with spawned and counter repeats alternating
-    so a slow spell of the host hits both. The gap is
-    the spawned layout's per-replica fill loops: both kernels gather the
-    same per-edge migration table (~1.6-2.0x measured on 2 vCPUs). The
-    numbers are recorded in ``BENCH.json``.
+    so a slow spell of the host hits both. The gap is the spawned
+    round's page faults: its fresh ``(A, M)`` temporaries fault 2.3-3.0k
+    pages per round here, while the counter round reuses the protocol's
+    workspace and faults none. Both kernels gather the same per-edge
+    migration table (~1.6-2.0x measured on 2 vCPUs). The numbers are
+    recorded in ``BENCH.json``.
     """
     replicas, rounds = 256, 30
     graph, states, _ = _weighted_states(replicas)
