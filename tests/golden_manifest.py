@@ -26,7 +26,8 @@
   of every batch run of the same cells: ``counts`` for uniform stacks,
   ``task_nodes``, ``task_mask`` and the bits of ``task_weights`` for
   weighted ones. The convergence measurement returns stop rounds only,
-  so the stacks are captured by wrapping ``BatchSimulator.run``.
+  so the stacks are captured by wrapping ``BatchSimulator.run``
+  (``perfbench``'s ``_captured_batch_runs``).
 * ``trace/<workload>`` — the sha256 of the ``save_trace`` JSONL bytes
   and the ``task_timeline`` of every named workload in
   :func:`~repro.workloads.available_workloads`, built at a small fixed
@@ -44,7 +45,6 @@ and says in CHANGES.md which entries moved and why.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import hashlib
 import json
@@ -56,7 +56,6 @@ from pathlib import Path
 import numpy as np
 import quick_json
 
-from repro.core.batch import BatchSimulator
 from repro.core.protocols import SelfishUniformProtocol, SelfishWeightedProtocol
 from repro.core.stopping import PotentialThresholdStop
 from repro.experiments.executor import CellSpec, run_cell
@@ -83,7 +82,7 @@ from repro.workloads import available_workloads, build_workload, save_trace, tas
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
-from suite import WORKLOADS  # noqa: E402
+from suite import WORKLOADS, _captured_batch_runs  # noqa: E402
 
 MANIFEST = Path(__file__).resolve().parent / "golden" / "manifest.json"
 RNG_POLICIES = ("spawned", "counter")
@@ -249,38 +248,22 @@ def static_digest(kind: str, rng_policy: str) -> str:
     return sha.hexdigest()[:16]
 
 
-@contextlib.contextmanager
-def _final_stacks():
-    """Collect the final stack of every ``BatchSimulator.run`` in the block."""
-    stacks: list = []
-    inner = BatchSimulator.__dict__["run"]
-
-    def run(self, *args, **kwargs):
-        result = inner(self, *args, **kwargs)
-        stacks.append(result.final_state)
-        return result
-
-    BatchSimulator.run = run
-    try:
-        yield stacks
-    finally:
-        BatchSimulator.run = inner
-
-
 def static_final_digest(kind: str, rng_policy: str) -> str:
     """Digest of the final replica stacks of one static-kind cell."""
-    with _final_stacks() as stacks:
+    with _captured_batch_runs() as runs:
         run_cell(dataclasses.replace(STATIC_CELLS[kind], rng_policy=rng_policy))
+    stacks = [
+        (run.final_state.counts,)
+        if isinstance(run.final_state, BatchUniformState)
+        else (
+            run.final_state.task_nodes,
+            run.final_state.task_mask,
+            run.final_state.task_weights.view(np.uint64),
+        )
+        for run in runs
+    ]
     sha = hashlib.sha256()
-    _fold(
-        sha,
-        [
-            (stack.counts,)
-            if isinstance(stack, BatchUniformState)
-            else (stack.task_nodes, stack.task_mask, stack.task_weights.view(np.uint64))
-            for stack in stacks
-        ],
-    )
+    _fold(sha, stacks)
     return sha.hexdigest()[:16]
 
 

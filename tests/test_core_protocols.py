@@ -334,15 +334,6 @@ class TestKernelTables:
         _assert_tables_match(early)
         _assert_tables_match(late)
 
-    def test_derived_graphs_build_their_own(self):
-        base = cycle_graph(8)
-        tables = base.kernel_tables
-        failed = base.without_edges([(0, 1)])
-        assert failed.kernel_tables is not tables
-        restored = failed.with_edges([(0, 1)])
-        assert restored == base and restored.kernel_tables is not tables
-        _assert_tables_match(restored)
-
     def test_built_once_per_graph(self, monkeypatch):
         from repro.core.reference import ReferenceUniformProtocol
         from repro.model.batch import BatchUniformState, BatchWeightedState
