@@ -43,7 +43,6 @@ class ReferenceUniformProtocol(Protocol):
         if m == 0 or graph.num_edges == 0:
             return RoundSummary(0, 0.0, False)
 
-        tables = graph.kernel_tables
         alpha = self.resolve_alpha(state)
         counts = state.counts
         loads = state.loads
@@ -69,7 +68,7 @@ class ReferenceUniformProtocol(Protocol):
         )
 
         # p_ij = deg(i)/d_ij * gain / (alpha (1/s_i + 1/s_j) W_i).
-        dij = tables.dij_csr[slot_index]
+        dij = graph.kernel_tables.dij_csr[slot_index]
         with np.errstate(divide="ignore", invalid="ignore"):
             probability = np.where(
                 eligible,

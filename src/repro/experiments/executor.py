@@ -68,8 +68,8 @@ from __future__ import annotations
 import inspect
 import math
 import numbers
-import warnings
 import time
+import warnings
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from types import MappingProxyType

@@ -38,7 +38,7 @@ class KernelTables:
     isolated nodes never migrate without needing a branch).
     """
 
-    def __init__(self, graph: "Graph"):
+    def __init__(self, graph: Graph):
         degrees = graph.degrees
         self.csr_rows = np.repeat(
             np.arange(graph.num_vertices, dtype=np.int64), degrees
