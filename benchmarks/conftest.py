@@ -30,7 +30,7 @@ BENCH_RESULTS_PATH = Path(__file__).resolve().parent / "BENCH.json"
 #: Stamped onto rows recorded by the current checkout; bump when a PR
 #: re-records (or adds) benchmark rows so the trajectory stays
 #: attributable.
-BENCH_CURRENT_PR = 23
+BENCH_CURRENT_PR = 25
 
 
 def _machine_metadata() -> dict:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from repro.errors import ProtocolError
 from repro.graphs.graph import Graph
 from repro.model.state import LoadStateBase, UniformState, WeightedState
 from repro.types import FloatArray, IntArray
-from repro.utils.rng import StreamLayout, as_stream_layout
+from repro.utils.rng import as_stream_layout
 from repro.utils.validation import check_positive
 
 if TYPE_CHECKING:
@@ -442,46 +442,19 @@ class SelfishUniformProtocol(Protocol):
         )
 
 
-def _choose_neighbours(
-    u: FloatArray, nodes: IntArray, graph: Graph
-) -> tuple[IntArray, IntArray, np.ndarray]:
-    """For each task, the neighbour of its node that its uniform picks.
-
-    ``floor(u * deg(i))`` is the neighbour's position in node ``i``'s
-    adjacency list. Returns ``(csr_slot_index, neighbour, valid)``;
-    ``valid`` marks the tasks that sit on a node with a neighbour. Other
-    positions hold slot 0 and neighbour 0 and never migrate.
-    """
-    degrees = graph.degrees[nodes]
-    chosen_slot = np.floor(u * degrees).astype(np.int64)
-    # Guard the measure-zero event random() == 1.0 exactly.
-    np.minimum(chosen_slot, np.maximum(degrees - 1, 0), out=chosen_slot)
-    valid = degrees > 0
-    if valid.all():
-        slot_index = graph.indptr[nodes] + chosen_slot
-        return slot_index, graph.indices[slot_index], valid
-    slot_index = np.where(valid, graph.indptr[nodes] + chosen_slot, 0)
-    return slot_index, np.where(valid, graph.indices[slot_index], 0), valid
-
-
-def _row_draws(
-    rngs: Sequence[np.random.Generator], rows: IntArray, counts: IntArray
-) -> FloatArray:
-    """Replica ``rows[p]``'s next ``counts[p]`` uniforms, concatenated
-    over ``p`` — aligned with a row-major task list of those counts."""
-    return np.concatenate(
-        [rngs[row].random(count) for row, count in zip(rows.tolist(), counts.tolist())]
-    )
-
-
-def _any_per_row(
-    flags: np.ndarray, position: IntArray | None, num_rows: int
-) -> np.ndarray:
-    """``flags`` reduced by ``any`` over the task axis: the last axis, or
-    the rows ``position`` names on a flat task list."""
-    if position is None:
-        return np.any(flags, axis=-1)
-    return np.bincount(position[flags], minlength=num_rows) > 0
+def _fill_rows(
+    generators: Sequence[np.random.Generator],
+    rows: IntArray,
+    counts: IntArray,
+    out: FloatArray,
+) -> None:
+    """Fill ``out`` with replica ``rows[p]``'s next ``counts[p]`` uniforms,
+    back to back over ``p`` in row-major order: the scalar kernel's draws."""
+    flat = out.reshape(-1)
+    stop = 0
+    for row, count in zip(rows.tolist(), counts.tolist()):
+        start, stop = stop, stop + count
+        generators[row].random(out=flat[start:stop])
 
 
 class SelfishWeightedProtocol(Protocol):
@@ -497,11 +470,12 @@ class SelfishWeightedProtocol(Protocol):
     call. Weighted tasks are not exchangeable, so there is no multinomial
     shortcut: the kernel performs the same per-task neighbour choice and
     Bernoulli migration draw as the scalar kernel, vectorized over the
-    padded ``(R, M)`` task stack. Each replica draws from its own stream
-    *in the same order and count as the scalar kernel*, so for identical
-    generator states the batched and scalar kernels are pathwise
-    bit-identical per replica — a stronger contract than the uniform
-    protocol's law-level equivalence.
+    padded ``(R, M)`` task stack. Under the spawned stream layout each
+    replica draws from its own stream *in the same order and count as the
+    scalar kernel*, so for identical generator states the batched and
+    scalar kernels are pathwise bit-identical per replica — a stronger
+    contract than the uniform protocol's law-level equivalence. The
+    counter layout samples the same law from one fused word per task.
 
     Parameters
     ----------
@@ -530,7 +504,7 @@ class SelfishWeightedProtocol(Protocol):
     #: one law even in ablation-``alpha`` regimes.
     batch_matches_clipped_law = True
 
-    #: The counter kernel's only draw site is
+    #: The counter layout's only draw site is
     #: ``site_uniforms("weighted-migrate", ...)`` — one word per
     #: ``(global replica, slot)``, independent of the other replicas —
     #: so counter ensembles over deterministic schedules shard cleanly.
@@ -541,7 +515,8 @@ class SelfishWeightedProtocol(Protocol):
     #: :meth:`_edge_table` evaluates it once per ``(replica, edge)`` and
     #: bakes it into the gated table ``p_eff`` every kernel gathers from.
     #: :class:`PerTaskThresholdProtocol` overrides this: its table is
-    #: ungated and its condition is evaluated per task after the gather.
+    #: ungated and its condition is evaluated per task at the candidate
+    #: moves.
     #: Subclass contract: any subclass whose :meth:`_migration_eligible`
     #: reads ``own_weights`` MUST set this to ``False``, or every kernel
     #: gates migrations with the edge-level condition only.
@@ -590,14 +565,14 @@ class SelfishWeightedProtocol(Protocol):
         speeds: FloatArray,
         graph: Graph,
         alpha: float,
-    ) -> tuple[FloatArray, FloatArray, FloatArray, np.ndarray | None]:
+    ) -> tuple[FloatArray, FloatArray, FloatArray, np.ndarray | None, FloatArray]:
         """Algorithm 2's migration table over the directed CSR edges.
 
         The probability that a task on ``i`` which chose neighbour ``j``
         migrates depends only on the edge ``(i, j)``, so every kernel
         gathers it from here at its tasks' chosen edges. ``loads`` and
-        ``node_weights`` are ``(..., n)``; each returned array is
-        ``(..., nnz)``:
+        ``node_weights`` are ``(..., n)``; the first four returned arrays
+        are ``(..., nnz)``:
 
         * ``gain`` — ``l_i - l_j``;
         * ``p_raw`` — the rule's probability before clipping;
@@ -605,17 +580,18 @@ class SelfishWeightedProtocol(Protocol):
           condition when :attr:`_edgewise_condition` holds;
         * ``sat_edge`` — where the gated probability exceeds one (the
           round's ``saturated`` verdict), ``None`` under a per-task
-          condition, which the kernels test after the gather.
+          condition, which the kernels test after the gather;
+        * ``s_dst`` — ``(nnz,)``, the speed ``s_j`` of each edge's
+          destination.
         """
         tables = graph.kernel_tables
         src, dst = tables.csr_rows, graph.indices
+        s_dst = speeds[dst]
         gain = loads[..., src] - loads[..., dst]
         w_src = node_weights[..., src]
         with np.errstate(divide="ignore", invalid="ignore"):
             if self._rule == "flow":
-                rate = alpha * tables.dij_csr * (
-                    1.0 / speeds[src] + 1.0 / speeds[dst]
-                )
+                rate = alpha * tables.dij_csr * (1.0 / speeds[src] + 1.0 / s_dst)
                 p_raw = graph.degrees[src] * gain / (rate * w_src)
             else:  # pseudocode rule
                 p_raw = (
@@ -628,52 +604,115 @@ class SelfishWeightedProtocol(Protocol):
             # l_i - l_j > 1/s_j implies W_i > 0, so the eligibility gate
             # also zeroes the W_i == 0 edges where p_raw is inf/nan, and
             # an edge saturates exactly where the gated table exceeds 1.
-            p_eff = np.where(
-                self._migration_eligible(gain, speeds[dst], None), p_raw, 0.0
-            )
+            p_eff = np.where(self._migration_eligible(gain, s_dst, None), p_raw, 0.0)
             sat_edge = p_eff > 1.0 + 1e-12
             np.clip(p_eff, 0.0, 1.0, out=p_eff)
-            return gain, p_raw, p_eff, sat_edge
+            return gain, p_raw, p_eff, sat_edge, s_dst
         # A task always sits on a node with W_i > 0; zeroing the other
         # edges keeps inf/nan out of the table.
         p_raw[~(w_src > 0)] = 0.0
-        return gain, p_raw, np.clip(p_raw, 0.0, 1.0), None
+        return gain, p_raw, np.clip(p_raw, 0.0, 1.0), None, s_dst
+
+    def _choose_edges(
+        self,
+        u: FloatArray,
+        nodes: IntArray,
+        graph: Graph,
+        row_offset: IntArray | None = None,
+        live_mask: np.ndarray | None = None,
+    ) -> tuple[IntArray, IntArray, "np.ndarray | bool"]:
+        """Each task's chosen edge: slot ``floor(u * deg(i))`` of node
+        ``i``'s adjacency list.
+
+        ``u`` becomes the remainder ``u * deg(i) - slot`` in place, which
+        is U[0, 1) and independent of the slot: the counter layout's
+        migration uniform. Returns ``(edge, flat, valid)``: the chosen CSR
+        slot, its index in a table with one ``nnz`` row per
+        ``row_offset`` (``edge`` itself when there is none), and the tasks
+        with a neighbour (``True`` when every task has one). A task on an
+        isolated node takes slot -1, so its remainder is exactly 1.0, and
+        an edge index clamped to 0 or more. ``live_mask`` marks the live
+        slots of a block with padding slots (node -1), which choose from
+        node 0 and are not valid. The arrays are workspace views that
+        hold until the next round.
+        """
+        tables = graph.kernel_tables
+        slot, edge, flat = self._workspace.blocks(np.int64, 3, u.shape)
+        valid: np.ndarray | bool = True
+        if live_mask is not None:
+            nodes, valid = np.where(live_mask, nodes, 0), live_mask
+        u *= tables.deg_float[nodes]
+        np.copyto(slot, u, casting="unsafe")  # truncates, as astype does
+        if tables.has_isolated:
+            # Isolated nodes take slot -1. Elsewhere no clamp is needed: a
+            # fill's uniforms are at most 1 - 2**-53, and such a u times
+            # an integer degree d rounds to below d, never to d.
+            np.minimum(slot, tables.degm1[nodes], out=slot)
+            valid = (slot >= 0) & valid
+        u -= slot
+        np.add(graph.indptr[nodes], slot, out=edge)
+        if tables.has_isolated:
+            # Slot -1 may give edge -1, which would wrap the gathers into
+            # another row's entries.
+            np.maximum(edge, 0, out=edge)
+        if row_offset is None:
+            return edge, edge, valid
+        np.add(edge, row_offset * graph.indices.shape[0], out=flat)
+        return edge, flat, valid
 
     def _resolve_tasks(
         self,
         table: tuple,
-        edge: IntArray,
+        flat: IntArray,
         u: FloatArray,
-        dst_speeds: FloatArray,
-        own_weights: FloatArray,
         valid: "np.ndarray | bool",
+        weights_at: Callable[[IntArray], FloatArray],
         position: IntArray | None = None,
-        num_rows: int = 0,
-    ) -> tuple[np.ndarray, np.ndarray]:
+        num_rows: int = 1,
+    ) -> tuple[IntArray, np.ndarray]:
         """Migration decisions of tasks gathered from an :meth:`_edge_table`.
 
-        ``edge`` indexes each task's chosen edge in the flattened table
-        and ``u`` is its migration uniform; ``valid`` marks the tasks
-        that have a neighbour (the others carry ``u = 1.0``, which no
-        clipped probability exceeds). Returns the ``migrate`` mask and
-        the ``saturated`` verdict reduced over the last (task) axis, or,
-        on a flat task list, over the ``num_rows`` rows that ``position``
-        assigns the tasks to.
+        The tasks form a ``(num_rows, M)`` block, or a flat list whose
+        rows ``position`` names. ``flat`` indexes each task's chosen edge
+        in the flattened table, ``u`` is its migration uniform and
+        ``valid`` marks the live tasks with a neighbour (``True`` when
+        all are). A per-task condition runs only at the candidate moves,
+        and at the tasks on over-one edges for the ``saturated`` verdict;
+        ``weights_at(tasks)`` reads the own weights of just those tasks.
+        Returns the row-major indices of the migrating tasks and the
+        per-row ``saturated`` verdict.
         """
-        gain, p_raw, p_eff, sat_edge = table
+        gain, p_raw, p_eff, sat_edge, s_dst = table
+
+        def eligible(tasks: IntArray) -> np.ndarray:
+            edges = np.take(flat, tasks)
+            return self._migration_eligible(
+                np.take(gain, edges),
+                np.take(s_dst, edges, mode="wrap"),
+                weights_at(tasks),
+            )
+
+        (migrate,) = self._workspace.blocks(np.bool_, 1, u.shape)
+        np.less(u, np.take(p_eff, flat), out=migrate)
+        if valid is not True:
+            migrate &= valid
+        moved = np.flatnonzero(migrate)
         if self._edgewise_condition:
-            migrate = u < np.take(p_eff, edge)
-            if not sat_edge.any():  # the common case: nothing clips
-                shape = migrate.shape[:-1] if position is None else num_rows
-                return migrate, np.zeros(shape, dtype=bool)
-            sat_task = np.take(sat_edge, edge) & valid
-            return migrate, _any_per_row(sat_task, position, num_rows)
-        eligible = valid & self._migration_eligible(
-            np.take(gain, edge), dst_speeds, own_weights
-        )
-        sat_task = eligible & (np.take(p_raw, edge) > 1.0 + 1e-12)
-        migrate = eligible & (u < np.take(p_eff, edge))
-        return migrate, _any_per_row(sat_task, position, num_rows)
+            over = sat_edge
+        else:
+            moved = moved[eligible(moved)]
+            over = p_raw > 1.0 + 1e-12
+        saturated = np.zeros(num_rows, dtype=bool)
+        if not over.any():  # the common case: nothing clips
+            return moved, saturated
+        clipped = np.take(over, flat)
+        if valid is not True:
+            clipped &= valid
+        tasks = np.flatnonzero(clipped)
+        if not self._edgewise_condition:
+            tasks = tasks[eligible(tasks)]
+        saturated[tasks // u.shape[-1] if position is None else position[tasks]] = True
+        return moved, saturated
 
     def execute_round(
         self, state: LoadStateBase, graph: Graph, rng: np.random.Generator
@@ -687,34 +726,30 @@ class SelfishWeightedProtocol(Protocol):
             return RoundSummary(0, 0.0, False)
 
         alpha = self.resolve_alpha(state)
-        task_nodes = state.task_nodes
-        slot_index, neighbour, valid = _choose_neighbours(
-            rng.random(task_nodes.shape[0]), task_nodes, graph
-        )
-        if not np.any(valid):
+        u = rng.random(state.num_tasks)
+        edge, _, valid = self._choose_edges(u, state.task_nodes, graph)
+        if valid is not True and not valid.any():
             return RoundSummary(0, 0.0, False)
 
         table = self._edge_table(
             state.loads, state.node_weights, state.speeds, graph, alpha
         )
-        edge = slot_index[valid]
-        migrate, saturated = self._resolve_tasks(
-            table,
-            edge,
-            rng.random(edge.shape[0]),
-            state.speeds[neighbour[valid]],
-            state.task_weights[valid],
-            True,
+        # Migration uniforms: one per task with a neighbour, in task order.
+        if valid is True:
+            rng.random(out=u)
+        else:
+            u[valid] = rng.random(np.count_nonzero(valid))
+        task_ids, saturated = self._resolve_tasks(
+            table, edge, u, valid, lambda tasks: state.task_weights[tasks]
         )
-        saturated = bool(saturated)
-        task_ids = np.flatnonzero(valid)[migrate]
+        saturated = bool(saturated[0])
         if task_ids.size == 0:
             # Empty-migration round: exact int/float zeros, with the
             # saturation verdict still reported (shared with the batch
             # kernel's per-replica semantics).
             return RoundSummary(0, 0.0, saturated)
         moved_weight = float(state.task_weights[task_ids].sum())
-        state.apply_moves(task_ids, neighbour[task_ids])
+        state.apply_moves(task_ids, graph.indices[edge[task_ids]])
         return RoundSummary(int(task_ids.size), moved_weight, saturated)
 
     def execute_round_batch(
@@ -732,24 +767,34 @@ class SelfishWeightedProtocol(Protocol):
             The padded ``(R, M)`` replica stack; mutated in place.
         rngs:
             One generator per replica (length ``R``) or a
-            :class:`~repro.utils.rng.StreamLayout`. Under the spawned
-            layout replica ``r`` draws only from ``rngs[r]``, *in the
-            exact order and count of the scalar kernel* (one uniform per
-            live task for the neighbour choice, then one per task with a
-            neighbour for the migration Bernoulli), so its trajectory is
-            bit-identical to a scalar run from the same generator state
-            and reproducible in isolation regardless of how many other
-            replicas run alongside it or when they retire. The counter
-            layout routes through :meth:`_execute_round_batch_counter`
-            instead — same per-round migration law, one fused block draw.
+            :class:`~repro.utils.rng.StreamLayout`. The layout decides
+            only how the uniforms are drawn; the neighbour choice, the
+            migration test and the apply step are one body.
 
-            The spawned round has two layouts, selected on
-            ``mask.all()`` over the active rows. A rectangular stack
-            keeps the ``(A, M)`` block and fills whole rows in place. A
-            stack with holes works on ``live = flatnonzero(mask)``, whose
-            row-major order is each replica's stream order, so the draws
-            need no scatter. Neither layout wins on both: the flat one
-            pays full-size gathers that the block layout does not need.
+            Under the spawned layout replica ``r`` draws only from
+            ``rngs[r]``, *in the exact order and count of the scalar
+            kernel* (one uniform per live task for the neighbour choice,
+            then one per task with a neighbour for the migration
+            Bernoulli), so its trajectory is bit-identical to a scalar
+            run from the same generator state and reproducible in
+            isolation regardless of how many other replicas run alongside
+            it or when they retire. A rectangular stack fills whole rows
+            of the ``(A, M)`` block in place. A stack with holes works on
+            ``live = flatnonzero(mask)``, whose row-major order is each
+            replica's stream order, so the draws need no scatter; the
+            block layout skips the full-size gathers that this one pays.
+
+            The counter layout draws one fused word per ``(A, M)`` slot
+            from ``site_uniforms("weighted-migrate", ...)``: ``u * deg(i)``
+            selects the neighbour slot (its integer part) *and* supplies
+            the migration uniform (its fractional part, U[0, 1) and
+            independent of the slot). Same per-round law as the scalar
+            kernel; only the pathwise draw order differs. The words are
+            addressed by *global* replica index — replica ``r`` owns the
+            site's words ``[r * M, (r + 1) * M)`` whichever other replicas
+            are active or however the ensemble is sharded — so static
+            weighted ensembles are resize prefix-stable, and windowed
+            (sharded) stacks reproduce the monolithic draws byte-for-byte.
         active:
             Boolean mask of replicas to advance (all when ``None``).
             Retired replicas neither move tasks nor consume randomness.
@@ -772,9 +817,6 @@ class SelfishWeightedProtocol(Protocol):
             raise ProtocolError(
                 f"need one generator per replica ({num_replicas}), got {len(streams)}"
             )
-        if streams.policy == "counter":
-            return self._execute_round_batch_counter(batch, graph, streams, active)
-        rngs = streams.generators
         tasks_moved = np.zeros(num_replicas, dtype=np.int64)
         weight_moved = np.zeros(num_replicas, dtype=np.float64)
         saturated = np.zeros(num_replicas, dtype=bool)
@@ -788,243 +830,76 @@ class SelfishWeightedProtocol(Protocol):
 
         alpha = self.resolve_alpha(batch)
         speeds = batch.speeds
-        advancing_all = rows.size == num_replicas
-        if advancing_all:
+        if rows.size == num_replicas:
             # Views, not copies: the kernel only reads these before the
             # single apply_moves mutation at the end.
-            mask = batch.task_mask
-            nodes = batch.task_nodes
+            mask, nodes = batch.task_mask, batch.task_nodes
             node_weights = batch.node_weights
         else:
-            mask = batch.task_mask[rows]
-            nodes = batch.task_nodes[rows]
+            mask, nodes = batch.task_mask[rows], batch.task_nodes[rows]
             node_weights = batch.node_weights[rows]
         num_active, max_tasks = mask.shape
         all_live = bool(mask.all())
         if not all_live and not np.any(mask):
             return summary
-        weights = batch.task_weights if advancing_all else batch.task_weights[rows]
-
-        # Neighbour-choice uniforms: replica r draws exactly m_r values
-        # from its own stream in task order (padding consumes no
-        # randomness) — the same draw the scalar kernel makes. A
-        # rectangular stack fills whole rows in place. On a stack with
-        # holes the tasks form the row-major list ``live``, which is each
-        # replica's draws concatenated in replica order: no scatter.
-        if all_live:
-            live = position = None
-            u_choice = np.empty((num_active, max_tasks))
-            for p in range(num_active):
-                rngs[rows[p]].random(out=u_choice[p])
-            row_offset = np.arange(num_active, dtype=np.int64)[:, None]
-        else:
-            live = np.flatnonzero(mask)
-            live_counts = np.count_nonzero(mask, axis=1)
-            position = np.repeat(np.arange(num_active, dtype=np.int64), live_counts)
-            u_choice = _row_draws(rngs, rows, live_counts)
-            nodes, weights = np.take(nodes, live), np.take(weights, live)
-            row_offset = position
-        slot_index, j, valid = _choose_neighbours(u_choice, nodes, graph)
         table = self._edge_table(
             node_weights / speeds, node_weights, speeds, graph, alpha
         )
-        flat = slot_index + row_offset * graph.indices.shape[0]
 
-        # Migration uniforms: replica r draws exactly valid_r values in
-        # task order (again the scalar kernel's consumption). Tasks
-        # without a neighbour get 1.0, which no clipped probability
-        # exceeds.
-        if not valid.all():
-            u_migrate = np.ones(valid.shape)
-            u_migrate[valid] = _row_draws(
-                rngs,
-                rows,
-                np.count_nonzero(valid, axis=1)
-                if live is None
-                else np.bincount(position[valid], minlength=num_active),
-            )
-        elif live is None:
-            u_migrate = np.empty((num_active, max_tasks))
-            for p in range(num_active):
-                rngs[rows[p]].random(out=u_migrate[p])
+        # The tasks are the (A, M) block, whose padding slots under the
+        # counter layout draw words but hold no task (``live_mask``), or
+        # on a spawned stack with holes the row-major list ``live``.
+        live = position = live_mask = None
+        row_offset = np.arange(num_active, dtype=np.int64)[:, None]
+        if streams.policy == "counter":
+            u = u_migrate = streams.site_uniforms("weighted-migrate", rows, max_tasks)
+            live_mask = None if all_live else mask
         else:
-            u_migrate = _row_draws(rngs, rows, live_counts)
-        migrate, saturated[rows] = self._resolve_tasks(
-            table, flat, u_migrate, speeds[j], weights, valid, position, num_active
-        )
+            if all_live:
+                counts = np.full(num_active, max_tasks)
+            else:
+                live = np.flatnonzero(mask)
+                counts = np.count_nonzero(mask, axis=1)
+                position = row_offset = np.repeat(
+                    np.arange(num_active, dtype=np.int64), counts
+                )
+                nodes = np.take(nodes, live)
+            u, u_migrate = self._workspace.blocks(np.float64, 2, nodes.shape)
+            _fill_rows(streams.generators, rows, counts, u)
+            if graph.kernel_tables.has_isolated:
+                # Only the tasks with a neighbour draw a migration uniform.
+                has_neighbour = graph.degrees[nodes] > 0
+                counts = np.bincount(
+                    np.broadcast_to(row_offset, nodes.shape)[has_neighbour],
+                    minlength=num_active,
+                )
+                draws = np.empty(int(counts.sum()))
+                _fill_rows(streams.generators, rows, counts, draws)
+                u_migrate[has_neighbour] = draws
+            else:
+                _fill_rows(streams.generators, rows, counts, u_migrate)
+        edge, flat, valid = self._choose_edges(u, nodes, graph, row_offset, live_mask)
 
-        # Row-major move order keeps apply_moves on its sorted fast path.
-        moved = np.flatnonzero(migrate)
-        move_positions, move_slots = np.divmod(
-            moved if live is None else live[moved], max_tasks
+        def task_slots(tasks: IntArray) -> tuple[IntArray, IntArray]:
+            return np.divmod(tasks if live is None else live[tasks], max_tasks)
+
+        def weights_at(tasks: IntArray) -> FloatArray:
+            positions, slots = task_slots(tasks)
+            return batch.task_weights[rows[positions], slots]
+
+        moved, saturated[rows] = self._resolve_tasks(
+            table, flat, u_migrate, valid, weights_at, position, num_active
         )
+        # Row-major move order keeps apply_moves on its sorted fast path.
+        move_positions, move_slots = task_slots(moved)
         if move_positions.size:
-            batch.apply_moves(rows[move_positions], move_slots, np.take(j, moved))
+            move_weights = weights_at(moved)
+            batch.apply_moves(
+                rows[move_positions], move_slots, graph.indices[np.take(edge, moved)]
+            )
             tasks_moved[rows] = np.bincount(move_positions, minlength=num_active)
             weight_moved[rows] = np.bincount(
-                move_positions, weights=np.take(weights, moved), minlength=num_active
-            )
-        return summary
-
-    def _execute_round_batch_counter(
-        self,
-        batch: "BatchWeightedState",
-        graph: Graph,
-        streams: StreamLayout,
-        active: np.ndarray | None,
-    ) -> BatchRoundSummary:
-        """Counter-layout round: one fused block draw for the whole stack.
-
-        The migration probability of a task on node ``i`` that chose
-        neighbour ``j`` depends only on ``(replica, i, j)``, so the
-        kernel gathers from the per-``(replica, directed edge)`` table
-        ``(A, nnz)`` of :meth:`_edge_table`, the one every kernel reads,
-        and resolves every task with a *single* uniform: ``u * deg(i)``
-        selects the neighbour slot (its integer part) *and* supplies the
-        migration uniform (its fractional part, which is U[0, 1)
-        independent of the selected slot). One ``(A, M)`` Philox block
-        per round replaces the spawned layout's ``2 R`` per-replica
-        fills, and the round's ``(A, M)`` blocks live in the protocol's
-        workspace. The heavy-m per-round margin pinned in
-        ``benchmarks/test_batch_throughput.py`` comes from the latter:
-        the spawned round's fresh temporaries fault 2.3-3.0k pages per
-        round there, while a Philox word costs about twice a PCG64
-        double, so the halved word count alone does not win.
-
-        Law: identical to the scalar kernel per replica (neighbour
-        uniform, eligibility, clipped probability are the same
-        expressions; only the pathwise draw order differs). The block is
-        addressed by *global* replica index through
-        ``StreamLayout.site_uniforms`` — replica ``r`` owns the site's
-        counter words ``[r * M, (r + 1) * M)`` no matter which other
-        replicas are active or how the ensemble is sharded — so static
-        weighted ensembles are resize prefix-stable *and* windowed
-        (sharded) stacks reproduce the monolithic draws byte-for-byte.
-        """
-        from repro.model.batch import BatchWeightedState
-
-        assert isinstance(batch, BatchWeightedState)
-        num_replicas = batch.num_replicas
-        tasks_moved = np.zeros(num_replicas, dtype=np.int64)
-        weight_moved = np.zeros(num_replicas, dtype=np.float64)
-        saturated = np.zeros(num_replicas, dtype=bool)
-        if active is None:
-            rows = np.arange(num_replicas, dtype=np.int64)
-        else:
-            rows = np.flatnonzero(np.asarray(active, dtype=bool))
-        summary = BatchRoundSummary(tasks_moved, weight_moved, saturated)
-        if rows.size == 0 or graph.num_edges == 0 or batch.max_tasks == 0:
-            return summary
-
-        alpha = self.resolve_alpha(batch)
-        speeds = batch.speeds
-        advancing_all = rows.size == num_replicas
-        if advancing_all:
-            mask = batch.task_mask
-            nodes = batch.task_nodes
-            node_weights = batch.node_weights
-        else:
-            mask = batch.task_mask[rows]
-            nodes = batch.task_nodes[rows]
-            node_weights = batch.node_weights[rows]
-        num_active, max_tasks = mask.shape
-        all_live = bool(mask.all())
-        if not all_live and not np.any(mask):
-            return summary
-
-        gain, p_raw, p_eff, sat_edge = self._edge_table(
-            node_weights / speeds, node_weights, speeds, graph, alpha
-        )
-        tables = graph.kernel_tables
-        dst = graph.indices
-
-        # Fused draw: one uniform per task slot. The integer part of
-        # u * deg(i) is the chosen neighbour slot; the remainder is the
-        # migration uniform (U[0, 1) independent of the slot). Padding
-        # slots and isolated nodes resolve to remainder 1.0 (degm1 = -1),
-        # which never beats a clipped probability.
-        u = streams.site_uniforms("weighted-migrate", rows, max_tasks)
-
-        # The (A, M) integer and mask blocks live in the protocol's
-        # workspace; the gathers below stay bounds-checked fancy indexing.
-        slot, edge, flat = self._workspace.blocks(np.int64, 3, u.shape)
-        (migrate,) = self._workspace.blocks(np.bool_, 1, u.shape)
-        i = nodes if all_live else np.where(mask, nodes, 0)
-        u *= tables.deg_float[i]
-        np.copyto(slot, u, casting="unsafe")  # truncates, as astype does
-        if tables.has_isolated:
-            # Isolated nodes take slot -1. Elsewhere no clamp is needed:
-            # the fill's uniforms are at most 1 - 2**-53, and such a u
-            # times an integer degree d rounds to below d, never to d.
-            np.minimum(slot, tables.degm1[i], out=slot)
-        u -= slot  # in-place remainder
-        np.add(graph.indptr[i], slot, out=edge)  # per-task local CSR slot
-        # Tasks on isolated nodes carry slot -1 (their remainder is then
-        # exactly 1.0, so they can never migrate), but their raw edge
-        # index may be -1 and would wrap the gathers below into another
-        # replica's edge entries — clamp the index and remember which
-        # positions point at a real edge so the saturation/eligibility
-        # gathers cannot read a neighbour row's values.
-        valid_edge: np.ndarray | None = None
-        if tables.has_isolated:
-            valid_edge = slot >= 0
-            np.maximum(edge, 0, out=edge)
-        np.add(
-            edge,
-            (np.arange(num_active, dtype=np.int64) * dst.shape[0])[:, None],
-            out=flat,
-        )
-        np.less(u, np.take(p_eff, flat), out=migrate)
-        if not all_live:
-            migrate &= mask
-        # Weights are gathered at the drawn migrations only, never as an
-        # (A, M) block.
-        move_pos, move_slot = np.divmod(np.flatnonzero(migrate), max_tasks)
-        move_edge = edge[move_pos, move_slot]
-        move_weights = batch.task_weights[rows[move_pos], move_slot]
-        if self._edgewise_condition:
-            if np.any(sat_edge):  # rare: ablation alpha only
-                sat_task = np.take(sat_edge, flat)
-                if valid_edge is not None:
-                    sat_task &= valid_edge
-                if not all_live:
-                    sat_task &= mask
-                saturated[rows] = sat_task.any(axis=1)
-        else:
-            # [6]-style per-task test, the scalar expression verbatim:
-            # gain > w_l / s_j + tolerance. A drawn migration always sits
-            # on a real edge (its remainder is below 1.0), so only the
-            # saturation verdict, which reads every live task, needs the
-            # test over the whole stack.
-            if np.any(p_raw > 1.0 + 1e-12):  # rare: ablation alpha only
-                eligible_task = self._migration_eligible(
-                    np.take(gain, flat),
-                    speeds[dst][edge],
-                    batch.task_weights[rows],
-                )
-                if valid_edge is not None:
-                    eligible_task &= valid_edge
-                sat_task = eligible_task & (np.take(p_raw, flat) > 1.0 + 1e-12)
-                if not all_live:
-                    sat_task &= mask
-                saturated[rows] = sat_task.any(axis=1)
-                keep = eligible_task[move_pos, move_slot]
-            else:
-                keep = self._migration_eligible(
-                    np.take(gain, flat[move_pos, move_slot]),
-                    speeds[dst[move_edge]],
-                    move_weights,
-                )
-            move_pos = move_pos[keep]
-            move_slot = move_slot[keep]
-            move_edge = move_edge[keep]
-            move_weights = move_weights[keep]
-
-        if move_pos.size:
-            batch.apply_moves(rows[move_pos], move_slot, dst[move_edge])
-            tasks_moved[rows] = np.bincount(move_pos, minlength=num_active)
-            weight_moved[rows] = np.bincount(
-                move_pos, weights=move_weights, minlength=num_active
+                move_positions, weights=move_weights, minlength=num_active
             )
         return summary
 
@@ -1043,8 +918,8 @@ class PerTaskThresholdProtocol(SelfishWeightedProtocol):
 
     name = "per-task-threshold"
 
-    #: The migration condition tests each task's *own* weight, so the
-    #: counter kernel evaluates it per task after the edge-table gather.
+    #: The migration condition tests each task's *own* weight, so every
+    #: kernel evaluates it per task after the edge-table gather.
     _edgewise_condition = False
 
     def __init__(self, alpha: float | None = None):

@@ -69,17 +69,23 @@ class DimensionExchangeProtocol(Protocol):
 
     def __init__(self):
         super().__init__(alpha=None)
-        self._schedules: dict[int, list[IntArray]] = {}
-        self._positions: dict[int, int] = {}
+        # Per graph: its colour schedule and the position of the next
+        # matching. The graph itself is the key: it hashes by structure,
+        # and a key keeps its graph alive, so no other graph can take it.
+        self._schedules: dict[Graph, tuple[list[IntArray], int]] = {}
+
+    def __getstate__(self) -> dict:
+        # The keys are whole graphs; like the workspace, the schedules
+        # start afresh in an unpickled protocol.
+        state = super().__getstate__()
+        state["_schedules"] = {}
+        return state
 
     def _schedule(self, graph: Graph) -> tuple[list[IntArray], int]:
-        key = id(graph)
-        if key not in self._schedules:
-            self._schedules[key] = greedy_edge_coloring(graph)
-            self._positions[key] = 0
-        schedule = self._schedules[key]
-        position = self._positions[key]
-        self._positions[key] = (position + 1) % max(1, len(schedule))
+        if graph not in self._schedules:
+            self._schedules[graph] = (greedy_edge_coloring(graph), 0)
+        schedule, position = self._schedules[graph]
+        self._schedules[graph] = (schedule, (position + 1) % max(1, len(schedule)))
         return schedule, position
 
     def execute_round(

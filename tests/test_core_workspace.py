@@ -1,9 +1,9 @@
 """Protocol pickling and the batch kernels' reused buffers.
 
-The weighted counter round writes its ``(A, M)`` integer and mask
-blocks, and the uniform batch round its ``(A, n, Delta + 1)``
-multinomial layout, into a per-protocol workspace that outlives the
-round. A reused instance must therefore produce exactly what a fresh
+The weighted batch round writes its uniform, integer and mask blocks
+under either stream layout, and the uniform batch round its
+``(A, n, Delta + 1)`` multinomial layout, into a per-protocol workspace
+that outlives the round. A reused instance must therefore produce exactly what a fresh
 one does, whatever stack shape or graph the previous round saw. The
 workspace is the protocol's only derived state: a pickled protocol
 drops it and rebuilds it empty. A protocol keeps nothing per graph; the
@@ -224,14 +224,15 @@ def _assert_reuse_matches_fresh(make, stack, policy):
         assert moved > 0
 
 
+@pytest.mark.parametrize("policy", ["spawned", "counter"])
 @pytest.mark.parametrize("alpha", [None, 0.3], ids=["default", "clipped"])
 @pytest.mark.parametrize(
     "make",
     [SelfishWeightedProtocol, PerTaskThresholdProtocol],
     ids=["algorithm2", "per-task"],
 )
-def test_reused_weighted_workspace_matches_fresh_instance(make, alpha):
-    _assert_reuse_matches_fresh(lambda: make(alpha), _weighted_stack, "counter")
+def test_reused_weighted_workspace_matches_fresh_instance(make, alpha, policy):
+    _assert_reuse_matches_fresh(lambda: make(alpha), _weighted_stack, policy)
 
 
 @pytest.mark.parametrize("policy", ["spawned", "counter"])

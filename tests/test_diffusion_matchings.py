@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from repro.graphs.generators import (
     cycle_graph,
     hypercube_graph,
     path_graph,
+    star_graph,
     torus_graph,
 )
 from repro.model.state import UniformState, WeightedState
@@ -105,3 +108,24 @@ class TestDimensionExchange:
         # Both rounds moved something: both matchings saw imbalance.
         assert first.tasks_moved > 0
         assert second.tasks_moved > 0
+
+    def test_graph_at_a_collected_graphs_address_gets_its_own_schedule(self, rng):
+        """CPython builds a new graph in a collected graph's memory sooner
+        or later, so the new graph takes the old ``id``. A schedule keyed
+        by ``id`` then served the ring's matchings to the star and indexed
+        past its edges (``IndexError``)."""
+        protocol = DimensionExchangeProtocol()
+        ring = cycle_graph(12)
+        protocol.execute_round(UniformState(np.arange(12), np.ones(12)), ring, rng)
+        ring_id = id(ring)
+        del ring
+        gc.collect()
+        stars = []  # all kept alive, so each new star takes fresh memory
+        for _ in range(10_000):
+            stars.append(star_graph(5))
+            if id(stars[-1]) == ring_id:
+                break
+        state = UniformState(np.array([40, 0, 0, 0, 0]), np.ones(5))
+        summary = protocol.execute_round(state, stars[-1], rng)
+        assert summary.tasks_moved == 20
+        assert state.num_tasks == 40
