@@ -11,7 +11,9 @@ from repro.errors import ModelError, ValidationError
 from repro.graphs.generators import cycle_graph, star_graph
 from repro.model.batch import BatchUniformState, BatchWeightedState
 from repro.model.state import UniformState, WeightedState
+from repro.core.protocols import SelfishWeightedProtocol
 from repro.scenarios import (
+    AdversarialArrival,
     LoadShock,
     NodeDrain,
     NodeOutage,
@@ -19,6 +21,9 @@ from repro.scenarios import (
     SpeedChange,
     TaskArrival,
     TaskDeparture,
+    TraceArrival,
+    TraceDeparture,
+    TraceRelocation,
 )
 from repro.utils.rng import spawn_rngs
 
@@ -268,37 +273,121 @@ class TestPoissonChurn:
         assert PoissonChurnEvent(9.2e18).rate == 9.2e18
 
 
+#: Every state-mutating event, with ids. The first entries of each
+#: list keep the positional ids (``event0`` ...) of the original lists.
+WEIGHTED_EVENTS = [
+    TaskArrival(5, weight=0.5),
+    TaskArrival(3, node=1, weight=0.3),
+    TaskDeparture(4),
+    PoissonChurnEvent(2.0, weight=0.5),
+    LoadShock(0.5, node=0),
+    NodeDrain(2),
+    NodeOutage(1, residual_factor=0.5),
+    SpeedChange(3, 2.5),
+    TraceArrival([0, 3, 3, 1, 2], weight=0.7),
+    TraceDeparture(7, start_node=2),
+    TraceRelocation(1, 0.5),
+    AdversarialArrival(4, weight=0.3),
+]
+UNIFORM_EVENTS = [
+    TaskArrival(5),
+    TaskDeparture(4),
+    PoissonChurnEvent(2.0),
+    LoadShock(0.5, node=0),
+    NodeDrain(2),
+    NodeOutage(1, residual_factor=0.5),
+    SpeedChange(3, 2.5),
+    TraceArrival([0, 3, 3, 1, 2]),
+    TraceDeparture(7, start_node=2),
+    TraceRelocation(1, 0.5),
+    AdversarialArrival(4),
+    TaskArrival(3, node=1),
+]
+
+
+def _bits(array):
+    return np.ascontiguousarray(array, dtype=np.float64).tobytes()
+
+
+def _assert_row_equals_scalar(batch, index, state):
+    """Replica ``index`` of ``batch`` holds ``state`` bit for bit: tasks,
+    the incrementally kept node weights and the speeds."""
+    if isinstance(state, WeightedState):
+        live = batch.task_mask[index]
+        np.testing.assert_array_equal(batch.task_nodes[index, live], state.task_nodes)
+        assert _bits(batch.task_weights[index, live]) == _bits(state.task_weights)
+    else:
+        np.testing.assert_array_equal(batch.counts[index], state.counts)
+    assert _bits(batch.node_weights[index]) == _bits(state.node_weights)
+    assert _bits(batch.speeds) == _bits(state.speeds)
+
+
+def _assert_pathwise(event, batch, scalars, graph, applications=2):
+    """Apply ``event`` to the stack and to each scalar state from
+    identical spawned streams; states and all five outcome fields agree
+    bit for bit after every application."""
+    for index, state in enumerate(scalars):
+        _assert_row_equals_scalar(batch, index, state)
+    rngs_batch = spawn_rngs(99, len(scalars))
+    rngs_scalar = spawn_rngs(99, len(scalars))
+    for _ in range(applications):
+        outcome = event.apply_batch(batch, graph, rngs_batch)
+        for index, (state, generator) in enumerate(zip(scalars, rngs_scalar)):
+            expected = event.apply(state, graph, generator)
+            assert outcome.tasks_added[index] == expected.tasks_added
+            assert outcome.tasks_removed[index] == expected.tasks_removed
+            assert outcome.weight_added[index] == expected.weight_added
+            assert outcome.weight_removed[index] == expected.weight_removed
+            assert outcome.tasks_relocated[index] == expected.tasks_relocated
+            _assert_row_equals_scalar(batch, index, state)
+
+
+def _drifted_weighted(num_replicas=4, n=4, m=30, rounds=12, seed=5):
+    """A weighted stack and its scalar replicas after ``rounds`` protocol
+    rounds on both engines from identical streams: their incrementally
+    kept node weights have drifted from a fresh bincount (checked)."""
+    batch, _ = _weighted_batch(num_replicas=num_replicas, n=n, m=m, seed=seed)
+    scalars = [batch.replica(index) for index in range(num_replicas)]
+    graph = cycle_graph(n)
+    protocol = SelfishWeightedProtocol()
+    rngs_batch = spawn_rngs(seed + 1, num_replicas)
+    rngs_scalar = spawn_rngs(seed + 1, num_replicas)
+    for _ in range(rounds):
+        protocol.execute_round_batch(batch, graph, rngs_batch)
+        for state, generator in zip(scalars, rngs_scalar):
+            protocol.execute_round(state, graph, generator)
+    assert any(
+        _bits(state.node_weights) != _bits(state.copy().node_weights)
+        for state in scalars
+    )
+    return batch, scalars
+
+
 class TestBatchScalarPathwise:
     """Batched event application consumes each replica's stream exactly
-    as the scalar application does (weighted states: bit-identical)."""
+    as the scalar application does: states (including the bits of the
+    incrementally kept node weights and the speeds) and outcomes are
+    identical on both state kinds."""
 
-    @pytest.mark.parametrize(
-        "event",
-        [
-            TaskArrival(5, weight=0.5),
-            TaskArrival(3, node=1, weight=0.3),
-            TaskDeparture(4),
-            PoissonChurnEvent(2.0, weight=0.5),
-            LoadShock(0.5, node=0),
-            NodeDrain(2),
-            NodeOutage(1, residual_factor=0.5),
-        ],
-    )
+    @pytest.mark.parametrize("event", WEIGHTED_EVENTS)
     def test_weighted_event_pathwise(self, event):
-        graph = cycle_graph(4)
         batch, _ = _weighted_batch(num_replicas=4, seed=11)
         scalars = [batch.replica(index) for index in range(4)]
-        # Fresh spawned streams at identical positions for both paths.
-        rngs_batch = spawn_rngs(99, 4)
-        rngs_scalar = spawn_rngs(99, 4)
-        event.apply_batch(batch, graph, rngs_batch)
-        for index, (state, generator) in enumerate(zip(scalars, rngs_scalar)):
-            event.apply(state, graph, generator)
-            extracted = batch.replica(index)
-            np.testing.assert_array_equal(extracted.task_nodes, state.task_nodes)
-            np.testing.assert_allclose(
-                extracted.task_weights, state.task_weights, atol=0.0
-            )
+        _assert_pathwise(event, batch, scalars, cycle_graph(4))
+
+    @pytest.mark.parametrize("event", WEIGHTED_EVENTS)
+    def test_weighted_event_pathwise_from_drifted_node_weights(self, event):
+        batch, scalars = _drifted_weighted()
+        _assert_pathwise(event, batch, scalars, cycle_graph(4))
+
+    @pytest.mark.parametrize("event", WEIGHTED_EVENTS)
+    def test_weighted_event_pathwise_on_empty_state(self, event):
+        scalars = [
+            WeightedState(np.zeros(0, np.int64), np.zeros(0), np.ones(4))
+            for _ in range(2)
+        ]
+        batch = BatchWeightedState.from_states(scalars)
+        _assert_pathwise(event, batch, scalars, cycle_graph(4))
 
     @pytest.mark.parametrize(
         "event",
@@ -335,27 +424,60 @@ class TestBatchScalarPathwise:
             most_removed = max(most_removed, int(outcome.tasks_removed.max()))
         assert most_removed >= 8
 
+    @pytest.mark.parametrize("event", UNIFORM_EVENTS)
+    def test_uniform_event_pathwise(self, event):
+        batch, _ = _uniform_batch(num_replicas=4, seed=11)
+        scalars = [batch.replica(index) for index in range(4)]
+        _assert_pathwise(event, batch, scalars, cycle_graph(4))
+
+    @pytest.mark.parametrize("event", UNIFORM_EVENTS)
+    def test_uniform_event_pathwise_on_empty_state(self, event):
+        scalars = [UniformState(np.zeros(4, np.int64), np.ones(4)) for _ in range(2)]
+        batch = BatchUniformState.from_states(scalars)
+        _assert_pathwise(event, batch, scalars, cycle_graph(4))
+
     @pytest.mark.parametrize(
         "event",
         [
-            TaskArrival(5),
-            TaskDeparture(4),
-            PoissonChurnEvent(2.0),
-            LoadShock(0.5, node=0),
-            NodeDrain(2),
+            SpeedChange(9, 2.0),
+            SpeedChange(0, 1e308),
+            TaskArrival(2, node=9),
+            PoissonChurnEvent(1.0, node=9),
+            LoadShock(0.5, node=9),
+            NodeDrain(9),
+            NodeOutage(9),
+            TraceArrival([0, 9]),
+            TraceDeparture(1, start_node=9),
+            TraceRelocation(9, 0.5),
         ],
+        ids=lambda event: event.describe(),
     )
-    def test_uniform_event_pathwise(self, event):
-        graph = cycle_graph(4)
-        batch, _ = _uniform_batch(num_replicas=4, seed=11)
-        scalars = [batch.replica(index) for index in range(4)]
-        # Fresh spawned streams at identical positions for both paths.
-        rngs_batch = spawn_rngs(99, 4)
-        rngs_scalar = spawn_rngs(99, 4)
-        event.apply_batch(batch, graph, rngs_batch)
-        for index, (state, generator) in enumerate(zip(scalars, rngs_scalar)):
-            event.apply(state, graph, generator)
-            np.testing.assert_array_equal(batch.counts[index], state.counts)
+    @pytest.mark.parametrize("kind", ["uniform", "weighted"])
+    def test_raising_event_leaves_scalar_state_untouched(self, event, kind):
+        """An out-of-range node or a speed that would overflow to
+        infinity raises and changes nothing on the scalar state."""
+        speeds = np.array([10.0, 1.0, 2.0, 1.0])
+        if kind == "uniform":
+            state = UniformState([3, 0, 5, 2], speeds)
+        else:
+            state = WeightedState([0, 0, 2, 3, 2], [0.1, 0.7, 0.3, 0.9, 0.6], speeds)
+            state.apply_moves([0, 1, 4], [1, 2, 3])
+        before = (
+            state.counts.copy() if kind == "uniform" else state.task_nodes.copy(),
+            _bits(state.node_weights),
+            _bits(state.speeds),
+            state.num_tasks,
+        )
+        with pytest.raises(ModelError):
+            event.apply(state, cycle_graph(4), np.random.default_rng(1))
+        after = (
+            state.counts if kind == "uniform" else state.task_nodes,
+            _bits(state.node_weights),
+            _bits(state.speeds),
+            state.num_tasks,
+        )
+        np.testing.assert_array_equal(after[0], before[0])
+        assert after[1:] == before[1:]
 
 
 class TestEventValueSemantics:
