@@ -31,13 +31,16 @@ same-seed deterministic, different sample paths from the default
 :mod:`repro.experiments.executor`. Requesting ``--workers`` (or
 ``--rng``/``--shard-size``/``--target-ci``) for an experiment that has
 no such parameter prints a RuntimeWarning to stderr and falls back
-instead of silently dropping the flag. Unknown experiment ids exit with
-status 2; a failed reproduction exits with 1.
+instead of silently dropping the flag. Unknown experiment ids, and a
+``--json``/``--markdown`` path whose directory is missing or not
+writable, exit with status 2 before anything runs; a failed
+reproduction exits with 1.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -161,6 +164,15 @@ def main(argv: list[str] | None = None) -> int:
         )
     if getattr(args, "trace", None) is not None and not args.trace.is_file():
         parser.error(f"--trace file not found: {args.trace}")
+    for flag in ("json", "markdown"):
+        path = getattr(args, flag, None)
+        if path is not None and not (
+            path.parent.is_dir() and os.access(path.parent, os.W_OK)
+        ):
+            parser.error(
+                f"--{flag} directory {str(path.parent)!r} does not exist "
+                "or is not writable"
+            )
     if args.command == "list":
         for experiment_id in available_experiments():
             print(experiment_id)

@@ -166,8 +166,8 @@ class BatchStateBase:
 
         Speeds are shared across the stack (replicas are repetitions of
         one scenario), so a speed event is deterministic and applies to
-        every replica at once — the batched counterpart of
-        :meth:`repro.model.state.LoadStateBase.rescale_speed`.
+        every replica at once. The stored vector is replaced wholesale,
+        so previously handed-out views keep the pre-event speeds.
         """
         if not 0 <= node < self.num_nodes:
             raise ModelError(f"node {node} out of range")
@@ -393,8 +393,6 @@ class BatchUniformState(BatchStateBase):
         :meth:`apply_flows` the row totals may change, but counts must
         stay non-negative. It proves the delta shape, the replica range
         and row uniqueness, then writes through :meth:`_shift_counts`.
-        The batched counterpart of
-        :meth:`repro.model.state.UniformState.replace_counts`.
         """
         rows = np.asarray(replicas, dtype=np.int64)
         delta_array = np.asarray(deltas, dtype=np.int64)
@@ -724,10 +722,9 @@ class BatchWeightedState(BatchStateBase):
         give replica ``replicas[k]`` a new task of weight ``weights[k]``
         on node ``nodes[k]``. Each replica's new tasks land in slots
         *after* its last live slot (in input order), growing the padded
-        task axis when needed — so the per-replica live-task order
-        matches a scalar state that appended the same tasks, which is
-        what keeps the weighted kernels' randomness consumption pathwise
-        identical across engines.
+        task axis when needed — so each replica's live tasks stay in
+        arrival order, the order the weighted kernels consume randomness
+        in, on a stack of any height.
         """
         rows = np.asarray(replicas, dtype=np.int64)
         dst = np.asarray(nodes, dtype=np.int64)
@@ -790,8 +787,7 @@ class BatchWeightedState(BatchStateBase):
         ``replicas`` / ``tasks`` are aligned 1-D arrays naming live
         (replica, slot) pairs; each becomes a padding slot (location
         ``-1``, weight ``0``). Surviving tasks keep their slots, hence
-        their relative order — matching a scalar state that deleted the
-        same tasks while preserving survivor order.
+        their relative order.
         """
         rows = np.asarray(replicas, dtype=np.int64)
         cols = np.asarray(tasks, dtype=np.int64)

@@ -16,11 +16,16 @@ Both expose the derived quantities used throughout the paper: loads
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from repro.errors import ModelError, SpeedError
 from repro.types import FloatArray, IntArray
 from repro.utils.validation import check_array_1d
+
+if TYPE_CHECKING:
+    from repro.model.batch import BatchUniformState, BatchWeightedState
 
 __all__ = ["LoadStateBase", "UniformState", "WeightedState"]
 
@@ -121,29 +126,6 @@ class LoadStateBase:
         """``L_Delta(x) = max_i |e_i / s_i|`` (Definition 3.4)."""
         return float(np.abs(self.deviation / self._speeds).max())
 
-    def rescale_speed(self, node: int, factor: float) -> None:
-        """Multiply ``node``'s speed by ``factor`` (> 0).
-
-        The sanctioned mutation path for dynamic-scenario speed events
-        (:mod:`repro.scenarios`): :attr:`speeds` itself is a read-only
-        view, and the stored vector is replaced wholesale so previously
-        handed-out views keep describing the pre-event speeds.
-        """
-        if not 0 <= node < self.num_nodes:
-            raise ModelError(f"node {node} out of range")
-        if not factor > 0:
-            raise SpeedError(f"speed factor must be positive, got {factor}")
-        speed = float(self._speeds[node]) * factor
-        if not np.isfinite(speed):
-            raise SpeedError(
-                f"rescaling node {node} by {factor} gives a non-finite speed"
-            )
-        speeds = self._speeds.copy()
-        speeds.setflags(write=True)
-        speeds[node] = speed
-        speeds.setflags(write=False)
-        self._speeds = speeds
-
     def copy(self) -> "LoadStateBase":
         """Deep copy of the mutable assignment."""
         raise NotImplementedError
@@ -203,13 +185,10 @@ class UniformState(LoadStateBase):
                 "migration sampling exceeded available tasks"
             )
 
-    def replace_counts(self, counts: object) -> None:
-        """Overwrite the per-node counts wholesale (validated).
-
-        The sanctioned mutation path for workload perturbations (task
-        churn, shocks): :attr:`counts` itself is a read-only view.
-        """
-        self._counts[:] = _validated_counts(counts, self.num_nodes)
+    def _assign(self, stack: "BatchUniformState") -> None:
+        """Take row 0 of a one-row stack: a scalar event's result."""
+        self._counts[:] = stack.counts[0]
+        self._speeds = stack.speeds
 
     def copy(self) -> "UniformState":
         return UniformState(self._counts.copy(), self._speeds)
@@ -301,59 +280,19 @@ class WeightedState(LoadStateBase):
         if float(self._node_weights.min(initial=0.0)) < -1e-9:
             raise ModelError("node weight went negative")
 
-    def add_tasks(self, nodes: object, weights: object) -> None:
-        """Append new tasks at the given nodes (scenario arrivals).
+    def _assign(self, stack: "BatchWeightedState") -> None:
+        """Take row 0 of a one-row stack: a scalar event's result.
 
-        New tasks take the next indices (``m .. m + k - 1``) in the
-        order given, so existing task indices stay valid and the task
-        order — which the weighted kernels consume randomness in — is
-        extended, never permuted.
+        The live tasks keep their order and ``W_i`` is copied bit for
+        bit, not recomputed.
         """
-        new_nodes = np.asarray(nodes, dtype=np.int64)
-        new_weights = check_array_1d(weights, "weights", length=new_nodes.shape[0])
-        if new_nodes.ndim != 1:
-            raise ModelError("nodes must be 1-D")
-        if new_nodes.size == 0:
-            return
-        if new_nodes.min() < 0 or new_nodes.max() >= self.num_nodes:
-            raise ModelError(f"task locations must lie in [0, {self.num_nodes - 1}]")
-        if np.any(new_weights <= 0.0) or np.any(new_weights > 1.0):
-            raise ModelError("task weights must lie in (0, 1]")
-        self._task_nodes = np.concatenate([self._task_nodes, new_nodes])
-        merged = np.concatenate([self._task_weights, new_weights])
-        merged.setflags(write=False)
-        self._task_weights = merged
-        np.add.at(self._node_weights, new_nodes, new_weights)
-
-    def remove_tasks(self, task_indices: object) -> None:
-        """Delete the given tasks (scenario departures).
-
-        Surviving tasks keep their relative order (indices shift down),
-        preserving the per-task randomness-consumption order of the
-        weighted kernels for the remaining tasks.
-        """
-        indices = np.asarray(task_indices, dtype=np.int64)
-        if indices.ndim != 1:
-            raise ModelError("task_indices must be 1-D")
-        if indices.size == 0:
-            return
-        if indices.min() < 0 or indices.max() >= self.num_tasks:
-            raise ModelError("task index out of range")
-        if np.unique(indices).shape[0] != indices.shape[0]:
-            raise ModelError("duplicate task index in removal")
-        np.subtract.at(
-            self._node_weights, self._task_nodes[indices], self._task_weights[indices]
-        )
-        keep = np.ones(self.num_tasks, dtype=bool)
-        keep[indices] = False
-        self._task_nodes = self._task_nodes[keep]
-        kept_weights = self._task_weights[keep]
-        kept_weights.setflags(write=False)
-        self._task_weights = kept_weights
-        # Guard against floating-point drift in the decremented W_i.
-        if float(self._node_weights.min(initial=0.0)) < -1e-9:
-            raise ModelError("node weight went negative")
-        np.maximum(self._node_weights, 0.0, out=self._node_weights)
+        live = stack.task_mask[0]
+        self._task_nodes = stack.task_nodes[0, live]
+        weights = stack.task_weights[0, live]
+        weights.setflags(write=False)
+        self._task_weights = weights
+        self._node_weights[:] = stack.node_weights[0]
+        self._speeds = stack.speeds
 
     def rebuild_node_weights(self) -> None:
         """Recompute ``W_i`` from scratch (kills accumulated FP drift)."""

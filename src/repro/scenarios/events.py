@@ -4,13 +4,17 @@ The paper's convergence theorems hold for a *static* task set; real
 deployments churn. An :class:`Event` is a declarative description of one
 workload perturbation — task arrivals and departures (including a
 stationary Poisson churn process), adversarial load shocks, speed
-changes, node drains and outages — that knows how to apply itself to
-
-* a scalar state (:class:`~repro.model.state.UniformState` or
-  :class:`~repro.model.state.WeightedState`) via :meth:`Event.apply`, and
-* a replica stack (:class:`~repro.model.batch.BatchUniformState` or
-  :class:`~repro.model.batch.BatchWeightedState`) via
-  :meth:`Event.apply_batch`, vectorized over the stack.
+changes, node drains and outages. Each event has one body,
+:meth:`Event.apply_batch`, which applies it to a replica stack
+(:class:`~repro.model.batch.BatchUniformState` or
+:class:`~repro.model.batch.BatchWeightedState`), vectorized over the
+stack. A scalar event is a one-row batch event: :meth:`Event.apply`
+copies a scalar state (:class:`~repro.model.state.UniformState` or
+:class:`~repro.model.state.WeightedState`) into a one-row stack, runs
+the batch body on it with ``[rng]`` and writes row 0 back into the same
+state object. The copy carries the state's incrementally kept node
+weights over bit for bit (a fresh bincount can differ from them in the
+last place), and a raising event leaves the scalar state untouched.
 
 Randomness contract
 -------------------
@@ -19,8 +23,8 @@ generator(s) — or the :class:`~repro.utils.rng.StreamLayout` — passed at
 application time. A batched application draws only through the layout's
 sampling primitives (:meth:`~repro.utils.rng.StreamLayout.integers`,
 ``random``, ``poisson``, ``binomial``, ``removal_counts`` and
-``subset``), one call per draw site and in the scalar application's
-site order, and then mutates the stack once per step with
+``subset``), one call per draw site in a fixed site order, and then
+mutates the stack once per step with
 :meth:`~repro.model.batch.BatchUniformState.adjust_counts` /
 :meth:`~repro.model.batch.BatchWeightedState.add_tasks` /
 ``remove_tasks`` / ``apply_moves``. The compiled trace events
@@ -31,16 +35,18 @@ write a uniform stack through the trusted
 which checks only that no count goes negative: ``_rows`` has proved the
 rows unique and in range, and each delta is bounded by construction (a
 bincount of range-checked targets, a scan that takes at most what a
-node holds, a floor quota, a fixed count at the argmax node). Each
-event has one batched body; the policy shows only in what the
-primitives draw:
+node holds, a floor quota, a fixed count at the argmax node). A
+stochastic event given no stream (``None``, or ``None`` for a replica)
+raises a :class:`~repro.errors.ModelError` that names it. The policy
+shows only in what the primitives draw:
 
 * **spawned** (a generator sequence or
   :class:`~repro.utils.rng.SpawnedStreams`): each primitive makes, for
-  every replica ``r``, exactly the call the scalar application makes
-  against ``rngs[r]``. Drawing site by site across the rows keeps every
-  replica's own call sequence, so weighted scenario runs — where the
-  protocol kernels are pathwise identical across engines — stay
+  every replica ``r``, exactly the call a one-row application — the
+  scalar event — makes against ``rngs[r]``. Drawing site by site across
+  the rows keeps every replica's own call sequence, so a replica's path
+  does not depend on the rows beside it: weighted scenario runs — where
+  the protocol kernels are pathwise identical across engines — stay
   bit-identical per replica, and uniform batch and scalar runs sample
   the same law (the uniform kernels themselves are only law-equivalent).
 * **counter** (:class:`~repro.utils.rng.CounterStreams`): each primitive
@@ -54,7 +60,7 @@ primitives draw:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -63,7 +69,7 @@ from repro.graphs.graph import Graph
 from repro.model.batch import BatchStateBase, BatchUniformState, BatchWeightedState
 from repro.model.state import LoadStateBase, UniformState, WeightedState
 from repro.types import FloatArray, IntArray
-from repro.utils.rng import StreamLayout, as_stream_layout
+from repro.utils.rng import SpawnedStreams, StreamLayout, as_stream_layout
 from repro.utils.validation import check_index_array
 
 __all__ = [
@@ -134,9 +140,9 @@ _POISSON_LAM_MAX = float(
 )
 
 
-def _check_node(node: int, state: LoadStateBase | BatchStateBase) -> None:
-    if not 0 <= node < state.num_nodes:
-        raise ModelError(f"node {node} out of range [0, {state.num_nodes - 1}]")
+def _check_node(node: int, batch: BatchStateBase) -> None:
+    if not 0 <= node < batch.num_nodes:
+        raise ModelError(f"node {node} out of range [0, {batch.num_nodes - 1}]")
 
 
 def _rows(batch: BatchStateBase, replicas: object | None) -> IntArray:
@@ -153,12 +159,31 @@ def _rows(batch: BatchStateBase, replicas: object | None) -> IntArray:
     return rows
 
 
-def _check_rngs(batch: BatchStateBase, rngs) -> None:
-    if len(rngs) != batch.num_replicas:
+def _streams(event: "Event", batch: BatchStateBase, rngs) -> StreamLayout:
+    """A stochastic event's ``rngs`` as a layout with one stream per
+    replica of ``batch``.
+
+    A missing stream (``None``, or ``None`` in a generator list) raises
+    a :class:`ModelError` naming the event, before anything is drawn.
+    """
+    streams = None if rngs is None else as_stream_layout(rngs)
+    if streams is None or (
+        isinstance(streams, SpawnedStreams)
+        and not all(
+            isinstance(generator, np.random.Generator)
+            for generator in streams.generators
+        )
+    ):
+        raise ModelError(
+            f"{type(event).__name__} draws randomness and needs one numpy "
+            f"Generator per replica, got {rngs!r}"
+        )
+    if len(streams) != batch.num_replicas:
         raise ModelError(
             f"need one generator per replica ({batch.num_replicas}), "
-            f"got {len(rngs)}"
+            f"got {len(streams)}"
         )
+    return streams
 
 
 def _require_all_replicas(
@@ -184,9 +209,9 @@ def _node_counts(
 
 def _row_sums(values: FloatArray, sizes: IntArray) -> FloatArray:
     """Sums of consecutive runs of ``sizes[p]`` values, each taken with
-    ``.sum()`` in draw order as the scalar path sums it (``bincount``
-    and ``np.add.reduceat`` differ from it in the last bit from 8
-    values on)."""
+    ``.sum()`` in draw order, as the event goldens pin them
+    (``bincount`` and ``np.add.reduceat`` differ from it in the last bit
+    from 8 values on)."""
     ends = np.cumsum(sizes).tolist()
     return np.array(
         [
@@ -264,11 +289,12 @@ def _remove_uniform(
 class Event:
     """Base class: one declarative workload perturbation.
 
-    Subclasses implement :meth:`apply` (scalar states) and
-    :meth:`apply_batch` (replica stacks) with the shared randomness
-    contract described in the module docstring. Events are immutable
-    value objects; a :class:`~repro.scenarios.schedule.Schedule` decides
-    *when* they fire.
+    Subclasses implement :meth:`apply_batch` (replica stacks) with the
+    randomness contract described in the module docstring; the scalar
+    :meth:`apply` runs that body on a one-row stack. Events are
+    immutable value objects; a
+    :class:`~repro.scenarios.schedule.Schedule` decides *when* they
+    fire.
     """
 
     name: str = "event"
@@ -291,10 +317,40 @@ class Event:
         self,
         state: LoadStateBase,
         graph: Graph | None,
-        rng: np.random.Generator,
+        rng: np.random.Generator | None,
     ) -> EventOutcome:
-        """Apply the event to a scalar state (mutated in place)."""
-        raise NotImplementedError
+        """Apply the event to a scalar state (mutated in place).
+
+        Deterministic events draw nothing and accept ``rng=None``.
+        """
+        row = self._apply_one(state, graph, rng)
+        return EventOutcome(
+            **{
+                outcome_field.name: getattr(row, outcome_field.name)[0].item()
+                for outcome_field in fields(EventOutcome)
+            }
+        )
+
+    def _apply_one(
+        self,
+        state: LoadStateBase,
+        graph: Graph | None,
+        rng: np.random.Generator | None,
+    ) -> BatchEventOutcome:
+        """:meth:`apply` with the one-row outcome :meth:`apply_batch`
+        returned, which the scalar scenario engine records as is."""
+        if isinstance(state, UniformState):
+            stack = BatchUniformState.from_states([state])
+        elif isinstance(state, WeightedState):
+            stack = BatchWeightedState.from_states([state])
+            # from_states rebuilds W_i with a fresh bincount, which can
+            # differ in the last place from the state's incremental W_i.
+            stack._node_weights[0] = state.node_weights
+        else:
+            raise ModelError(f"unsupported state type {type(state).__name__}")
+        outcome = self.apply_batch(stack, graph, [rng])
+        state._assign(stack)
+        return outcome
 
     def transform_graph(
         self, graph: Graph, base_graph: Graph, round_index: int
@@ -358,35 +414,8 @@ class TaskArrival(Event):
                 f"arrival weight must lie in (0, 1], got {self.weight}"
             )
 
-    def _targets(self, rng: np.random.Generator, num_nodes: int) -> IntArray:
-        if self.node is not None:
-            return np.full(self.count, self.node, dtype=np.int64)
-        return rng.integers(0, num_nodes, size=self.count)
-
-    def apply(self, state, graph, rng) -> EventOutcome:
-        if self.node is not None:
-            _check_node(self.node, state)
-        if self.count == 0:
-            return EventOutcome()
-        targets = self._targets(rng, state.num_nodes)
-        if isinstance(state, UniformState):
-            additions = np.bincount(targets, minlength=state.num_nodes).astype(
-                np.int64
-            )
-            state.replace_counts(state.counts + additions)
-            return EventOutcome(
-                tasks_added=self.count, weight_added=float(self.count)
-            )
-        if isinstance(state, WeightedState):
-            state.add_tasks(targets, np.full(self.count, self.weight))
-            return EventOutcome(
-                tasks_added=self.count, weight_added=self.count * self.weight
-            )
-        raise ModelError(f"unsupported state type {type(state).__name__}")
-
     def apply_batch(self, batch, graph, rngs, replicas=None) -> BatchEventOutcome:
-        streams = as_stream_layout(rngs)
-        _check_rngs(batch, streams)
+        streams = _streams(self, batch, rngs)
         if self.node is not None:
             _check_node(self.node, batch)
         outcome = BatchEventOutcome.zeros(batch.num_replicas)
@@ -416,44 +445,8 @@ class TaskDeparture(Event):
         if not isinstance(self.count, (int, np.integer)) or self.count < 0:
             raise ValidationError(f"count must be a non-negative int, got {self.count}")
 
-    @staticmethod
-    def _uniform_removal(
-        rng: np.random.Generator, counts: IntArray, count: int
-    ) -> IntArray | None:
-        """Per-node removal counts, or ``None`` when nothing changes.
-
-        No randomness is consumed when the system is empty or fully
-        cleared — both engines must skip the draw identically.
-        """
-        total = int(counts.sum())
-        if count == 0 or total == 0:
-            return None
-        if count >= total:
-            return counts.copy()
-        return rng.multivariate_hypergeometric(counts, count).astype(np.int64)
-
-    def apply(self, state, graph, rng) -> EventOutcome:
-        if isinstance(state, UniformState):
-            removed = self._uniform_removal(rng, state.counts, self.count)
-            if removed is None:
-                return EventOutcome()
-            state.replace_counts(state.counts - removed)
-            gone = int(removed.sum())
-            return EventOutcome(tasks_removed=gone, weight_removed=float(gone))
-        if isinstance(state, WeightedState):
-            live = state.num_tasks
-            k = min(self.count, live)
-            if k == 0:
-                return EventOutcome()
-            chosen = rng.choice(live, size=k, replace=False)
-            weight_gone = float(state.task_weights[chosen].sum())
-            state.remove_tasks(chosen)
-            return EventOutcome(tasks_removed=k, weight_removed=weight_gone)
-        raise ModelError(f"unsupported state type {type(state).__name__}")
-
     def apply_batch(self, batch, graph, rngs, replicas=None) -> BatchEventOutcome:
-        streams = as_stream_layout(rngs)
-        _check_rngs(batch, streams)
+        streams = _streams(self, batch, rngs)
         outcome = BatchEventOutcome.zeros(batch.num_replicas)
         rows = _rows(batch, replicas)
         if self.count == 0 or rows.size == 0:
@@ -492,32 +485,16 @@ class PoissonChurnEvent(Event):
                 f"arrival weight must lie in (0, 1], got {self.weight}"
             )
 
-    def apply(self, state, graph, rng) -> EventOutcome:
-        arrivals = int(rng.poisson(self.rate))
-        departures = int(rng.poisson(self.rate))
-        added = TaskArrival(arrivals, node=self.node, weight=self.weight).apply(
-            state, graph, rng
-        )
-        removed = TaskDeparture(departures).apply(state, graph, rng)
-        return EventOutcome(
-            tasks_added=added.tasks_added,
-            tasks_removed=removed.tasks_removed,
-            weight_added=added.weight_added,
-            weight_removed=removed.weight_removed,
-        )
-
     def apply_batch(self, batch, graph, rngs, replicas=None) -> BatchEventOutcome:
-        streams = as_stream_layout(rngs)
-        _check_rngs(batch, streams)
+        streams = _streams(self, batch, rngs)
         if self.node is not None:
             _check_node(self.node, batch)
         rows = _rows(batch, replicas)
         outcome = BatchEventOutcome.zeros(batch.num_replicas)
         if rows.size == 0:
             return outcome
-        # Each replica draws in the scalar order: both magnitudes, then
-        # the placements, then the departures, which see the
-        # post-arrival state.
+        # Each replica draws both magnitudes, then the placements, then
+        # the departures, which see the post-arrival state.
         arrivals, departures = streams.poisson("poisson-churn", rows, self.rate, 2)
         _add_arrivals(batch, streams, rows, arrivals, self.node, self.weight, outcome)
         _remove_uniform(batch, streams, rows, departures, outcome)
@@ -547,39 +524,8 @@ class LoadShock(Event):
         if not isinstance(self.node, (int, np.integer)) or self.node < 0:
             raise ValidationError(f"node must be a non-negative int, got {self.node}")
 
-    def _uniform_delta(
-        self, rng: np.random.Generator, counts: IntArray
-    ) -> tuple[IntArray, int]:
-        grabbed = rng.binomial(counts, self.fraction).astype(np.int64)
-        grabbed[self.node] = 0
-        moved = int(grabbed.sum())
-        delta = -grabbed
-        delta[self.node] += moved
-        return delta, moved
-
-    def apply(self, state, graph, rng) -> EventOutcome:
-        _check_node(self.node, state)
-        if isinstance(state, UniformState):
-            delta, moved = self._uniform_delta(rng, state.counts)
-            state.replace_counts(state.counts + delta)
-            return EventOutcome(tasks_relocated=moved)
-        if isinstance(state, WeightedState):
-            live = state.num_tasks
-            if live == 0:
-                return EventOutcome()
-            uniforms = rng.random(live)
-            move = (uniforms < self.fraction) & (state.task_nodes != self.node)
-            indices = np.flatnonzero(move)
-            if indices.size:
-                state.apply_moves(
-                    indices, np.full(indices.size, self.node, dtype=np.int64)
-                )
-            return EventOutcome(tasks_relocated=int(indices.size))
-        raise ModelError(f"unsupported state type {type(state).__name__}")
-
     def apply_batch(self, batch, graph, rngs, replicas=None) -> BatchEventOutcome:
-        streams = as_stream_layout(rngs)
-        _check_rngs(batch, streams)
+        streams = _streams(self, batch, rngs)
         _check_node(self.node, batch)
         outcome = BatchEventOutcome.zeros(batch.num_replicas)
         rows = _rows(batch, replicas)
@@ -637,10 +583,6 @@ class SpeedChange(Event):
                 f"factor must be positive and finite, got {self.factor}"
             )
 
-    def apply(self, state, graph, rng) -> EventOutcome:
-        state.rescale_speed(self.node, self.factor)
-        return EventOutcome()
-
     def apply_batch(self, batch, graph, rngs, replicas=None) -> BatchEventOutcome:
         _require_all_replicas(batch, replicas, "SpeedChange")
         batch.rescale_speed(self.node, self.factor)
@@ -671,33 +613,9 @@ class NodeDrain(Event):
             raise ModelError("NodeDrain needs the graph to find neighbours")
         return graph
 
-    def apply(self, state, graph, rng) -> EventOutcome:
-        graph = self._require_graph(graph)
-        _check_node(self.node, state)
-        neighbours = graph.neighbors(self.node)
-        if isinstance(state, UniformState):
-            count = int(state.counts[self.node])
-            if count == 0 or neighbours.size == 0:
-                return EventOutcome()
-            choice = rng.integers(0, neighbours.size, size=count)
-            delta = np.zeros(state.num_nodes, dtype=np.int64)
-            delta[self.node] = -count
-            np.add.at(delta, neighbours[choice], 1)
-            state.replace_counts(state.counts + delta)
-            return EventOutcome(tasks_relocated=count)
-        if isinstance(state, WeightedState):
-            indices = state.tasks_on(self.node)
-            if indices.size == 0 or neighbours.size == 0:
-                return EventOutcome()
-            choice = rng.integers(0, neighbours.size, size=indices.size)
-            state.apply_moves(indices, neighbours[choice])
-            return EventOutcome(tasks_relocated=int(indices.size))
-        raise ModelError(f"unsupported state type {type(state).__name__}")
-
     def apply_batch(self, batch, graph, rngs, replicas=None) -> BatchEventOutcome:
         graph = self._require_graph(graph)
-        streams = as_stream_layout(rngs)
-        _check_rngs(batch, streams)
+        streams = _streams(self, batch, rngs)
         _check_node(self.node, batch)
         outcome = BatchEventOutcome.zeros(batch.num_replicas)
         rows = _rows(batch, replicas)
@@ -752,14 +670,10 @@ class NodeOutage(Event):
                 f"residual_factor must lie in (0, 1], got {self.residual_factor}"
             )
 
-    def apply(self, state, graph, rng) -> EventOutcome:
-        outcome = NodeDrain(self.node).apply(state, graph, rng)
-        state.rescale_speed(self.node, self.residual_factor)
-        return outcome
-
     def apply_batch(self, batch, graph, rngs, replicas=None) -> BatchEventOutcome:
         _require_all_replicas(batch, replicas, "NodeOutage")
-        outcome = NodeDrain(self.node).apply_batch(batch, graph, rngs, replicas)
+        streams = _streams(self, batch, rngs)
+        outcome = NodeDrain(self.node).apply_batch(batch, graph, streams, replicas)
         batch.rescale_speed(self.node, self.residual_factor)
         return outcome
 
@@ -780,12 +694,6 @@ class _TopologyEvent(Event):
     """
 
     mutates_topology: bool = True
-
-    def apply(self, state, graph, rng) -> EventOutcome:
-        raise ModelError(
-            f"{self.name} transforms the graph, not the state; "
-            "ScenarioRunner applies it via transform_graph"
-        )
 
     def apply_batch(self, batch, graph, rngs, replicas=None) -> BatchEventOutcome:
         raise ModelError(
@@ -921,13 +829,12 @@ def _scan_removal(counts: IntArray, count: int, start_node: int) -> IntArray:
 
     Scans nodes in index order starting at ``start_node`` (wrapping) and
     takes up to each node's available tasks until ``count`` are removed
-    (or the system empties). Works on a scalar ``(n,)`` count vector or
-    each row of a stacked ``(R, n)`` block; returns ``(rows, n)``
-    per-node removal counts. Pure function of the counts — no
-    randomness — so every replica under every RNG policy removes exactly
-    the same number of tasks from the same nodes.
+    (or the system empties) from each row of a ``(rows, n)`` count
+    block; returns the ``(rows, n)`` per-node removal counts. Pure
+    function of the counts — no randomness — so every replica under
+    every RNG policy removes exactly the same number of tasks from the
+    same nodes.
     """
-    counts = np.atleast_2d(np.asarray(counts, dtype=np.int64))
     num_nodes = counts.shape[1]
     order = (np.arange(num_nodes) + start_node) % num_nodes
     available = counts[:, order]
@@ -992,25 +899,6 @@ class TraceArrival(Event):
             )
         return targets
 
-    def apply(self, state, graph, rng) -> EventOutcome:
-        targets = self._target_array(state.num_nodes)
-        if targets.size == 0:
-            return EventOutcome()
-        if isinstance(state, UniformState):
-            additions = np.bincount(targets, minlength=state.num_nodes).astype(
-                np.int64
-            )
-            state.replace_counts(state.counts + additions)
-            return EventOutcome(
-                tasks_added=self.count, weight_added=float(self.count)
-            )
-        if isinstance(state, WeightedState):
-            state.add_tasks(targets, np.full(targets.size, self.weight))
-            return EventOutcome(
-                tasks_added=self.count, weight_added=self.count * self.weight
-            )
-        raise ModelError(f"unsupported state type {type(state).__name__}")
-
     def apply_batch(self, batch, graph, rngs, replicas=None) -> BatchEventOutcome:
         outcome = BatchEventOutcome.zeros(batch.num_replicas)
         rows = _rows(batch, replicas)
@@ -1064,30 +952,6 @@ class TraceDeparture(Event):
             raise ValidationError(
                 f"start_node must be a non-negative int, got {self.start_node}"
             )
-
-    def apply(self, state, graph, rng) -> EventOutcome:
-        _check_node(self.start_node, state)
-        if self.count == 0:
-            return EventOutcome()
-        if isinstance(state, UniformState):
-            removal = _scan_removal(state.counts, self.count, self.start_node)[0]
-            gone = int(removal.sum())
-            if gone == 0:
-                return EventOutcome()
-            state.replace_counts(state.counts - removal)
-            return EventOutcome(tasks_removed=gone, weight_removed=float(gone))
-        if isinstance(state, WeightedState):
-            scan_pos = self._scan_positions(state.num_nodes)
-            order = np.argsort(scan_pos[state.task_nodes], kind="stable")
-            chosen = order[: min(self.count, state.num_tasks)]
-            if chosen.size == 0:
-                return EventOutcome()
-            weight_gone = float(state.task_weights[chosen].sum())
-            state.remove_tasks(chosen)
-            return EventOutcome(
-                tasks_removed=int(chosen.size), weight_removed=weight_gone
-            )
-        raise ModelError(f"unsupported state type {type(state).__name__}")
 
     def _scan_positions(self, num_nodes: int) -> IntArray:
         """``scan_pos[node]`` = how late the sweep reaches ``node``."""
@@ -1174,36 +1038,6 @@ class TraceRelocation(Event):
         # the quota is the intended floor on every platform.
         return np.floor(counts * fraction + 1e-9).astype(np.int64)
 
-    def apply(self, state, graph, rng) -> EventOutcome:
-        _check_node(self.node, state)
-        if isinstance(state, UniformState):
-            grabbed = self._quota(state.counts, self.fraction)
-            grabbed[self.node] = 0
-            moved = int(grabbed.sum())
-            if moved == 0:
-                return EventOutcome()
-            delta = -grabbed
-            delta[self.node] += moved
-            state.replace_counts(state.counts + delta)
-            return EventOutcome(tasks_relocated=moved)
-        if isinstance(state, WeightedState):
-            moving: list[np.ndarray] = []
-            for target in range(state.num_nodes):
-                if target == self.node:
-                    continue
-                indices = state.tasks_on(target)
-                quota = int(self._quota(indices.size, self.fraction))
-                if quota:
-                    moving.append(indices[:quota])
-            if not moving:
-                return EventOutcome()
-            indices = np.concatenate(moving)
-            state.apply_moves(
-                indices, np.full(indices.size, self.node, dtype=np.int64)
-            )
-            return EventOutcome(tasks_relocated=int(indices.size))
-        raise ModelError(f"unsupported state type {type(state).__name__}")
-
     def apply_batch(self, batch, graph, rngs, replicas=None) -> BatchEventOutcome:
         _check_node(self.node, batch)
         outcome = BatchEventOutcome.zeros(batch.num_replicas)
@@ -1289,27 +1123,6 @@ class AdversarialArrival(Event):
             raise ValidationError(
                 f"arrival weight must lie in (0, 1], got {self.weight}"
             )
-
-    def apply(self, state, graph, rng) -> EventOutcome:
-        if self.count == 0:
-            return EventOutcome()
-        target = int(np.argmax(state.loads))
-        if isinstance(state, UniformState):
-            counts = state.counts.copy()
-            counts[target] += self.count
-            state.replace_counts(counts)
-            return EventOutcome(
-                tasks_added=self.count, weight_added=float(self.count)
-            )
-        if isinstance(state, WeightedState):
-            state.add_tasks(
-                np.full(self.count, target, dtype=np.int64),
-                np.full(self.count, self.weight),
-            )
-            return EventOutcome(
-                tasks_added=self.count, weight_added=self.count * self.weight
-            )
-        raise ModelError(f"unsupported state type {type(state).__name__}")
 
     def apply_batch(self, batch, graph, rngs, replicas=None) -> BatchEventOutcome:
         outcome = BatchEventOutcome.zeros(batch.num_replicas)

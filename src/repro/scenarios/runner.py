@@ -53,7 +53,7 @@ from repro.errors import SimulationError, ValidationError
 from repro.graphs.graph import Graph
 from repro.model.batch import BatchStateBase, BatchUniformState, BatchWeightedState
 from repro.model.state import LoadStateBase, UniformState, WeightedState
-from repro.scenarios.events import BatchEventOutcome, Event, EventOutcome
+from repro.scenarios.events import BatchEventOutcome, Event
 from repro.scenarios.schedule import Schedule
 from repro.spectral.eigen import algebraic_connectivity
 from repro.types import FloatArray, IntArray, SeedLike
@@ -597,7 +597,7 @@ class ScenarioRunner:
             }
 
         def apply(event: Event, current: LoadStateBase, graph: Graph):
-            return _lift(event.apply(current, graph, generator))
+            return event._apply_one(current, graph, generator)
 
         return self._run_loop(
             Simulator(self._graph, self._protocol, generator),
@@ -877,17 +877,6 @@ _EVENT_ARRAYS = (
     "tasks_relocated",
     "psi0_after",
 )
-
-
-def _lift(outcome: EventOutcome) -> BatchEventOutcome:
-    """A scalar event outcome as the one-replica batched outcome."""
-    return BatchEventOutcome(
-        tasks_added=np.array([outcome.tasks_added], dtype=np.int64),
-        tasks_removed=np.array([outcome.tasks_removed], dtype=np.int64),
-        weight_added=np.array([outcome.weight_added]),
-        weight_removed=np.array([outcome.weight_removed]),
-        tasks_relocated=np.array([outcome.tasks_relocated], dtype=np.int64),
-    )
 
 
 def _exact_total(state: LoadStateBase) -> float:

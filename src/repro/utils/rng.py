@@ -205,10 +205,6 @@ def _mix64(x: int) -> int:
 #: 4-6 ns per drawn word, so a gap is drawn and discarded up to ~4k words.
 _SPLIT_GAP_WORDS = 4096
 
-#: Raw words converted per pass in :func:`philox_uniforms` (256 KB), so
-#: the shift and scale passes run over cache-resident data.
-_RAW_CHUNK_WORDS = 32768
-
 
 def philox_uniforms(key: np.ndarray, start_word: int, count: int) -> np.ndarray:
     """``count`` uniforms from the ``key``-ed Philox stream, starting at
@@ -217,10 +213,11 @@ def philox_uniforms(key: np.ndarray, start_word: int, count: int) -> np.ndarray:
     The stream is positioned block-wise (Philox emits 4 words per
     counter increment) with any sub-block remainder discarded, and each
     raw word ``w`` becomes ``(w >> 11) * 2**-53``: numpy's own
-    ``next_double`` for Philox, so the block is bit-identical to
-    ``Generator(Philox(key=key)).random`` at the same position without
-    the ``Generator`` wrapper. This is the one fill of the counter
-    layout: every :class:`CounterStreams` site block comes from it.
+    ``next_double`` for Philox, which ``Generator.random`` writes
+    straight into the returned block (a raw-word temporary per call
+    would be a second fresh block of the same size). This is the one
+    fill of the counter layout: every :class:`CounterStreams` site
+    block comes from it.
     """
     bit_generator = np.random.Philox(key=key)
     blocks, remainder = divmod(start_word, 4)
@@ -229,13 +226,7 @@ def philox_uniforms(key: np.ndarray, start_word: int, count: int) -> np.ndarray:
     if remainder:
         bit_generator.random_raw(remainder)
     out = np.empty(count, dtype=np.float64)
-    for low in range(0, count, _RAW_CHUNK_WORDS):
-        words = bit_generator.random_raw(min(_RAW_CHUNK_WORDS, count - low))
-        words >>= 11
-        # Below 2**53 after the shift, so the int64 view converts exactly.
-        np.multiply(
-            words.view(np.int64), 2.0**-53, out=out[low : low + words.size]
-        )
+    np.random.Generator(bit_generator).random(out=out)
     return out
 
 

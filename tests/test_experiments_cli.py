@@ -288,6 +288,26 @@ class TestSeedValidation:
         assert "invalid int value" in capsys.readouterr().err
 
 
+class TestOutputPaths:
+    @pytest.mark.parametrize("flag", ["--json", "--markdown"])
+    def test_output_into_missing_directory_is_usage_error(
+        self, flag, monkeypatch, tmp_path, capsys
+    ):
+        """The directory is checked before the experiment runs, so a
+        typo costs no run and shows no traceback."""
+        ran = []
+        monkeypatch.setattr(
+            cli, "run_experiment", lambda *args, **kwargs: ran.append(args)
+        )
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(
+                ["run", "table1-approx", flag, str(tmp_path / "missing" / "out")]
+            )
+        assert excinfo.value.code == 2
+        assert "does not exist" in capsys.readouterr().err
+        assert ran == []
+
+
 class TestWorkloadFlags:
     def test_missing_trace_file_is_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -916,16 +916,35 @@ class TestRunMetaSharding:
             ] == [(0, 2), (2, 1)]
 
     def test_run_meta_records_adaptive_effective_repetitions(self):
-        result = run_experiment(
-            "table1-weighted", quick=True, seed=99, target_ci=500.0
-        )
+        """A cap of 16 in waves of 4 admits a target stop; a cap of 3 is
+        below the 4 samples the CI needs, so that cell runs to the cap
+        and the executor warns."""
+        experiment_id = "_test-adaptive-stops"
+
+        @register_experiment(experiment_id)
+        def adaptive(quick, seed, target_ci=None):
+            cell = CellSpec("weighted", "ring", 8, 2.0, 16, seed, target_ci=target_ci)
+            specs = [replace(cell, shard_size=4), replace(cell, repetitions=3)]
+            report = execute_cells_report(specs)
+            return ExperimentResult(
+                experiment_id=experiment_id,
+                title="t",
+                data={"cell_timings": report.timings_json()},
+            )
+
+        try:
+            with pytest.warns(RuntimeWarning, match="cannot stop a cell early"):
+                result = run_experiment(experiment_id, seed=99, target_ci=500.0)
+        finally:
+            _REGISTRY.pop(experiment_id, None)
         meta = result.data["run_meta"]
         assert meta["target_ci_effective"] == 500.0
-        for cell in meta["cell_timings"]:
-            assert cell["adaptive_stop"] in ("target", "cap")
-            assert (
-                cell["repetitions_effective"] <= cell["repetitions_requested"]
-            )
+        target, cap = meta["cell_timings"]
+        assert target["adaptive_stop"] == "target"
+        assert target["repetitions_effective"] == 4
+        assert target["repetitions_requested"] == 16
+        assert cap["adaptive_stop"] == "cap"
+        assert cap["repetitions_effective"] == cap["repetitions_requested"] == 3
 
     def test_legacy_runner_warns_on_shard_size(self):
         experiment_id = "_test-legacy-no-shard"

@@ -49,16 +49,6 @@ class TestUniformState:
         with pytest.raises(Exception):
             UniformState([1, 2], [1.0])
 
-    @pytest.mark.parametrize("factor", [float("inf"), 1e308])
-    def test_rescale_speed_to_non_finite_rejected(self, factor):
-        for state in (
-            UniformState([1, 2], [10.0, 1.0]),
-            WeightedState([0, 1], [0.5, 0.5], [10.0, 1.0]),
-        ):
-            with pytest.raises(SpeedError, match="non-finite"):
-                state.rescale_speed(0, factor)
-            assert state.speeds[0] == 10.0
-
     def test_empty_rejected(self):
         with pytest.raises(ModelError):
             UniformState([], [])
@@ -225,21 +215,3 @@ class TestReadOnlyViews:
         _ = state.counts  # materialize a read-only view first
         state.apply_moves([0], [1], [2])
         np.testing.assert_array_equal(state.counts, [2, 2, 2])
-
-
-class TestReplaceCounts:
-    def test_replaces_and_validates(self):
-        state = UniformState([4, 0, 2], [1.0, 1.0, 2.0])
-        state.replace_counts([1, 2, 3])
-        np.testing.assert_array_equal(state.counts, [1, 2, 3])
-        assert state.num_tasks == 6
-
-    def test_rejects_negative(self):
-        state = UniformState([4, 0, 2], [1.0, 1.0, 2.0])
-        with pytest.raises(ModelError):
-            state.replace_counts([1, -1, 3])
-
-    def test_rejects_wrong_length(self):
-        state = UniformState([4, 0, 2], [1.0, 1.0, 2.0])
-        with pytest.raises(ModelError):
-            state.replace_counts([1, 2])

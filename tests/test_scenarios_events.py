@@ -480,6 +480,48 @@ class TestBatchScalarPathwise:
         assert after[1:] == before[1:]
 
 
+STOCHASTIC_EVENTS = [
+    TaskArrival(3),
+    TaskArrival(2, node=1),
+    TaskDeparture(2),
+    PoissonChurnEvent(1.0),
+    LoadShock(0.5),
+    NodeDrain(0),
+    NodeOutage(0),
+]
+
+
+class TestMissingGenerator:
+    """A stochastic event without a generator raises a ModelError that
+    names it, on either entry point, and changes nothing."""
+
+    @staticmethod
+    def _batch(kind):
+        if kind == "uniform":
+            return BatchUniformState(np.array([[3, 1, 0, 2]]), np.ones(4))
+        batch, _ = _weighted_batch(num_replicas=1)
+        return batch
+
+    @pytest.mark.parametrize("event", STOCHASTIC_EVENTS, ids=repr)
+    @pytest.mark.parametrize("rngs", [None, [None]], ids=["None", "[None]"])
+    @pytest.mark.parametrize("kind", ["uniform", "weighted"])
+    def test_batch(self, event, rngs, kind):
+        batch = self._batch(kind)
+        before = batch.copy()
+        with pytest.raises(ModelError, match=type(event).__name__):
+            event.apply_batch(batch, cycle_graph(4), rngs)
+        assert _bits(batch.node_weights) == _bits(before.node_weights)
+
+    @pytest.mark.parametrize("event", STOCHASTIC_EVENTS, ids=repr)
+    @pytest.mark.parametrize("kind", ["uniform", "weighted"])
+    def test_scalar(self, event, kind):
+        state = self._batch(kind).replica(0)
+        before = _bits(state.node_weights)
+        with pytest.raises(ModelError, match=type(event).__name__):
+            event.apply(state, cycle_graph(4), None)
+        assert _bits(state.node_weights) == before
+
+
 class TestEventValueSemantics:
     def test_events_picklable(self):
         events = [
